@@ -13,7 +13,6 @@ the occupancy statistics of all bins separate both from Poissonian noise.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,17 +96,15 @@ class Coincidence2DHistogram:
 
     Bin k covers delays [(k - 1/2) w, (k + 1/2) w) with w = bin_width_s, so
     bin 0 is centered on zero delay.  Counts are stored as deduplicated
-    coordinate triples; the default merged grid (457 x 457) densifies to a
-    couple of megabytes while the fine tick-resolution grid stays sparse.
+    coordinate triples sorted by (i, j); the fine tick-resolution grid stays sparse.
     """
 
     def __init__(self, bin_width_s, n_half, i_idx, j_idx, values, total_reference_events):
-        order = np.lexsort((j_idx, i_idx))
         self.bin_width_s = float(bin_width_s)
         self.n_half = int(n_half)
-        self.i_idx = np.asarray(i_idx, dtype=np.int64)[order]
-        self.j_idx = np.asarray(j_idx, dtype=np.int64)[order]
-        self.values = np.asarray(values, dtype=np.int64)[order]
+        self.i_idx = np.asarray(i_idx, dtype=np.int64)
+        self.j_idx = np.asarray(j_idx, dtype=np.int64)
+        self.values = np.asarray(values, dtype=np.int64)
         self.total_reference_events = int(total_reference_events)
         if len(self.values) and (
             np.any(np.abs(self.i_idx) > self.n_half) or np.any(np.abs(self.j_idx) > self.n_half)
@@ -115,24 +112,29 @@ class Coincidence2DHistogram:
             raise ValueError("bin indices outside the histogram grid")
         if np.any(self.values < 0):
             raise ValueError("negative bin counts")
+        # on the grid the flat key orders bins as (i, j) does; producers emit them sorted
+        self._keys = (self.i_idx + self.n_half) * self.n_axis_bins + (self.j_idx + self.n_half)
+        if np.any(self._keys[1:] <= self._keys[:-1]):
+            order = np.argsort(self._keys, kind="stable")
+            self.i_idx, self.j_idx, self.values, self._keys = (
+                a[order] for a in (self.i_idx, self.j_idx, self.values, self._keys)
+            )
+
+    @classmethod
+    def _from_keys(cls, bin_width_s, n_half, keys, counts, total_reference_events):
+        """Histogram from ascending, distinct flat keys (i + n_half) * side + (j + n_half)."""
+        side = 2 * n_half + 1
+        i, j = keys // side - n_half, keys % side - n_half
+        return cls(bin_width_s, n_half, i, j, counts, total_reference_events)
 
     @classmethod
     def from_entries(cls, bin_width_s, n_half, i_entries, j_entries, total_reference_events):
         """Accumulate raw per-pair bin indices into deduplicated counts."""
         i_entries = np.asarray(i_entries, dtype=np.int64)
         j_entries = np.asarray(j_entries, dtype=np.int64)
-        if i_entries.size == 0:
-            return cls(bin_width_s, n_half, [], [], [], total_reference_events)
-        side = 2 * n_half + 1
-        keys = (i_entries + n_half) * side + (j_entries + n_half)
-        uniq, counts = np.unique(keys, return_counts=True)
-        return cls(
-            bin_width_s,
-            n_half,
-            uniq // side - n_half,
-            uniq % side - n_half,
-            counts,
-            total_reference_events,
+        keys = (i_entries + n_half) * (2 * n_half + 1) + (j_entries + n_half)
+        return cls._from_keys(
+            bin_width_s, n_half, *np.unique(keys, return_counts=True), total_reference_events
         )
 
     @property
@@ -148,23 +150,11 @@ class Coincidence2DHistogram:
         return int(self.values.sum())
 
     def count_at(self, i: int, j: int) -> int:
-        side = self.n_axis_bins
-        key = (i + self.n_half) * side + (j + self.n_half)
-        keys = (self.i_idx + self.n_half) * side + (self.j_idx + self.n_half)
-        pos = np.searchsorted(keys, key)
-        if pos < len(keys) and keys[pos] == key:
+        key = (i + self.n_half) * self.n_axis_bins + (j + self.n_half)
+        pos = np.searchsorted(self._keys, key)
+        if pos < len(self._keys) and self._keys[pos] == key:
             return int(self.values[pos])
         return 0
-
-    def dense(self) -> np.ndarray:
-        """Materialize the full count matrix (guarded against huge fine grids)."""
-        if self.n_bins_total > 2**24:
-            raise MemoryError(
-                f"{self.n_axis_bins}^2 bins is too large to densify; merge first"
-            )
-        out = np.zeros((self.n_axis_bins, self.n_axis_bins), dtype=np.int64)
-        out[self.i_idx + self.n_half, self.j_idx + self.n_half] = self.values
-        return out
 
     def add(self, other: "Coincidence2DHistogram") -> "Coincidence2DHistogram":
         """Bin-wise sum; used to merge reference-event shards."""
@@ -190,6 +180,11 @@ def _channel_arrays(stream: TimeTagStream):
     )
 
 
+# Pairs expanded at once.  Each costs about 70 bytes of transient arrays, so
+# this bounds the histogram's working memory whatever the stream's density.
+_PAIR_CHUNK = 1 << 20
+
+
 def build_threefold_histogram(
     stream: TimeTagStream,
     cfg: BinningConfig,
@@ -197,8 +192,8 @@ def build_threefold_histogram(
 ) -> Coincidence2DHistogram:
     """Fine (one bin per tick) 2-D histogram around the channel-2 references.
 
-    Single streaming pass: two sliding windows over channels 1 and 3 advance
-    monotonically with the reference tag, so the cost is O(N + pairs).
+    Windows come from one binary search per channel; the pairs are expanded
+    and counted in chunks of at most _PAIR_CHUNK pairs (or one reference).
     ref_range restricts the pass to a slice of the channel-2 events; shards
     built this way add up to the full histogram exactly.
     """
@@ -213,40 +208,42 @@ def build_threefold_histogram(
     # the negative edge bin gives up its single outermost tick for symmetry
     n_half_fine = cfg.n_half_merged * f + (f // 2) - 1 if f > 1 else cfg.n_half_merged
     w = n_half_fine
+    side = 2 * w + 1
 
     lo, hi = (0, len(t2)) if ref_range is None else ref_range
     refs = t2[lo:hi]
+    start1 = np.searchsorted(t1, refs - w, "left")
+    count1 = np.searchsorted(t1, refs + w, "right") - start1
+    start3 = np.searchsorted(t3, refs - w, "left")
+    count3 = np.searchsorted(t3, refs + w, "right") - start3
+    pairs_before = np.concatenate(([0], np.cumsum(count1 * count3)))
 
-    i_parts = []
-    j_parts = []
-    lo1 = hi1 = lo3 = hi3 = 0
-    n1, n3 = len(t1), len(t3)
-    for t0 in refs:
-        tmin, tmax = t0 - w, t0 + w
-        while lo1 < n1 and t1[lo1] < tmin:
-            lo1 += 1
-        if hi1 < lo1:
-            hi1 = lo1
-        while hi1 < n1 and t1[hi1] <= tmax:
-            hi1 += 1
-        while lo3 < n3 and t3[lo3] < tmin:
-            lo3 += 1
-        if hi3 < lo3:
-            hi3 = lo3
-        while hi3 < n3 and t3[hi3] <= tmax:
-            hi3 += 1
-        c1 = hi1 - lo1
-        c3 = hi3 - lo3
-        if c1 and c3:
-            d1 = t1[lo1:hi1] - t0
-            d3 = t3[lo3:hi3] - t0
-            i_parts.append(np.repeat(d1, c3))
-            j_parts.append(np.tile(d3, c1))
+    def chunk_keys(a, b):
+        ref = np.repeat(np.arange(a, b), np.diff(pairs_before[a : b + 1]))
+        # pair k of a reference joins its channel-1 tag k // c3 and channel-3 tag k % c3
+        k = np.arange(len(ref)) - (pairs_before[ref] - pairs_before[a])
+        p, q = np.divmod(k, count3[ref])
+        d1 = t1[start1[ref] + p] - refs[ref]
+        d3 = t3[start3[ref] + q] - refs[ref]
+        return np.unique((d1 + w) * side + (d3 + w), return_counts=True)
 
-    i_all = np.concatenate(i_parts) if i_parts else np.empty(0, np.int64)
-    j_all = np.concatenate(j_parts) if j_parts else np.empty(0, np.int64)
-    return Coincidence2DHistogram.from_entries(
-        cfg.base_bin_s, n_half_fine, i_all, j_all, total_reference_events=len(refs)
+    # the empty first part keeps the concatenation defined without references
+    parts = [(np.empty(0, np.int64), np.empty(0, np.int64))]
+    a = 0
+    while a < len(refs):
+        b = int(np.searchsorted(pairs_before, pairs_before[a] + _PAIR_CHUNK, "right")) - 1
+        b = max(b, a + 1)
+        parts.append(chunk_keys(a, b))
+        a = b
+    keys, counts = (np.concatenate(x) for x in zip(*parts))
+    del parts  # release the chunks before sorting
+    # a delay bin recurs across chunks: sum its counts
+    order = np.argsort(keys, kind="stable")
+    keys, counts = keys[order], counts[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    keys, counts = keys[first], np.add.reduceat(counts, first)
+    return Coincidence2DHistogram._from_keys(
+        cfg.base_bin_s, n_half_fine, keys, counts, total_reference_events=len(refs)
     )
 
 
@@ -266,21 +263,13 @@ def merge_bins(h: Coincidence2DHistogram, factor: int) -> Coincidence2DHistogram
         )
     half = factor // 2
     n_half_m = (h.n_half + half) // factor
-    i_m = (h.i_idx + half) // factor
-    j_m = (h.j_idx + half) // factor
     side = 2 * n_half_m + 1
-    keys = (i_m + n_half_m) * side + (j_m + n_half_m)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    vals = h.values[order]
-    uniq, starts = np.unique(keys, return_index=True)
-    sums = np.add.reduceat(vals, starts)
-    return Coincidence2DHistogram(
-        h.bin_width_s * factor,
-        n_half_m,
-        uniq // side - n_half_m,
-        uniq % side - n_half_m,
-        sums,
+    keys = ((h.i_idx + half) // factor + n_half_m) * side + (h.j_idx + half) // factor + n_half_m
+    # float64 sums of integer counts are exact below 2**53
+    sums = np.bincount(keys, weights=h.values, minlength=side * side)
+    nonempty = np.flatnonzero(sums)
+    return Coincidence2DHistogram._from_keys(
+        h.bin_width_s * factor, n_half_m, nonempty, sums[nonempty].astype(np.int64),
         h.total_reference_events,
     )
 
@@ -398,7 +387,8 @@ def car(central: int, accidental: float, n_accidental_bins: int = 41) -> CarEsti
 
 def occupancy_histogram(h: Coincidence2DHistogram) -> dict[int, int]:
     """How many bins hold how many counts, over the full grid (zeros included)."""
-    occ = Counter(int(v) for v in h.values)
+    values, freqs = np.unique(h.values, return_counts=True)
+    occ = dict(zip(values.tolist(), freqs.tolist()))
     occ[0] = occ.get(0, 0) + h.n_bins_total - len(h.values)
     return dict(sorted(occ.items()))
 

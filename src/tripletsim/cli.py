@@ -74,7 +74,10 @@ def cmd_simulate(args) -> int:
     stream = simulate_run(sim_cfg, n_threads=args.threads, progress=True)
     ttag.write_ttag(args.output, stream)
 
-    rates = expected_rates(sim_cfg)
+    # with the analysis geometry known the manifest also predicts the central count (else null)
+    analyze = tree.get("analyze")
+    merged_bin_s = None if analyze is None else parse_analyze(analyze).binning.merged_bin_s
+    rates = expected_rates(sim_cfg, merged_bin_s=merged_bin_s)
     manifest = {
         "schema_version": tree["schema_version"],
         "config_sha256": config_hash(tree),
@@ -89,6 +92,7 @@ def cmd_simulate(args) -> int:
             "triplet_probability_per_pulse": rates.triplet_probability_per_pulse,
             "triplet_rate_hz": rates.triplet_rate_hz,
             "expected_triplets": rates.expected_triplets,
+            "expected_central_count": rates.expected_central_count,
         },
     }
     manifest_path = args.output + ".manifest.json"
@@ -101,18 +105,16 @@ def cmd_simulate(args) -> int:
 
 
 def _histogram_csv(h) -> str:
-    rows = [["tau1_minus_tau2_ns", "tau3_minus_tau2_ns", "count"]]
+    # plain numbers need no CSV quoting; each axis label is formatted once
     scale = h.bin_width_s * 1e9
-    for i, j, v in zip(h.i_idx, h.j_idx, h.values):
-        rows.append([f"{i * scale:.6f}", f"{j * scale:.6f}", int(v)])
-    return _csv_text(rows)
+    labels = [f"{k * scale:.6f}" for k in range(-h.n_half, h.n_half + 1)]
+    i_idx, j_idx = (h.i_idx + h.n_half).tolist(), (h.j_idx + h.n_half).tolist()
+    rows = [f"{labels[i]},{labels[j]},{v}\n" for i, j, v in zip(i_idx, j_idx, h.values.tolist())]
+    return "tau1_minus_tau2_ns,tau3_minus_tau2_ns,count\n" + "".join(rows)
 
 
 def _occupancy_csv(occupancy: dict) -> str:
-    rows = [["threefolds_per_bin", "absolute_frequency"]]
-    for k, v in sorted(occupancy.items()):
-        rows.append([k, v])
-    return _csv_text(rows)
+    return _csv_text([["threefolds_per_bin", "absolute_frequency"], *sorted(occupancy.items())])
 
 
 def _manifest_pulses(ttag_path) -> int | None:

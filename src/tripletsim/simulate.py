@@ -338,28 +338,36 @@ class ExpectedRates:
 def _central_bin_containment(config: SimConfig, merged_bin_s: float) -> float:
     """Probability that both relative delays of a triplet land in the peak bin.
 
-    The delays share the channel-2 jitter, so the pair (tau1 - tau2,
-    tau3 - tau2) is a correlated bivariate normal centered on the arm delay.
+    The delays tau1 - tau2 and tau3 - tau2 share the channel-2 jitter z and
+    are independent given z, so the probability is one integral over z.
     """
-    s1 = config.arms[0].detector.jitter_sigma_s
-    s2 = config.arms[1].detector.jitter_sigma_s
-    s3 = config.arms[2].detector.jitter_sigma_s
-    if s1 == s2 == s3 == 0.0:
-        return 1.0
-    from scipy.stats import multivariate_normal
+    from scipy.integrate import quad
+    from scipy.special import ndtr
 
+    s1, s2, s3 = (arm.detector.jitter_sigma_s for arm in config.arms)
     w = merged_bin_s
     off = config.peak_offset_s
     k = round(off / w)  # merged bin holding the peak
     lo, hi = (k - 0.5) * w - off, (k + 0.5) * w - off
-    cov = np.array(
-        [[s1**2 + s2**2, s2**2], [s2**2, s3**2 + s2**2]], dtype=float
+
+    def inside(z, s):
+        """P(lo <= j - z <= hi) for a jitter j ~ N(0, s^2)."""
+        if s == 0.0:
+            return float(lo + z <= 0.0 <= hi + z)
+        return float(ndtr((hi + z) / s) - ndtr((lo + z) / s))
+
+    if s2 == 0.0:
+        return inside(0.0, s1) * inside(0.0, s3)
+    # in units u = z / s2: both factors step at z = -hi and z = -lo, and their
+    # product vanishes 12 of the smaller jitter beyond; quad needs both facts
+    pad = 12.0 * min(s1, s3)
+    a, b = max(-hi - pad, -12.0 * s2) / s2, min(-lo + pad, 12.0 * s2) / s2
+    steps = [x for x in (-hi / s2, -lo / s2) if a < x < b]
+    total, _ = quad(
+        lambda u: math.exp(-0.5 * u * u) * inside(u * s2, s1) * inside(u * s2, s3),
+        a, b, points=steps or None, epsabs=1e-13, epsrel=1e-11, limit=200,
     )
-    cov += np.eye(2) * (1e-30 + 1e-12 * cov.max())
-    mvn = multivariate_normal(mean=[0.0, 0.0], cov=cov)
-    return float(
-        mvn.cdf([hi, hi]) - mvn.cdf([lo, hi]) - mvn.cdf([hi, lo]) + mvn.cdf([lo, lo])
-    )
+    return total / math.sqrt(2.0 * math.pi)
 
 
 def expected_rates(config: SimConfig, merged_bin_s: float | None = None) -> ExpectedRates:

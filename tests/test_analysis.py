@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tripletsim import analysis
 from tripletsim.analysis import (
     BinningConfig,
     Coincidence2DHistogram,
@@ -73,6 +74,26 @@ def as_dict(h):
     return {(int(i), int(j)): int(v) for i, j, v in zip(h.i_idx, h.j_idx, h.values)}
 
 
+def fine_half_window(cfg):
+    f = cfg.merge_factor
+    return cfg.n_half_merged * f + (f // 2) - 1 if f > 1 else cfg.n_half_merged
+
+
+def block_sum_oracle(h, factor):
+    """Independent merge: pad the dense fine grid and sum factor x factor blocks."""
+    half = factor // 2
+    n_half_m = (h.n_half + half) // factor
+    side_m = 2 * n_half_m + 1
+    origin = -n_half_m * factor - half  # fine index of the first block's first bin
+    grid = np.zeros((side_m * factor, side_m * factor), dtype=np.int64)
+    for i, j, v in zip(h.i_idx, h.j_idx, h.values):
+        grid[i - origin, j - origin] += v
+    blocks = grid.reshape(side_m, factor, side_m, factor).sum(axis=(1, 3))
+    return n_half_m, {
+        (a - n_half_m, b - n_half_m): int(c) for (a, b), c in np.ndenumerate(blocks) if c
+    }
+
+
 class TestBinningConfig:
     def test_defaults(self):
         cfg = BinningConfig()
@@ -98,6 +119,52 @@ class TestHistogramOracle:
             stream = random_stream(rng, n, 2000)
             h = build_threefold_histogram(stream, SMALL)
             assert as_dict(h) == brute_force_histogram(stream, SMALL), trial
+
+    @pytest.mark.parametrize("budget", [1, 7, 60])
+    def test_matches_brute_force_across_chunk_boundaries(self, monkeypatch, budget):
+        # a budget far below the pair count makes references straddle chunk
+        # boundaries and delay bins recur across chunks
+        monkeypatch.setattr(analysis, "_PAIR_CHUNK", budget)
+        rng = np.random.default_rng(4321 + budget)
+        for trial in range(5):
+            stream = random_stream(rng, int(rng.integers(200, 800)), 1500)
+            h = build_threefold_histogram(stream, SMALL)
+            assert h.total_counts > 3 * budget, trial
+            assert as_dict(h) == brute_force_histogram(stream, SMALL), trial
+
+    def test_window_edges_are_inclusive(self):
+        w = fine_half_window(SMALL)
+        t0 = 1000
+        edges = [t0 - w - 1, t0 - w, t0 + w, t0 + w + 1]
+        stream = stream_from_ticks(ch1=edges, ch2=[t0], ch3=edges)
+        h = build_threefold_histogram(stream, SMALL)
+        assert as_dict(h) == {(a, b): 1 for a in (-w, w) for b in (-w, w)}
+        assert as_dict(h) == brute_force_histogram(stream, SMALL)
+
+    @pytest.mark.parametrize("missing", [1, 3])
+    def test_empty_channel_one_or_three(self, missing):
+        ticks = {1: [90, 100, 110], 2: [100, 105], 3: [95, 100]}
+        ticks[missing] = []
+        stream = stream_from_ticks(ch1=ticks[1], ch2=ticks[2], ch3=ticks[3])
+        h = build_threefold_histogram(stream, SMALL)
+        assert h.total_counts == 0
+        assert len(h.values) == 0
+        assert h.total_reference_events == 2
+
+    def test_constructor_sorts_unsorted_coordinates(self):
+        rng = np.random.default_rng(8)
+        i, j = rng.integers(-6, 7, 40), rng.integers(-6, 7, 40)
+        h = Coincidence2DHistogram.from_entries(TICK, 6, i, j, 1)
+        perm = rng.permutation(len(h.values))
+        shuffled = Coincidence2DHistogram(
+            TICK, 6, h.i_idx[perm], h.j_idx[perm], h.values[perm], 1
+        )
+        for a in ("i_idx", "j_idx", "values"):
+            assert np.array_equal(getattr(shuffled, a), getattr(h, a))
+        expected = as_dict(h)
+        for a in range(-6, 7):
+            for b in range(-6, 7):
+                assert shuffled.count_at(a, b) == expected.get((a, b), 0)
 
     def test_single_triple_at_zero_delay(self):
         stream = stream_from_ticks(ch1=[100], ch2=[100], ch3=[100])
@@ -159,6 +226,21 @@ class TestMergeBins:
         h = build_threefold_histogram(random_stream(rng, 500, 1200), SMALL)
         m = merge_bins(h, factor)
         assert m.total_counts == h.total_counts
+
+    @pytest.mark.parametrize("factor", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n_half", [6, 7, 9, 10])
+    def test_matches_block_sum_oracle(self, factor, n_half):
+        # n_half values not of the form k * factor + half leave ragged edge blocks
+        rng = np.random.default_rng(100 * factor + n_half)
+        n = int(rng.integers(1, 300))
+        i, j = rng.integers(-n_half, n_half + 1, (2, n))
+        h = Coincidence2DHistogram.from_entries(TICK, n_half, i, j, 3)
+        m = merge_bins(h, factor)
+        n_half_m, expected = block_sum_oracle(h, factor)
+        assert m.n_half == n_half_m
+        assert as_dict(m) == expected
+        assert m.bin_width_s == pytest.approx(TICK * factor, rel=1e-12)
+        assert m.total_reference_events == 3
 
     def test_bad_factor(self):
         rng = np.random.default_rng(2)

@@ -1,12 +1,21 @@
+import csv
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tripletsim.analysis import build_threefold_histogram, merge_bins
 from tripletsim.cli import main
-from tripletsim.config import config_hash, default_config, load_config
-from tripletsim.simulate import TimeTagStream
+from tripletsim.config import (
+    config_hash,
+    default_config,
+    load_config,
+    parse_analyze,
+    parse_simulate,
+)
+from tripletsim.simulate import TimeTagStream, expected_rates
 from tripletsim.ttag import write_ttag
 
 TICK = 82.3125e-12
@@ -87,6 +96,28 @@ class TestSimulateCommand:
         expected = manifest["expected"]["singles_counts"][0]
         assert abs(observed - expected) < 4 * np.sqrt(expected)
 
+    def test_manifest_predicts_central_count(self, tmp_path):
+        tree = small_sim_config(seed=5)
+        cfg = write_json(tmp_path / "cfg.json", tree)
+        out = tmp_path / "run.ttag"
+        assert main(["simulate", "--config", cfg, "--output", str(out)]) == 0
+        manifest = json.loads((tmp_path / "run.ttag.manifest.json").read_text())
+        rates = expected_rates(
+            parse_simulate(tree["simulate"]),
+            merged_bin_s=parse_analyze(tree["analyze"]).binning.merged_bin_s,
+        )
+        assert rates.expected_central_count > 0
+        assert manifest["expected"]["expected_central_count"] == rates.expected_central_count
+
+    def test_manifest_without_analyze_section_has_no_central_prediction(self, tmp_path):
+        tree = small_sim_config(seed=5)
+        del tree["analyze"]
+        cfg = write_json(tmp_path / "cfg.json", tree)
+        out = tmp_path / "run.ttag"
+        assert main(["simulate", "--config", cfg, "--output", str(out)]) == 0
+        manifest = json.loads((tmp_path / "run.ttag.manifest.json").read_text())
+        assert manifest["expected"]["expected_central_count"] is None
+
     def test_unknown_key_rejected(self, tmp_path):
         tree = small_sim_config()
         tree["simulate"]["unknown_knob"] = 1
@@ -153,6 +184,33 @@ class TestAnalyzeCommand:
         rows = (out / "report.csv").read_text().splitlines()
         assert rows[0] == "key,value"
         assert any(row.startswith("central_count,1") for row in rows)
+
+    def test_histogram_csv_matches_row_by_row_formatter(self, tmp_path):
+        rng = np.random.default_rng(31)
+        n = {1: 1500, 2: 500, 3: 1500}
+        channels = np.concatenate([np.full(k, c, np.uint8) for c, k in n.items()])
+        ticks = rng.integers(0, 1_000_000, len(channels))
+        order = np.lexsort((channels, ticks))
+        stream = TimeTagStream(TICK, channels[order], ticks[order])
+        ttag_path = tmp_path / "dense.ttag"
+        write_ttag(ttag_path, stream)
+        tree = small_sim_config()
+        cfg = write_json(tmp_path / "cfg.json", tree)
+        out = tmp_path / "out"
+        assert main(["analyze", str(ttag_path), "--config", cfg, "--output", str(out)]) == 0
+
+        binning = parse_analyze(tree["analyze"]).binning
+        merged = merge_bins(build_threefold_histogram(stream, binning), binning.merge_factor)
+        assert len(merged.values) > 1000
+        assert merged.i_idx.min() < 0 < merged.j_idx.max()
+        # the row-at-a-time formatter the CLI used before, kept as the oracle
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["tau1_minus_tau2_ns", "tau3_minus_tau2_ns", "count"])
+        scale = merged.bin_width_s * 1e9
+        for i, j, v in zip(merged.i_idx, merged.j_idx, merged.values):
+            writer.writerow([f"{i * scale:.6f}", f"{j * scale:.6f}", int(v)])
+        assert (out / "histogram.csv").read_bytes() == buf.getvalue().encode()
 
     def test_corrupt_file_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ttag"

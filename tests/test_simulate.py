@@ -1,12 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import tripletsim
 from tripletsim.pairstats import triplet_success_probability
 from tripletsim.simulate import (
     SimConfig,
     TimeTagStream,
+    _central_bin_containment,
     expected_rates,
     simulate_run,
 )
@@ -250,6 +256,24 @@ class TestExpectedRates:
             2 * r1.triplet_probability_per_pulse, rel=1e-12
         )
 
+    def test_central_count_needs_no_scipy_stats(self):
+        # importing scipy.stats takes about half a second, and simulate calls
+        # this for its manifest
+        code = (
+            "import sys\n"
+            "from tripletsim.config import default_config, parse_simulate\n"
+            "from tripletsim.simulate import expected_rates\n"
+            "cfg = parse_simulate(default_config()['simulate'])\n"
+            "assert expected_rates(cfg, merged_bin_s=1.317e-9).expected_central_count > 0\n"
+            "print('scipy.stats' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(tripletsim.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
+
     def test_central_count_includes_higher_orders(self):
         cfg = boosted_config(100_000_000, seed=0)
         rates = expected_rates(cfg, merged_bin_s=16 * 82.3125e-12)
@@ -258,3 +282,53 @@ class TestExpectedRates:
         assert rates.expected_central_count > rates.expected_triplets
         mu = cfg.mean_pairs
         assert rates.expected_central_count > rates.expected_triplets * (1 + mu * 0.9)
+
+
+def std_normal_cdf(x):
+    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+class TestCentralBinContainment:
+    MERGED_BIN_S = 16 * 82.3125e-12
+
+    def config(self, jitters, offset_s):
+        arms = make_arms(jitter=jitters)
+        return replace(boosted_config(1000, 0), arms=arms, peak_offset_s=offset_s)
+
+    def edges(self, offset_s):
+        w = self.MERGED_BIN_S
+        k = round(offset_s / w)
+        return (k - 0.5) * w - offset_s, (k + 0.5) * w - offset_s
+
+    @pytest.mark.parametrize(
+        "jitters, offset_s",
+        [
+            ((150e-12, 150e-12, 150e-12), -0.165e-9),
+            ((30e-12, 300e-12, 80e-12), 0.9e-9),
+            ((500e-12, 40e-12, 2e-9), -2.1e-9),
+            ((10e-12, 1e-9, 150e-12), 0.3e-9),
+            ((2e-12, 3e-9, 9e-12), 2.06e-9),
+        ],
+    )
+    def test_matches_bivariate_normal_rectangle(self, jitters, offset_s):
+        from scipy.stats import multivariate_normal
+
+        s1, s2, s3 = jitters
+        lo, hi = self.edges(offset_s)
+        mvn = multivariate_normal(cov=[[s1**2 + s2**2, s2**2], [s2**2, s3**2 + s2**2]])
+        expected = mvn.cdf([hi, hi]) - mvn.cdf([lo, hi]) - mvn.cdf([hi, lo]) + mvn.cdf([lo, lo])
+        got = _central_bin_containment(self.config(jitters, offset_s), self.MERGED_BIN_S)
+        # scipy's bivariate cdf is accurate to 1e-5 absolute per call
+        assert got == pytest.approx(expected, abs=4e-5)
+
+    def test_shared_jitter_only(self):
+        # with only the channel-2 jitter z both delays are -z: one normal interval
+        s2, offset_s = 400e-12, 0.5e-9
+        lo, hi = self.edges(offset_s)
+        expected = std_normal_cdf(-lo / s2) - std_normal_cdf(-hi / s2)
+        got = _central_bin_containment(self.config((0.0, s2, 0.0), offset_s), self.MERGED_BIN_S)
+        assert got == pytest.approx(expected, abs=1e-9)
+
+    def test_no_jitter_is_certain(self):
+        cfg = self.config((0.0, 0.0, 0.0), -0.165e-9)
+        assert _central_bin_containment(cfg, self.MERGED_BIN_S) == 1.0
