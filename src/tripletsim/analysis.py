@@ -156,53 +156,24 @@ class Coincidence2DHistogram:
             return int(self.values[pos])
         return 0
 
-    def add(self, other: "Coincidence2DHistogram") -> "Coincidence2DHistogram":
-        """Bin-wise sum; used to merge reference-event shards."""
-        if other.n_half != self.n_half or other.bin_width_s != self.bin_width_s:
-            raise ValueError("histograms have different geometry")
-        return Coincidence2DHistogram.from_entries(
-            self.bin_width_s,
-            self.n_half,
-            np.concatenate([np.repeat(self.i_idx, self.values), np.repeat(other.i_idx, other.values)]),
-            np.concatenate([np.repeat(self.j_idx, self.values), np.repeat(other.j_idx, other.values)]),
-            self.total_reference_events + other.total_reference_events,
-        )
-
-
-def _channel_arrays(stream: TimeTagStream):
-    t = stream.timestamps
-    if len(t) and np.any(np.diff(t) < 0):
-        raise ValueError("stream must be sorted by timestamp")
-    return (
-        stream.channel_ticks(CHANNEL_I1),
-        stream.channel_ticks(CHANNEL_S2),
-        stream.channel_ticks(CHANNEL_I2),
-    )
-
 
 # Pairs expanded at once.  Each costs about 70 bytes of transient arrays, so
 # this bounds the histogram's working memory whatever the stream's density.
 _PAIR_CHUNK = 1 << 20
 
 
-def build_threefold_histogram(
-    stream: TimeTagStream,
-    cfg: BinningConfig,
-    ref_range: tuple[int, int] | None = None,
-) -> Coincidence2DHistogram:
+def build_threefold_histogram(stream: TimeTagStream, cfg: BinningConfig) -> Coincidence2DHistogram:
     """Fine (one bin per tick) 2-D histogram around the channel-2 references.
 
     Windows come from one binary search per channel; the pairs are expanded
     and counted in chunks of at most _PAIR_CHUNK pairs (or one reference).
-    ref_range restricts the pass to a slice of the channel-2 events; shards
-    built this way add up to the full histogram exactly.
     """
     if abs(stream.resolution_s - cfg.base_bin_s) > 1e-4 * cfg.base_bin_s:
         raise ValueError(
             f"stream resolution {stream.resolution_s} does not match the analysis "
             f"base bin {cfg.base_bin_s}"
         )
-    t1, t2, t3 = _channel_arrays(stream)
+    t1, refs, t3 = (stream.channel_ticks(c) for c in (CHANNEL_I1, CHANNEL_S2, CHANNEL_I2))
     f = cfg.merge_factor
     # symmetric fine window whose merged image stays inside the merged grid;
     # the negative edge bin gives up its single outermost tick for symmetry
@@ -210,8 +181,6 @@ def build_threefold_histogram(
     w = n_half_fine
     side = 2 * w + 1
 
-    lo, hi = (0, len(t2)) if ref_range is None else ref_range
-    refs = t2[lo:hi]
     start1 = np.searchsorted(t1, refs - w, "left")
     count1 = np.searchsorted(t1, refs + w, "right") - start1
     start3 = np.searchsorted(t3, refs - w, "left")
@@ -519,6 +488,7 @@ class TripletReport:
     n_pulses: int
     n_bins_total: int
     occupancy: dict[int, int] = field(repr=False)
+    histogram: Coincidence2DHistogram = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
         d = {
@@ -632,4 +602,5 @@ def analyze_merged(
         n_pulses=n_pulses,
         n_bins_total=merged.n_bins_total,
         occupancy=occupancy,
+        histogram=merged,
     )

@@ -54,12 +54,17 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
-def _default_threads() -> int:
-    value = os.environ.get(THREADS_ENV, "1")
+def _thread_count(text: str) -> int:
+    """argparse type of --threads; also checks the TRIPLETSIM_THREADS default."""
     try:
-        return max(1, int(value))
+        n = int(text)
     except ValueError:
-        return 1
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"thread count from --threads or {THREADS_ENV} must be an integer >= 1, got {text!r}"
+        )
+    return n
 
 
 def cmd_simulate(args) -> int:
@@ -137,18 +142,12 @@ def cmd_analyze(args) -> int:
         binning=analysis.BinningConfig()
     )
     stream = ttag.read_ttag(args.ttag)
-
-    n_pulses = opts.n_pulses if opts.n_pulses is not None else _manifest_pulses(args.ttag)
-    if n_pulses is None:
-        n_pulses = analysis.derive_n_pulses(stream, opts.binning)
-    fine = analysis.build_threefold_histogram(stream, opts.binning)
-    merged = analysis.merge_bins(fine, opts.binning.merge_factor)
-    report = analysis.analyze_merged(
-        merged,
+    report = analysis.analyze_stream(
+        stream,
         opts.binning,
-        n_pulses=n_pulses,
         peak_search_radius=opts.peak_search_radius,
         fit_exclude_sigma=opts.fit_exclude_sigma,
+        n_pulses=opts.n_pulses if opts.n_pulses is not None else _manifest_pulses(args.ttag),
     )
 
     os.makedirs(args.output, exist_ok=True)
@@ -163,7 +162,7 @@ def cmd_analyze(args) -> int:
             os.path.join(args.output, "report.json"),
             json.dumps(report_dict, indent=2, sort_keys=True) + "\n",
         )
-    _atomic_write_text(os.path.join(args.output, "histogram.csv"), _histogram_csv(merged))
+    _atomic_write_text(os.path.join(args.output, "histogram.csv"), _histogram_csv(report.histogram))
     _atomic_write_text(
         os.path.join(args.output, "occupancy.csv"), _occupancy_csv(report.occupancy)
     )
@@ -304,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--output", required=True, help="output .ttag path")
     p_sim.add_argument("--seed", type=int, default=None, help="override the config rng_seed")
-    p_sim.add_argument("--threads", type=int, default=_default_threads())
+    p_sim.add_argument("--threads", type=_thread_count, default=os.environ.get(THREADS_ENV, "1"))
     p_sim.set_defaults(func=cmd_simulate)
 
     p_an = sub.add_parser("analyze", help="coincidence analysis of a TTAG file")

@@ -2,8 +2,9 @@
 
 Configs are plain JSON with one subtree per command.  Every physical
 quantity carries its unit in the key name, unknown keys are rejected with
-the full key path, and the semantic hash covers the parsed values so that
-reformatting or key reordering does not change it.
+the full key path, and the hash covers the raw JSON tree canonicalised for
+key order and whitespace only, so reformatting or key reordering does not
+change it but equal values written differently (10 and 10.0) do.
 """
 
 from __future__ import annotations
@@ -362,7 +363,12 @@ def load_config(path) -> dict:
 
 
 def config_hash(tree: dict) -> str:
-    """Hash of the canonicalized semantic content (order and formatting free)."""
+    """SHA-256 of the raw tree with sorted keys and no whitespace.
+
+    Only key order and formatting are canonicalised: values are hashed as
+    written, so 10 and 10.0, or an omitted default and an explicit one, hash
+    differently.
+    """
     canonical = json.dumps(tree, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 

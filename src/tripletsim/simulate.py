@@ -43,8 +43,8 @@ CHANNEL_I1 = 1
 CHANNEL_S2 = 2
 CHANNEL_I2 = 3
 
-# Pulses per RNG block; parallel workers and the serial path draw identical
-# per-block streams, so results do not depend on the thread count.
+# Pulses per RNG block; each block draws from its own stream whichever worker
+# runs it, so results do not depend on the thread count.
 BLOCK_PULSES = 1 << 17
 
 
@@ -257,9 +257,11 @@ def simulate_run(config: SimConfig, n_threads: int = 1, progress: bool = False) 
     """Simulate the full run and return the merged, dead-time-filtered stream.
 
     Deterministic for a fixed rng_seed: pulse blocks use independent
-    counter-based streams keyed by (seed, block), so serial and parallel
-    execution produce identical output.
+    counter-based streams keyed by (seed, block), so every thread count
+    produces identical output.
     """
+    if n_threads < 1:
+        raise ValueError(f"n_threads must be >= 1, got {n_threads}")
     if config.mean_pairs > 10:
         warnings.warn(
             f"mean pair number {config.mean_pairs:.3g} per pulse is far outside the "
@@ -272,17 +274,13 @@ def simulate_run(config: SimConfig, n_threads: int = 1, progress: bool = False) 
         for b in range(n_blocks)
     ]
 
-    if n_threads > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(
-                pool.map(lambda a: _simulate_block(config, *a), bounds)
-            )
-    else:
-        results = []
-        report_every = max(1, n_blocks // 10)
-        for b, p0, p1 in bounds:
-            results.append(_simulate_block(config, b, p0, p1))
-            if progress and (b + 1) % report_every == 0:
+    results = []
+    report_every = max(1, n_blocks // 10)
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        blocks = pool.map(lambda a: _simulate_block(config, *a), bounds)
+        for (b, _, p1), block in zip(bounds, blocks):
+            results.append(block)
+            if progress and ((b + 1) % report_every == 0 or b + 1 == n_blocks):
                 print(f"simulate: {p1}/{config.n_pulses} pulses", file=sys.stderr)
 
     channels_out = []

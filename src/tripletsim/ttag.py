@@ -8,7 +8,7 @@ Little-endian layout:
     offset 14  count   u64      number of records
     offset 22  records          count x (channel u8, timestamp u64)
 
-Timestamps are ticks since run start and must be non-decreasing; the header
+Timestamps are ticks since run start, below 2**63 and non-decreasing; the header
 resolution makes files self-describing.  Writes go through a temp file and
 an atomic rename.
 """
@@ -93,6 +93,14 @@ def read_ttag(path) -> TimeTagStream:
     records = np.frombuffer(blob, dtype=_RECORD_DTYPE, count=count, offset=_HEADER.size)
     timestamps = records["timestamp"].astype(np.int64)
     if len(timestamps):
+        # u64 ticks >= 2**63 wrap to negative int64 values
+        if timestamps.min() < 0:
+            k = int(np.argmax(timestamps < 0))
+            raise TtagFormatError(
+                f"timestamp {int(records['timestamp'][k])} at record {k} exceeds the int64 range "
+                f"(byte offset {_HEADER.size + k * RECORD_SIZE})",
+                byte_offset=_HEADER.size + k * RECORD_SIZE,
+            )
         bad = np.nonzero(np.diff(timestamps) < 0)[0]
         if bad.size:
             k = int(bad[0]) + 1

@@ -178,31 +178,10 @@ class TestHistogramOracle:
         assert h.total_counts == 0
         assert h.total_reference_events == 3
 
-    def test_unsorted_stream_rejected(self):
-        broken = TimeTagStream.__new__(TimeTagStream)
-        object.__setattr__(broken, "resolution_s", TICK)
-        object.__setattr__(broken, "channels", np.array([1, 2, 3], dtype=np.uint8))
-        object.__setattr__(broken, "timestamps", np.array([300, 100, 200], dtype=np.int64))
-        with pytest.raises(ValueError, match="sorted"):
-            build_threefold_histogram(broken, SMALL)
-
     def test_resolution_mismatch_rejected(self):
         stream = stream_from_ticks(ch1=[1], ch2=[1], ch3=[1], resolution=1e-12)
         with pytest.raises(ValueError, match="resolution"):
             build_threefold_histogram(stream, SMALL)
-
-    def test_shards_add_to_full(self):
-        rng = np.random.default_rng(55)
-        stream = random_stream(rng, 600, 1500)
-        h = build_threefold_histogram(stream, SMALL)
-        n2 = len(stream.channel_ticks(2))
-        parts = [
-            build_threefold_histogram(stream, SMALL, ref_range=(0, n2 // 3)),
-            build_threefold_histogram(stream, SMALL, ref_range=(n2 // 3, n2)),
-        ]
-        combined = parts[0].add(parts[1])
-        assert as_dict(combined) == as_dict(h)
-        assert combined.total_reference_events == h.total_reference_events
 
 
 class TestMergeBins:

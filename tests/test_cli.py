@@ -133,6 +133,20 @@ class TestSimulateCommand:
         )
         assert args.threads == 3
 
+    @pytest.mark.parametrize(
+        "env, flag", [("abc", None), ("-4", None), ("2", "0"), ("2", "two")]
+    )
+    def test_bad_thread_count_rejected(self, monkeypatch, capsys, env, flag):
+        from tripletsim.cli import build_parser
+
+        monkeypatch.setenv("TRIPLETSIM_THREADS", env)
+        argv = ["simulate", "--config", "c.json", "--output", "o.ttag"]
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + (["--threads", flag] if flag else []))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--threads" in err and "TRIPLETSIM_THREADS" in err
+
 
 class TestAnalyzeCommand:
     def test_empty_stream_report(self, tmp_path):

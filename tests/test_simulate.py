@@ -10,6 +10,7 @@ import pytest
 import tripletsim
 from tripletsim.pairstats import triplet_success_probability
 from tripletsim.simulate import (
+    BLOCK_PULSES,
     SimConfig,
     TimeTagStream,
     _central_bin_containment,
@@ -62,6 +63,22 @@ class TestSimulateRun:
         parallel = simulate_run(cfg, n_threads=4)
         assert np.array_equal(serial.timestamps, parallel.timestamps)
         assert np.array_equal(serial.channels, parallel.channels)
+
+    def test_progress_reported_on_threaded_path(self, capsys):
+        # 21 blocks: reports every second block, and the last one as well
+        n = 20 * BLOCK_PULSES + 1
+        cfg = SimConfig(
+            source=baseline_source(), arms=make_arms(efficiencies=(0.0,) * 3), n_pulses=n, rng_seed=5
+        )
+        simulate_run(cfg, n_threads=2, progress=True)
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 11
+        assert lines[-1] == f"simulate: {n}/{n} pulses"
+
+    @pytest.mark.parametrize("n_threads", [0, -4])
+    def test_thread_count_below_one_rejected(self, n_threads):
+        with pytest.raises(ValueError, match="n_threads"):
+            simulate_run(boosted_config(1000, seed=1), n_threads=n_threads)
 
     def test_different_seeds_differ(self):
         a = simulate_run(boosted_config(100_000, seed=1))

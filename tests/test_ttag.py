@@ -100,6 +100,16 @@ class TestFormatErrors:
             read_ttag(path)
         assert err.value.byte_offset == 22 + RECORD_SIZE
 
+    @pytest.mark.parametrize("ticks, bad_record", [([10, 2**63, 2**63 + 5], 1), ([2**64 - 1, 10], 0)])
+    def test_timestamp_beyond_int64_names_offset(self, tmp_path, ticks, bad_record):
+        # a u64 tick >= 2**63 would wrap to a negative int64; it is named before any order check
+        path = tmp_path / "huge.ttag"
+        header = struct.pack("<4sHQQ", TTAG_MAGIC, 1, 82312, len(ticks))
+        path.write_bytes(header + b"".join(struct.pack("<BQ", 1, t) for t in ticks))
+        with pytest.raises(TtagFormatError, match="int64") as err:
+            read_ttag(path)
+        assert err.value.byte_offset == 22 + bad_record * RECORD_SIZE
+
     def test_zero_resolution_rejected(self, tmp_path):
         path = tmp_path / "zero_res.ttag"
         path.write_bytes(struct.pack("<4sHQQ", TTAG_MAGIC, 1, 0, 0))
