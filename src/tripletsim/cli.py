@@ -26,7 +26,7 @@ from .config import (
     parse_simulate,
 )
 from .errors import ConfigError, TripletSimError, TtagFormatError
-from .simulate import expected_rates, simulate_run
+from .simulate import RNG_SCHEME, expected_rates, simulate_run
 
 THREADS_ENV = "TRIPLETSIM_THREADS"
 
@@ -87,6 +87,7 @@ def cmd_simulate(args) -> int:
         "schema_version": tree["schema_version"],
         "config_sha256": config_hash(tree),
         "rng_seed": sim_cfg.rng_seed,
+        "rng_scheme": RNG_SCHEME,
         "n_pulses": sim_cfg.n_pulses,
         "n_records": stream.n_records,
         "resolution_ps": sim_cfg.resolution_s * 1e12,
@@ -123,17 +124,26 @@ def _occupancy_csv(occupancy: dict) -> str:
 
 
 def _manifest_pulses(ttag_path) -> int | None:
-    """Pulse count from the simulation manifest next to the file, if present."""
+    """Pulse count from the simulation manifest next to the file.
+
+    None when there is no manifest; a manifest that is present but
+    unreadable, not a JSON object or without a positive integer n_pulses
+    raises TripletSimError naming its path.
+    """
     manifest_path = os.fspath(ttag_path) + ".manifest.json"
     if not os.path.exists(manifest_path):
         return None
     try:
         with open(manifest_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise TripletSimError(f"{manifest_path}: unreadable manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise TripletSimError(f"{manifest_path}: manifest is not a JSON object")
     n = manifest.get("n_pulses")
-    return n if isinstance(n, int) and n > 0 else None
+    if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
+        raise TripletSimError(f"{manifest_path}: n_pulses must be a positive integer, got {n!r}")
+    return n
 
 
 def cmd_analyze(args) -> int:

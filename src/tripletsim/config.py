@@ -3,8 +3,9 @@
 Configs are plain JSON with one subtree per command.  Every physical
 quantity carries its unit in the key name, unknown keys are rejected with
 the full key path, and the hash covers the raw JSON tree canonicalised for
-key order and whitespace only, so reformatting or key reordering does not
-change it but equal values written differently (10 and 10.0) do.
+key order, whitespace and integral-float spelling, so reformatting, key
+reordering or writing 10 as 10.0 does not change it, but an omitted default
+and an explicit one still hash differently.
 """
 
 from __future__ import annotations
@@ -362,14 +363,26 @@ def load_config(path) -> dict:
     return tree
 
 
+def _integral_floats_as_ints(value):
+    """Copy of a JSON tree with every integral float (10.0) written as an int."""
+    if isinstance(value, dict):
+        return {k: _integral_floats_as_ints(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_integral_floats_as_ints(v) for v in value]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
+
+
 def config_hash(tree: dict) -> str:
     """SHA-256 of the raw tree with sorted keys and no whitespace.
 
-    Only key order and formatting are canonicalised: values are hashed as
-    written, so 10 and 10.0, or an omitted default and an explicit one, hash
-    differently.
+    Key order, formatting and the spelling of integral numbers are
+    canonicalised, so 10 and 10.0 hash alike (booleans stay booleans).
+    Other values are hashed as written: an omitted default and an explicit
+    one hash differently.
     """
-    canonical = json.dumps(tree, sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(_integral_floats_as_ints(tree), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 

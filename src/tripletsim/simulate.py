@@ -1,14 +1,24 @@
-"""Pulse-by-pulse stochastic simulation of the cascaded source and detectors.
+"""Event-driven stochastic simulation of the cascaded source and detectors.
 
-Each pump pulse draws a Poissonian number of primary pairs.  A pair's idler
+Each pump pulse holds a Poissonian number of primary pairs.  A pair's idler
 photon heads to channel 1; its signal photon converts in the second stage
 with the stage-2 pair efficiency, feeding channels 2 and 3.  Channel tags
 acquire the fixed electronic delay of their arm plus Gaussian detector
 jitter, dark counts arrive homogeneously over the run, parasitic leakage
 photons land on the secondary channels at the pulse times, and each channel
-enforces a non-paralyzable dead time.  Output is an ordered stream of
-(channel, tick) records, bit-reproducible for a fixed seed independent of
-the worker count.
+enforces a non-paralyzable dead time.
+
+Pulses are simulated in blocks of BLOCK_PULSES, each with its own random
+stream keyed by (seed, block).  By Poisson thinning, the pairs of a block
+that produce a given detection pattern over (i1, s2, i2) number an
+independent Poisson variable, spread uniformly over the block's pulses.  A
+block therefore draws, in this order: the totals of the seven
+detection-bearing pair patterns and of the s2 and i2 leakage photons
+(_EVENT_CHANNELS), the pulse of every such event, the jitter of channels 1,
+2 and 3, then the dark counts of channels 1, 2 and 3.  The cost follows the
+number of detections, not of pulses.  Output is an ordered stream of
+(channel, tick) records, bit-reproducible for a fixed seed and RNG_SCHEME
+independent of the worker count.
 """
 
 from __future__ import annotations
@@ -46,6 +56,21 @@ CHANNEL_I2 = 3
 # Pulses per RNG block; each block draws from its own stream whichever worker
 # runs it, so results do not depend on the thread count.
 BLOCK_PULSES = 1 << 17
+
+# Version of the sampling scheme, written to the simulate manifest: the bytes
+# produced for a given seed change only with it.  Scheme 1 drew pair numbers
+# and detections pulse by pulse; scheme 2 draws block totals per event kind
+# and scatters them over the block's pulses.
+RNG_SCHEME = 2
+
+# Detection-bearing event kinds and the channels (i1, s2, i2) each one hits,
+# in the order their block totals are drawn: the seven detection patterns of
+# one pair (the eighth, no detection, is never drawn), then a leakage photon
+# detected on s2 and one on i2.
+_EVENT_CHANNELS = np.array(
+    [[(p >> 2) & 1, (p >> 1) & 1, p & 1] for p in range(1, 8)] + [[0, 1, 0], [0, 0, 1]],
+    dtype=bool,
+)
 
 
 @dataclass(frozen=True)
@@ -184,40 +209,55 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _event_means_per_pulse(config: SimConfig) -> np.ndarray:
+    """Mean number per pulse of each detection-bearing event kind (_EVENT_CHANNELS).
+
+    A pair's idler reaches channel 1 with its arm's detection probability;
+    independently its signal converts with the stage-2 efficiency, and the
+    converted pair reaches channels 2 and 3 independently.  Poisson thinning
+    of the pair number makes each pattern's count Poisson with mean
+    mean_pairs * P(pattern).
+    """
+    p1, p2, p3 = (arm.detection_prob for arm in config.arms)
+    conv = config.source.pdc2_efficiency
+    means = []
+    for i1, s2, i2 in _EVENT_CHANNELS[:7]:
+        p_secondary = conv * (p2 if s2 else 1.0 - p2) * (p3 if i2 else 1.0 - p3)
+        if not (s2 or i2):
+            p_secondary += 1.0 - conv  # an unconverted signal reaches neither
+        means.append(config.mean_pairs * (p1 if i1 else 1.0 - p1) * p_secondary)
+    for arm in config.arms[1:]:
+        means.append(arm.channel.leakage_rate_per_pulse * arm.detection_prob)
+    return np.array(means)
+
+
 def _simulate_block(config: SimConfig, block_index: int, p_start: int, p_stop: int):
     """Raw (unsorted, pre-dead-time) tick arrays per channel for one pulse block.
 
-    Draw order is fixed: pair numbers, channel-1 detections, conversions,
-    channel-2/3 detections, leakage, per-channel jitter, then dark counts.
+    Draw order is fixed: the nine block totals of _EVENT_CHANNELS in table
+    order (one Poisson draw), the pulse of every event (one uniform integer
+    draw over the block, events grouped by kind in table order), per-channel
+    jitter, then dark counts.
     """
     rng = _block_rng(config.rng_seed, block_index)
     n = p_stop - p_start
     rep = config.rep_period_s
     res = config.resolution_s
-    mean_m = config.mean_pairs
     arm1, arm2, arm3 = config.arms
 
-    m = rng.poisson(mean_m, n)
-    n1 = rng.binomial(m, arm1.detection_prob) if arm1.detection_prob > 0 else np.zeros(n, np.int64)
-    conv = rng.binomial(m, config.source.pdc2_efficiency)
-    n2 = rng.binomial(conv, arm2.detection_prob) if arm2.detection_prob > 0 else np.zeros(n, np.int64)
-    n3 = rng.binomial(conv, arm3.detection_prob) if arm3.detection_prob > 0 else np.zeros(n, np.int64)
+    totals = rng.poisson(n * _event_means_per_pulse(config))
+    pulses = rng.integers(0, n, int(totals.sum())) + p_start
+    hits = np.repeat(_EVENT_CHANNELS, totals, axis=0)
 
-    leak2 = arm2.channel.leakage_rate_per_pulse * arm2.detection_prob
-    leak3 = arm3.channel.leakage_rate_per_pulse * arm3.detection_prob
-    l2 = rng.poisson(leak2, n) if leak2 > 0 else np.zeros(n, np.int64)
-    l3 = rng.poisson(leak3, n) if leak3 > 0 else np.zeros(n, np.int64)
-
-    pulse_t = (np.arange(p_start, p_stop, dtype=np.float64)) * rep
     out = {}
     per_channel = (
-        (CHANNEL_I1, n1, config.peak_offset_s, arm1.detector),
-        (CHANNEL_S2, n2 + l2, 0.0, arm2.detector),
-        (CHANNEL_I2, n3 + l3, config.peak_offset_s, arm3.detector),
+        (CHANNEL_I1, config.peak_offset_s, arm1.detector),
+        (CHANNEL_S2, 0.0, arm2.detector),
+        (CHANNEL_I2, config.peak_offset_s, arm3.detector),
     )
-    for channel, counts, delay, det in per_channel:
-        total = int(counts.sum())
-        t = np.repeat(pulse_t, counts) + delay
+    for column, (channel, delay, det) in enumerate(per_channel):
+        t = pulses[hits[:, column]] * rep + delay
+        total = len(t)
         if det.jitter_sigma_s > 0 and total:
             t = t + rng.normal(0.0, det.jitter_sigma_s, total)
         ticks = np.rint(t / res).astype(np.int64)
@@ -240,17 +280,30 @@ def _simulate_block(config: SimConfig, block_index: int, p_start: int, p_stop: i
 
 
 def _apply_dead_time(ticks_sorted: np.ndarray, dead_ticks: int) -> np.ndarray:
-    """Non-paralyzable dead time: greedy accept, skip tags inside the window."""
-    if dead_ticks <= 0 or len(ticks_sorted) < 2:
-        return ticks_sorted
-    accepted = []
-    i = 0
+    """Non-paralyzable dead time: greedy accept, skip tags inside the window.
+
+    A tag at least dead_ticks after its raw predecessor is always accepted,
+    because the last accepted tag is no later than that predecessor.  Such
+    free gaps split the ticks into clusters whose first tag is accepted; the
+    second tag of a cluster always lies inside the first one's window, so
+    the greedy rule only has to run inside clusters of three or more tags.
+    """
     n = len(ticks_sorted)
-    while i < n:
-        t = ticks_sorted[i]
-        accepted.append(t)
-        i = int(np.searchsorted(ticks_sorted, t + dead_ticks, side="left"))
-    return np.asarray(accepted, dtype=np.int64)
+    if dead_ticks <= 0 or n < 2:
+        return ticks_sorted
+    starts = np.flatnonzero(np.diff(ticks_sorted) >= dead_ticks) + 1
+    starts = np.concatenate(([0], starts))
+    stops = np.append(starts[1:], n)
+    keep = np.zeros(n, dtype=bool)
+    keep[starts] = True
+    long = stops - starts >= 3
+    for start, stop in zip(starts[long].tolist(), stops[long].tolist()):
+        cluster = ticks_sorted[start:stop]
+        i = 0
+        while i < len(cluster):
+            keep[start + i] = True
+            i = int(np.searchsorted(cluster, cluster[i] + dead_ticks, side="left"))
+    return ticks_sorted[keep]
 
 
 def simulate_run(config: SimConfig, n_threads: int = 1, progress: bool = False) -> TimeTagStream:

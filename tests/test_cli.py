@@ -58,6 +58,7 @@ class TestSimulateCommand:
         assert out.stat().st_size == 22
         manifest = json.loads((tmp_path / "run.ttag.manifest.json").read_text())
         assert manifest["n_records"] == 0
+        assert manifest["rng_scheme"] == 2
 
     def test_same_seed_byte_identical(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", small_sim_config(seed=9))
@@ -278,14 +279,57 @@ class TestShippedConfigs:
 
 
 class TestManifestPulseCount:
-    def test_analyze_uses_manifest_n_pulses(self, tmp_path):
+    def simulate(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", small_sim_config(n_pulses=150_000, seed=4))
         ttag_path = tmp_path / "run.ttag"
         assert main(["simulate", "--config", cfg, "--output", str(ttag_path)]) == 0
+        return cfg, ttag_path, tmp_path / "run.ttag.manifest.json"
+
+    def test_analyze_uses_manifest_n_pulses(self, tmp_path):
+        cfg, ttag_path, _ = self.simulate(tmp_path)
         out = tmp_path / "out"
         assert main(["analyze", str(ttag_path), "--config", cfg, "--output", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["n_pulses"] == 150_000
+
+    def test_missing_manifest_derives_count_from_stream(self, tmp_path):
+        from tripletsim.analysis import BinningConfig, derive_n_pulses
+        from tripletsim.ttag import read_ttag
+
+        cfg, ttag_path, manifest = self.simulate(tmp_path)
+        manifest.unlink()
+        out = tmp_path / "out"
+        assert main(["analyze", str(ttag_path), "--config", cfg, "--output", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        derived = derive_n_pulses(read_ttag(ttag_path), BinningConfig())
+        assert report["n_pulses"] == derived != 150_000
+
+    @pytest.mark.parametrize(
+        "text, cause",
+        [
+            ("{not json", "unreadable manifest"),
+            (b"\xff\xfe", "unreadable manifest"),
+            ("[150000]", "not a JSON object"),
+            ('{"rng_seed": 4}', "n_pulses"),
+            ('{"n_pulses": 0}', "n_pulses"),
+            ('{"n_pulses": -5}', "n_pulses"),
+            ('{"n_pulses": 1.5e5}', "n_pulses"),
+            ('{"n_pulses": "150000"}', "n_pulses"),
+            ('{"n_pulses": true}', "n_pulses"),
+        ],
+    )
+    def test_bad_manifest_fails_naming_it(self, tmp_path, capsys, text, cause):
+        cfg, ttag_path, manifest = self.simulate(tmp_path)
+        if isinstance(text, bytes):
+            manifest.write_bytes(text)
+        else:
+            manifest.write_text(text)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["analyze", str(ttag_path), "--config", cfg, "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(manifest) in err and cause in err
+        assert not (out / "report.json").exists()
 
 
 class TestConfigHash:
@@ -299,6 +343,20 @@ class TestConfigHash:
         b = default_config()
         b["simulate"]["rng_seed"] += 1
         assert config_hash(a) != config_hash(b)
+
+    def test_integral_float_spelling_invariant(self):
+        assert config_hash({"n_pulses": 10}) == config_hash({"n_pulses": 10.0})
+        a = default_config()
+        b = json.loads(json.dumps(a))
+        b["simulate"]["n_pulses"] = float(b["simulate"]["n_pulses"])
+        b["simulate"]["arms"]["i1"]["detector"]["dark_rate_hz"] = 300
+        b["phasematch"]["bracket_nm"] = [700, 900]
+        assert config_hash(a) == config_hash(b)
+
+    def test_booleans_and_fractions_keep_their_value(self):
+        assert config_hash({"x": True}) != config_hash({"x": 1})
+        assert config_hash({"x": [False]}) != config_hash({"x": [0.0]})
+        assert config_hash({"x": 10.5}) != config_hash({"x": 10})
 
 
 class TestPhasematchCommands:

@@ -4,10 +4,16 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tripletsim
+from tripletsim.config import load_config, parse_simulate
 from tripletsim.pairstats import triplet_success_probability
 from tripletsim.simulate import (
     BLOCK_PULSES,
@@ -155,6 +161,18 @@ class TestSinglesStatistics:
                     expected,
                 )
 
+    def test_physical_baseline_singles(self):
+        # the shipped baseline at 1e8 pulses; channel 2 is left out: its 10 us
+        # dead time uses a steady-state correction not yet checked this finely
+        tree = load_config(Path(__file__).resolve().parent.parent / "configs" / "baseline.json")
+        cfg = replace(parse_simulate(tree["simulate"]), n_pulses=100_000_000)
+        stream = simulate_run(cfg, n_threads=2)
+        rates = expected_rates(cfg)
+        for ch in (1, 3):
+            observed = int((stream.channels == ch).sum())
+            expected = rates.singles_counts[ch - 1]
+            assert abs(observed - expected) < 4 * math.sqrt(expected), (ch, observed, expected)
+
     def test_channel1_rate_formula(self):
         # n_pulses * mean * transmission * efficiency + dark * span, 4 sigma
         cfg = boosted_config(10_000_000, seed=77, dark_hz=300.0, pdc2=2.7e-7)
@@ -227,6 +245,97 @@ class TestDeadTimeFilter:
             dead = int(rng.integers(0, 30))
             got = _apply_dead_time(ticks, dead)
             assert list(got) == self.naive_filter(ticks, dead)
+
+    @staticmethod
+    @st.composite
+    def clustered_ticks(draw):
+        """Sorted ticks whose gaps sit on and around the dead window."""
+        dead = draw(st.one_of(st.just(1), st.integers(2, 40)))
+        gap = st.one_of(
+            st.just(0),  # runs of equal ticks
+            st.sampled_from([1, dead - 1, dead, dead + 1]),
+            st.integers(0, dead - 1),  # cluster continues
+            st.integers(0, 3 * dead),
+        )
+        gaps = draw(st.lists(gap, max_size=80))
+        ticks = draw(st.integers(0, 10**6)) + np.cumsum([0] + gaps).astype(np.int64)
+        if draw(st.booleans()):
+            dead = int(ticks[-1] - ticks[0]) + draw(st.integers(1, 5))  # one window spans all
+        return ticks, dead
+
+    @settings(max_examples=400, deadline=None)
+    @given(clustered_ticks())
+    def test_cluster_split_matches_naive_reference(self, case):
+        from tripletsim.simulate import _apply_dead_time
+
+        ticks, dead = case
+        got = _apply_dead_time(ticks, dead)
+        assert got.dtype == np.int64
+        assert list(got) == self.naive_filter(ticks, dead)
+
+
+def pulse_index(ticks, cfg):
+    """Pulse of each zero-jitter tick (arm delays are far below half a period)."""
+    return np.rint(ticks * cfg.resolution_s / cfg.rep_period_s).astype(np.int64)
+
+
+class TestThinning:
+    def test_coincidence_patterns_match_closed_form(self):
+        # jitter, darks and dead time off, so each pulse's channel set is
+        # read off the tags; multi-pair pulses (mean 0.54) and leakage combine
+        cfg = SimConfig(
+            source=baseline_source(pdc2=0.27, pump_w=50e-6),
+            arms=make_arms(transmission=0.5, efficiencies=(0.8, 0.7, 0.9), leakage=(0.0, 2e-3, 3e-3)),
+            n_pulses=2_000_000,
+            peak_offset_s=0.0,
+            rng_seed=41,
+        )
+        stream = simulate_run(cfg, n_threads=2)
+        pulses, bits = [], []
+        for ch, bit in ((1, 4), (2, 2), (3, 1)):
+            p = np.unique(pulse_index(stream.channel_ticks(ch), cfg))
+            pulses.append(p)
+            bits.append(np.full(len(p), bit))
+        _, inverse = np.unique(np.concatenate(pulses), return_inverse=True)
+        codes = np.bincount(inverse, weights=np.concatenate(bits)).astype(np.int64)
+        observed = np.bincount(codes, minlength=8)
+
+        # P(no tag on any channel outside kept) per pulse: each of the Poisson
+        # pairs misses them, and so does each Poisson leakage photon
+        mu, conv = cfg.mean_pairs, cfg.source.pdc2_efficiency
+        p1, p2, p3 = (a.detection_prob for a in cfg.arms)
+        leak2, leak3 = (a.channel.leakage_rate_per_pulse * a.detection_prob for a in cfg.arms[1:])
+
+        def within(kept):
+            m1, m2, m3 = (bit not in kept for bit in (4, 2, 1))
+            miss = (1 - p1 * m1) * (1 - conv + conv * (1 - p2 * m2) * (1 - p3 * m3))
+            return math.exp(-mu * (1 - miss) - leak2 * m2 - leak3 * m3)
+
+        n = cfg.n_pulses
+        for code in range(1, 8):
+            members = [bit for bit in (4, 2, 1) if code & bit]
+            prob = sum(
+                (-1) ** (len(members) - r) * within(subset)
+                for r in range(len(members) + 1)
+                for subset in itertools.combinations(members, r)
+            )
+            sigma = math.sqrt(n * prob * (1 - prob))
+            assert sigma > 10
+            assert abs(observed[code] - n * prob) < 4 * sigma, (code, observed[code], n * prob)
+
+    def test_last_partial_block_stays_inside_the_run(self):
+        n = 3 * BLOCK_PULSES + 5
+        cfg = SimConfig(
+            source=baseline_source(pdc2=0.27, pump_w=460e-6),  # about 5 pairs per pulse
+            arms=make_arms(transmission=1.0, efficiencies=(1.0, 1.0, 1.0)),
+            n_pulses=n,
+            rng_seed=8,
+        )
+        stream = simulate_run(cfg, n_threads=2)
+        pulses = pulse_index(stream.timestamps, cfg)
+        assert pulses.min() >= 0
+        assert pulses.max() < n
+        assert np.count_nonzero(pulses >= 3 * BLOCK_PULSES) > 0
 
 
 class TestJitter:
