@@ -17,7 +17,6 @@ import tempfile
 
 from . import analysis, phasematch, ttag
 from .config import (
-    AnalyzeOptions,
     config_hash,
     default_config,
     load_config,
@@ -123,6 +122,18 @@ def _occupancy_csv(occupancy: dict) -> str:
     return _csv_text([["threefolds_per_bin", "absolute_frequency"], *sorted(occupancy.items())])
 
 
+def _json_object(path, what: str) -> dict:
+    """The JSON object in the file at path; TripletSimError naming the path otherwise."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            tree = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise TripletSimError(f"{path}: unreadable {what}: {exc}") from exc
+    if not isinstance(tree, dict):
+        raise TripletSimError(f"{path}: {what} is not a JSON object")
+    return tree
+
+
 def _manifest_pulses(ttag_path) -> int | None:
     """Pulse count from the simulation manifest next to the file.
 
@@ -133,14 +144,7 @@ def _manifest_pulses(ttag_path) -> int | None:
     manifest_path = os.fspath(ttag_path) + ".manifest.json"
     if not os.path.exists(manifest_path):
         return None
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise TripletSimError(f"{manifest_path}: unreadable manifest: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise TripletSimError(f"{manifest_path}: manifest is not a JSON object")
-    n = manifest.get("n_pulses")
+    n = _json_object(manifest_path, "manifest").get("n_pulses")
     if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
         raise TripletSimError(f"{manifest_path}: n_pulses must be a positive integer, got {n!r}")
     return n
@@ -148,9 +152,7 @@ def _manifest_pulses(ttag_path) -> int | None:
 
 def cmd_analyze(args) -> int:
     tree = load_config(args.config)
-    opts = parse_analyze(tree.get("analyze", {})) if "analyze" in tree else AnalyzeOptions(
-        binning=analysis.BinningConfig()
-    )
+    opts = parse_analyze(tree.get("analyze", {}))
     stream = ttag.read_ttag(args.ttag)
     report = analysis.analyze_stream(
         stream,
@@ -269,28 +271,30 @@ def cmd_phasematch(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.report, "r", encoding="utf-8") as fh:
-        rep = json.load(fh)
-    car = rep.get("car")
-    car_err = rep.get("car_error")
-    if car is None:
-        car_text = "undefined"
-    elif rep.get("car_is_lower_bound"):
-        car_text = f">= {car:.3g} (no accidental counts)"
-    else:
-        car_text = f"{car:.3g} +/- {car_err:.2g}"
-    lines = [
-        f"pulses analyzed        {rep.get('n_pulses')}",
-        f"central three-folds    {rep.get('central_count')} +/- {rep.get('central_error'):.2f}",
-        f"peak delay (ns)        {rep.get('peak_delay_ns')}",
-        f"accidental mean        {rep.get('accidental_mean'):.4g} over {rep.get('n_accidental_bins')} bins",
-        "car                    " + car_text,
-        f"noise mean per bin     {rep.get('noise_mean_per_bin'):.4g}",
-        f"snr                    {rep.get('snr'):.4g}"
-        + (" (lower bound)" if rep.get("snr_is_lower_bound") else ""),
-        f"noise tail p(central)  {rep.get('noise_tail_probability'):.3g}",
-        f"success probability    {rep.get('success_probability'):.4g} +/- {rep.get('success_error'):.2g}",
-    ]
+    rep = _json_object(args.report, "report")
+    try:
+        if rep["car"] is None:
+            car_text = "undefined"
+        elif rep["car_is_lower_bound"]:
+            car_text = f">= {rep['car']:.3g} (no accidental counts)"
+        else:
+            car_text = f"{rep['car']:.3g} +/- {rep['car_error']:.2g}"
+        lines = [
+            f"pulses analyzed        {rep['n_pulses']}",
+            f"central three-folds    {rep['central_count']} +/- {rep['central_error']:.2f}",
+            f"peak delay (ns)        {rep['peak_delay_ns']}",
+            f"accidental mean        {rep['accidental_mean']:.4g} over {rep['n_accidental_bins']} bins",
+            "car                    " + car_text,
+            f"noise mean per bin     {rep['noise_mean_per_bin']:.4g}",
+            f"snr                    {rep['snr']:.4g}"
+            + (" (lower bound)" if rep["snr_is_lower_bound"] else ""),
+            f"noise tail p(central)  {rep['noise_tail_probability']:.3g}",
+            f"success probability    {rep['success_probability']:.4g} +/- {rep['success_error']:.2g}",
+        ]
+    except KeyError as exc:
+        raise TripletSimError(f"{args.report}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise TripletSimError(f"{args.report}: malformed value: {exc}") from exc
     print("\n".join(lines))
     return 0
 

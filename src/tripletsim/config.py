@@ -1,9 +1,11 @@
 """Run configuration: JSON schema, validation, defaults and hashing.
 
-Configs are plain JSON with one subtree per command.  Every physical
-quantity carries its unit in the key name, unknown keys are rejected with
-the full key path, and the hash covers the raw JSON tree canonicalised for
-key order, whitespace and integral-float spelling, so reformatting, key
+Configs are plain JSON with one subtree per command.  Each config object is
+declared once, by a table of its keys; a physical quantity carries its unit
+in the key name and is scaled to SI.  Unknown or missing keys, values of the
+wrong type and keys of another dispersion model are rejected, naming the
+full key path.  The hash covers the raw JSON tree canonicalised for key
+order, whitespace and integral-float spelling, so reformatting, key
 reordering or writing 10 as 10.0 does not change it, but an omitted default
 and an explicit one still hash differently.
 """
@@ -12,6 +14,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import reprlib
+import sys
 from dataclasses import dataclass
 
 from .constants import DEFAULT_TICK_S
@@ -24,163 +28,146 @@ from .simulate import Arm, ChannelModel, DetectorModel, SimConfig
 
 SCHEMA_VERSION = 1
 
-# (required, type checker); nested dicts validate recursively
-_NUM = (int, float)
+# A table maps each key of one config object to (field, type, default,
+# scale).  The type is int, float (any finite number), dict (an object) or
+# an int n (a list of n finite numbers).  Given and default numbers, list
+# elements too, are multiplied by scale; a None default means "not given"
+# and stays None.
+REQUIRED = object()
+_TYPE_NAMES = {int: "an integer", float: "a finite number", dict: "an object"}
 
 
-def _require(tree: dict, path: str, key: str, types, default=None, required=False):
-    if key not in tree:
-        if required:
-            raise ConfigError(f"{path}.{key}: missing required key")
-        return default
-    value = tree[key]
-    if types is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}.{key}: expected a boolean, got {value!r}")
-        return value
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: expected {types}, got {value!r}")
-    return value
+def _has_type(value, kind) -> bool:
+    if isinstance(kind, int):
+        return isinstance(value, (list, tuple)) and len(value) == kind and all(
+            _has_type(v, float) for v in value
+        )
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        return False
+    # JSON admits NaN, Infinity and integers beyond the float range
+    return kind is not float or abs(value) <= sys.float_info.max
 
 
-def _reject_unknown(tree: dict, path: str, known):
+def _fields(tree, path: str, schema: dict) -> dict:
+    """Field values of the config object at path, checked against its table and scaled to SI."""
+    if not isinstance(tree, dict):
+        raise ConfigError(f"{path}: expected an object, got {reprlib.repr(tree)}")
     for key in tree:
-        if key not in known:
+        if key not in schema:
             raise ConfigError(f"{path}.{key}: unknown key")
+    fields = {}
+    for key, (field, kind, default, scale) in schema.items():
+        if key in tree:
+            value = tree[key]
+            if not _has_type(value, kind):
+                expected = _TYPE_NAMES.get(kind) or f"a list of {kind} finite numbers"
+                raise ConfigError(f"{path}.{key}: expected {expected}, got {reprlib.repr(value)}")
+        elif default is REQUIRED:
+            raise ConfigError(f"{path}.{key}: missing required key")
+        else:
+            value = default
+        if isinstance(kind, int):
+            value = tuple(float(v) * scale for v in value)
+        elif value is not None and scale != 1:
+            value = value * scale
+        fields[field] = value
+    return fields
 
 
-def _detector(tree: dict, path: str) -> DetectorModel:
-    _reject_unknown(tree, path, {"efficiency", "dark_rate_hz", "jitter_sigma_ps", "dead_time_ns"})
+def _build(make, path: str, **kw):
+    """make(**kw), with its ValueError raised as a ConfigError naming path."""
     try:
-        return DetectorModel(
-            efficiency=_require(tree, path, "efficiency", _NUM, required=True),
-            dark_rate_hz=_require(tree, path, "dark_rate_hz", _NUM, 0.0),
-            jitter_sigma_s=_require(tree, path, "jitter_sigma_ps", _NUM, 0.0) * 1e-12,
-            dead_time_s=_require(tree, path, "dead_time_ns", _NUM, 0.0) * 1e-9,
-        )
+        return make(**kw)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _arm(tree: dict, path: str) -> Arm:
-    _reject_unknown(tree, path, {"transmission", "leakage_rate_per_pulse", "detector"})
-    det = tree.get("detector")
-    if not isinstance(det, dict):
-        raise ConfigError(f"{path}.detector: missing or not an object")
-    try:
-        channel = ChannelModel(
-            transmission=_require(tree, path, "transmission", _NUM, 1.0),
-            leakage_rate_per_pulse=_require(tree, path, "leakage_rate_per_pulse", _NUM, 0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return Arm(channel=channel, detector=_detector(det, f"{path}.detector"))
+_DETECTOR = {
+    "efficiency": ("efficiency", float, REQUIRED, 1),
+    "dark_rate_hz": ("dark_rate_hz", float, 0.0, 1),
+    "jitter_sigma_ps": ("jitter_sigma_s", float, 0.0, 1e-12),
+    "dead_time_ns": ("dead_time_s", float, 0.0, 1e-9),
+}
+
+_ARM = {
+    "transmission": ("transmission", float, 1.0, 1),
+    "leakage_rate_per_pulse": ("leakage_rate_per_pulse", float, 0.0, 1),
+    "detector": ("detector", dict, REQUIRED, 1),
+}
+
+_ARMS = {name: (name, dict, REQUIRED, 1) for name in ("i1", "s2", "i2")}
+
+_SOURCE = {
+    "pump_power_uW": ("pump_power_w", float, REQUIRED, 1e-6),
+    "pump_wavelength_nm": ("pump_wavelength_m", float, REQUIRED, 1e-9),
+    "rep_rate_MHz": ("rep_rate_hz", float, REQUIRED, 1e6),
+    "injection_efficiency": ("injection_efficiency", float, 1.0, 1),
+    "pdc1_pairs_per_pump_photon": ("pdc1_efficiency", float, REQUIRED, 1),
+    "pdc2_pairs_per_pump_photon": ("pdc2_efficiency", float, REQUIRED, 1),
+}
+
+_SIMULATE = {
+    "source": ("source", dict, REQUIRED, 1),
+    "arms": ("arms", dict, REQUIRED, 1),
+    "rep_period_ns": ("rep_period_s", float, 100.0, 1e-9),
+    "n_pulses": ("n_pulses", int, REQUIRED, 1),
+    "peak_offset_ns": ("peak_offset_s", float, -0.165, 1e-9),
+    "resolution_ps": ("resolution_s", float, DEFAULT_TICK_S * 1e12, 1e-12),
+    "rng_seed": ("rng_seed", int, 0, 1),
+}
 
 
-def parse_source(tree: dict, path: str = "simulate.source") -> SourceParams:
-    _reject_unknown(
-        tree,
-        path,
-        {
-            "pump_power_uW",
-            "pump_wavelength_nm",
-            "rep_rate_MHz",
-            "injection_efficiency",
-            "pdc1_pairs_per_pump_photon",
-            "pdc2_pairs_per_pump_photon",
-        },
-    )
-    try:
-        return SourceParams(
-            pump_power_w=_require(tree, path, "pump_power_uW", _NUM, required=True) * 1e-6,
-            pump_wavelength_m=_require(tree, path, "pump_wavelength_nm", _NUM, required=True) * 1e-9,
-            rep_rate_hz=_require(tree, path, "rep_rate_MHz", _NUM, required=True) * 1e6,
-            injection_efficiency=_require(tree, path, "injection_efficiency", _NUM, 1.0),
-            pdc1_efficiency=_require(tree, path, "pdc1_pairs_per_pump_photon", _NUM, required=True),
-            pdc2_efficiency=_require(tree, path, "pdc2_pairs_per_pump_photon", _NUM, required=True),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+def _arm(tree, path: str) -> Arm:
+    kw = _fields(tree, path, _ARM)
+    det_path = f"{path}.detector"
+    detector = _build(DetectorModel, det_path, **_fields(kw.pop("detector"), det_path, _DETECTOR))
+    return Arm(channel=_build(ChannelModel, path, **kw), detector=detector)
 
 
 def parse_simulate(tree: dict, path: str = "simulate") -> SimConfig:
-    _reject_unknown(
-        tree,
-        path,
-        {
-            "source",
-            "arms",
-            "rep_period_ns",
-            "n_pulses",
-            "peak_offset_ns",
-            "resolution_ps",
-            "rng_seed",
-        },
-    )
-    source_tree = tree.get("source")
-    if not isinstance(source_tree, dict):
-        raise ConfigError(f"{path}.source: missing or not an object")
-    arms_tree = tree.get("arms")
-    if not isinstance(arms_tree, dict):
-        raise ConfigError(f"{path}.arms: missing or not an object")
-    _reject_unknown(arms_tree, f"{path}.arms", {"i1", "s2", "i2"})
-    arms = []
-    for name in ("i1", "s2", "i2"):
-        sub = arms_tree.get(name)
-        if not isinstance(sub, dict):
-            raise ConfigError(f"{path}.arms.{name}: missing or not an object")
-        arms.append(_arm(sub, f"{path}.arms.{name}"))
-    try:
-        return SimConfig(
-            source=parse_source(source_tree, f"{path}.source"),
-            arms=tuple(arms),
-            rep_period_s=_require(tree, path, "rep_period_ns", _NUM, 100.0) * 1e-9,
-            n_pulses=_require(tree, path, "n_pulses", int, required=True),
-            peak_offset_s=_require(tree, path, "peak_offset_ns", _NUM, -0.165) * 1e-9,
-            resolution_s=_require(tree, path, "resolution_ps", _NUM, DEFAULT_TICK_S * 1e12) * 1e-12,
-            rng_seed=_require(tree, path, "rng_seed", int, 0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    kw = _fields(tree, path, _SIMULATE)
+    source_path, arms_path = f"{path}.source", f"{path}.arms"
+    source = _build(SourceParams, source_path, **_fields(kw.pop("source"), source_path, _SOURCE))
+    arm_trees = _fields(kw.pop("arms"), arms_path, _ARMS)
+    arms = tuple(_arm(arm_trees[name], f"{arms_path}.{name}") for name in _ARMS)
+    return _build(SimConfig, path, source=source, arms=arms, **kw)
 
 
 @dataclass(frozen=True)
 class AnalyzeOptions:
     binning: BinningConfig
-    peak_search_radius: int = 3
-    fit_exclude_sigma: float = 10.0
-    n_pulses: int | None = None
+    peak_search_radius: int
+    fit_exclude_sigma: float
+    n_pulses: int | None
+
+    def __post_init__(self):
+        if self.peak_search_radius < 0:
+            raise ValueError(f"peak_search_radius must be >= 0, got {self.peak_search_radius}")
+        if not self.fit_exclude_sigma > 0:
+            raise ValueError(f"fit_exclude_sigma must be > 0, got {self.fit_exclude_sigma}")
+        if self.n_pulses is not None and self.n_pulses < 1:
+            raise ValueError(f"n_pulses must be >= 1, got {self.n_pulses}")
+
+
+_BINNING = {
+    "base_bin_ps": ("base_bin_s", float, DEFAULT_TICK_S * 1e12, 1e-12),
+    "merge_factor": ("merge_factor", int, 16, 1),
+    "window_half_span_ns": ("window_half_span_s", float, 300.0, 1e-9),
+    "rep_period_ns": ("rep_period_s", float, 100.0, 1e-9),
+}
+
+_ANALYZE = {
+    **_BINNING,
+    "peak_search_radius_bins": ("peak_search_radius", int, 3, 1),
+    "fit_exclude_sigma": ("fit_exclude_sigma", float, 10.0, 1),
+    "n_pulses": ("n_pulses", int, None, 1),
+}
 
 
 def parse_analyze(tree: dict, path: str = "analyze") -> AnalyzeOptions:
-    _reject_unknown(
-        tree,
-        path,
-        {
-            "base_bin_ps",
-            "merge_factor",
-            "window_half_span_ns",
-            "rep_period_ns",
-            "peak_search_radius_bins",
-            "fit_exclude_sigma",
-            "n_pulses",
-        },
-    )
-    try:
-        binning = BinningConfig(
-            base_bin_s=_require(tree, path, "base_bin_ps", _NUM, DEFAULT_TICK_S * 1e12) * 1e-12,
-            merge_factor=_require(tree, path, "merge_factor", int, 16),
-            window_half_span_s=_require(tree, path, "window_half_span_ns", _NUM, 300.0) * 1e-9,
-            rep_period_s=_require(tree, path, "rep_period_ns", _NUM, 100.0) * 1e-9,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return AnalyzeOptions(
-        binning=binning,
-        peak_search_radius=_require(tree, path, "peak_search_radius_bins", int, 3),
-        fit_exclude_sigma=_require(tree, path, "fit_exclude_sigma", _NUM, 10.0),
-        n_pulses=_require(tree, path, "n_pulses", int, None),
-    )
+    kw = _fields(tree, path, _ANALYZE)
+    binning = _build(BinningConfig, path, **{field: kw.pop(field) for field, *_ in _BINNING.values()})
+    return _build(AnalyzeOptions, path, binning=binning, **kw)
 
 
 @dataclass(frozen=True)
@@ -198,154 +185,115 @@ class PhasematchPlan:
     acceptance_points: int
 
 
-def _number_list(tree: dict, path: str, key: str, length: int):
-    value = tree.get(key)
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != length
-        or not all(isinstance(v, _NUM) and not isinstance(v, bool) for v in value)
-    ):
-        raise ConfigError(f"{path}.{key}: expected {length} numbers")
-    return tuple(float(v) for v in value)
+# one table per dispersion `model` (the default model is lithium_niobate_e)
+_DISPERSION = {
+    # a None bound keeps the built-in model's own range
+    "lithium_niobate_e": {
+        "lambda_min_nm": ("lambda_min_m", float, None, 1e-9),
+        "lambda_max_nm": ("lambda_max_m", float, None, 1e-9),
+    },
+    # custom temperature-dependent coefficient set, same functional form as
+    # the built-in congruent lithium niobate model
+    "sellmeier": {
+        "a": ("a", 6, REQUIRED, 1),
+        "b": ("b", 4, REQUIRED, 1),
+        "lambda_min_nm": ("lambda_min_m", float, 400.0, 1e-9),
+        "lambda_max_nm": ("lambda_max_m", float, 5000.0, 1e-9),
+        "theta_min_c": ("theta_min_c", float, 20.0, 1),
+        "theta_max_c": ("theta_max_c", float, 260.0, 1),
+    },
+    "toy": {
+        "n0": ("n0", float, 2.2, 1),
+        "slope_per_um": ("slope_per_m", float, 0.0, 1e6),
+        "curvature_per_um2": ("curvature_per_m2", float, 0.0, 1e12),
+        "theta_slope_per_c": ("theta_slope_per_c", float, 0.0, 1),
+        "lambda_ref_nm": ("lambda_ref_m", float, 1000.0, 1e-9),
+    },
+}
+
+# a target pump/signal pair; degenerate_nm selects the SHG table instead.  A
+# None temperature_c inherits the phasematch temperature_c.
+_CALIBRATION = {
+    "lambda_p_nm": ("lambda_p_m", float, REQUIRED, 1e-9),
+    "lambda_s_nm": ("lambda_s_m", float, REQUIRED, 1e-9),
+    "temperature_c": ("temperature_c", float, None, 1),
+}
+
+_SHG_CALIBRATION = {
+    "degenerate_nm": ("lambda_f_m", float, REQUIRED, 1e-9),
+    "temperature_c": ("temperature_c", float, None, 1),
+}
+
+_PHASEMATCH = {
+    "dispersion": ("dispersion", dict, {}, 1),
+    "poling_period_um": ("poling_period_m", float, None, 1e-6),
+    "grating_sign": ("sign", int, -1, 1),
+    "calibration": ("calibration", dict, None, 1),
+    "temperature_c": ("temperature_c", float, 163.5, 1),
+    "lambda_p_nm": ("lambda_p_m", float, 532.0, 1e-9),
+    "bracket_nm": ("bracket_m", 2, (700.0, 900.0), 1e-9),
+    "length_mm": ("length_m", float, 22.0, 1e-3),
+    "tune_range_c": ("tune_range_c", 2, (153.5, 173.5), 1),
+    "tune_steps": ("tune_steps", int, 41, 1),
+    "shg_scan_nm": ("shg_scan_m", 2, (1570.0, 1610.0), 1e-9),
+    "acceptance_scan_nm": ("acceptance_scan_m", 2, (787.0, 793.0), 1e-9),
+    "acceptance_points": ("acceptance_points", int, 161, 1),
+}
 
 
-def _parse_dispersion(tree: dict, path: str):
-    _reject_unknown(
-        tree,
-        path,
-        {
-            "model",
-            "lambda_min_nm",
-            "lambda_max_nm",
-            "theta_min_c",
-            "theta_max_c",
-            "a",
-            "b",
-            "n0",
-            "slope_per_um",
-            "curvature_per_um2",
-            "theta_slope_per_c",
-            "lambda_ref_nm",
-        },
-    )
-    model = _require(tree, path, "model", str, "lithium_niobate_e")
-    lam_min = _require(tree, path, "lambda_min_nm", _NUM, None)
-    lam_max = _require(tree, path, "lambda_max_nm", _NUM, None)
-    if model == "lithium_niobate_e":
-        base = lithium_niobate_e()
-        lo = lam_min * 1e-9 if lam_min is not None else base.lambda_range_m[0]
-        hi = lam_max * 1e-9 if lam_max is not None else base.lambda_range_m[1]
-        return lithium_niobate_e(lambda_range_m=(lo, hi))
+def _dispersion(tree: dict, path: str):
+    model = tree.get("model", "lithium_niobate_e")
+    if not isinstance(model, str) or model not in _DISPERSION:
+        raise ConfigError(f"{path}.model: unknown dispersion model {reprlib.repr(model)}")
+    kw = _fields({k: v for k, v in tree.items() if k != "model"}, path, _DISPERSION[model])
+    if model == "toy":
+        return ToyDispersion(**kw)
     if model == "sellmeier":
-        # custom temperature-dependent coefficient set, same functional form
-        # as the built-in congruent lithium niobate model
         return SellmeierDispersion(
-            a=_number_list(tree, path, "a", 6),
-            b=_number_list(tree, path, "b", 4),
-            lambda_range_m=(
-                _require(tree, path, "lambda_min_nm", _NUM, 400.0) * 1e-9,
-                _require(tree, path, "lambda_max_nm", _NUM, 5000.0) * 1e-9,
-            ),
-            temp_range_c=(
-                _require(tree, path, "theta_min_c", _NUM, 20.0),
-                _require(tree, path, "theta_max_c", _NUM, 260.0),
-            ),
+            a=kw["a"],
+            b=kw["b"],
+            lambda_range_m=(kw["lambda_min_m"], kw["lambda_max_m"]),
+            temp_range_c=(kw["theta_min_c"], kw["theta_max_c"]),
             name="custom_sellmeier",
         )
-    if model == "toy":
-        return ToyDispersion(
-            n0=_require(tree, path, "n0", _NUM, 2.2),
-            slope_per_m=_require(tree, path, "slope_per_um", _NUM, 0.0) * 1e6,
-            curvature_per_m2=_require(tree, path, "curvature_per_um2", _NUM, 0.0) * 1e12,
-            theta_slope_per_c=_require(tree, path, "theta_slope_per_c", _NUM, 0.0),
-            lambda_ref_m=_require(tree, path, "lambda_ref_nm", _NUM, 1000.0) * 1e-9,
-        )
-    raise ConfigError(f"{path}.model: unknown dispersion model {model!r}")
+    lo, hi = lithium_niobate_e().lambda_range_m
+    lo = lo if kw["lambda_min_m"] is None else kw["lambda_min_m"]
+    hi = hi if kw["lambda_max_m"] is None else kw["lambda_max_m"]
+    return lithium_niobate_e(lambda_range_m=(lo, hi))
+
+
+def _calibrated_grating(tree: dict, path: str, temperature_c: float, dispersion) -> QpmGrating:
+    shg = "degenerate_nm" in tree
+    kw = _fields(tree, path, _SHG_CALIBRATION if shg else _CALIBRATION)
+    if kw["temperature_c"] is None:
+        kw["temperature_c"] = temperature_c
+    solve = poling_period_for_shg if shg else poling_period_for_target
+    return _build(solve, path, dispersion=dispersion, **kw)
 
 
 def parse_phasematch(tree: dict, path: str = "phasematch") -> PhasematchPlan:
-    _reject_unknown(
-        tree,
-        path,
-        {
-            "dispersion",
-            "poling_period_um",
-            "grating_sign",
-            "calibration",
-            "temperature_c",
-            "lambda_p_nm",
-            "bracket_nm",
-            "length_mm",
-            "tune_range_c",
-            "tune_steps",
-            "shg_scan_nm",
-            "acceptance_scan_nm",
-            "acceptance_points",
-        },
-    )
-    disp_tree = tree.get("dispersion", {})
-    if not isinstance(disp_tree, dict):
-        raise ConfigError(f"{path}.dispersion: not an object")
-    dispersion = _parse_dispersion(disp_tree, f"{path}.dispersion")
-
-    temperature = _require(tree, path, "temperature_c", _NUM, 163.5)
-    lambda_p = _require(tree, path, "lambda_p_nm", _NUM, 532.0) * 1e-9
-
-    period_um = _require(tree, path, "poling_period_um", _NUM, None)
-    cal = tree.get("calibration")
-    if period_um is not None:
-        grating = QpmGrating(
-            poling_period_m=period_um * 1e-6,
-            sign=_require(tree, path, "grating_sign", int, -1),
-        )
-    elif isinstance(cal, dict):
-        _reject_unknown(
-            cal,
-            f"{path}.calibration",
-            {"lambda_p_nm", "lambda_s_nm", "temperature_c", "degenerate_nm"},
-        )
-        cal_path = f"{path}.calibration"
-        cal_temp = _require(cal, cal_path, "temperature_c", _NUM, temperature)
-        degenerate = _require(cal, cal_path, "degenerate_nm", _NUM, None)
-        if degenerate is not None:
-            grating = poling_period_for_shg(degenerate * 1e-9, cal_temp, dispersion)
-        else:
-            grating = poling_period_for_target(
-                _require(cal, cal_path, "lambda_p_nm", _NUM, required=True) * 1e-9,
-                _require(cal, cal_path, "lambda_s_nm", _NUM, required=True) * 1e-9,
-                cal_temp,
-                dispersion,
-            )
+    kw = _fields(tree, path, _PHASEMATCH)
+    if ("poling_period_um" in tree) == ("calibration" in tree):
+        raise ConfigError(f"{path}: give exactly one of poling_period_um and a calibration object")
+    if "grating_sign" in tree and "calibration" in tree:
+        raise ConfigError(f"{path}.grating_sign: only valid with poling_period_um")
+    dispersion = _dispersion(kw.pop("dispersion"), f"{path}.dispersion")
+    period, sign, calibration = kw.pop("poling_period_m"), kw.pop("sign"), kw.pop("calibration")
+    if calibration is None:
+        grating = _build(QpmGrating, path, poling_period_m=period, sign=sign)
     else:
-        raise ConfigError(f"{path}: provide poling_period_um or a calibration object")
+        grating = _calibrated_grating(
+            calibration, f"{path}.calibration", kw["temperature_c"], dispersion
+        )
+    return PhasematchPlan(dispersion=dispersion, grating=grating, **kw)
 
-    def _pair(key, default):
-        value = tree.get(key, default)
-        if (
-            not isinstance(value, (list, tuple))
-            or len(value) != 2
-            or not all(isinstance(v, _NUM) and not isinstance(v, bool) for v in value)
-        ):
-            raise ConfigError(f"{path}.{key}: expected [low, high]")
-        return float(value[0]), float(value[1])
 
-    bracket = _pair("bracket_nm", [700.0, 900.0])
-    tune_range = _pair("tune_range_c", [153.5, 173.5])
-    shg_scan = _pair("shg_scan_nm", [1570.0, 1610.0])
-    acc_scan = _pair("acceptance_scan_nm", [787.0, 793.0])
-    return PhasematchPlan(
-        dispersion=dispersion,
-        grating=grating,
-        temperature_c=temperature,
-        lambda_p_m=lambda_p,
-        bracket_m=(bracket[0] * 1e-9, bracket[1] * 1e-9),
-        length_m=_require(tree, path, "length_mm", _NUM, 22.0) * 1e-3,
-        tune_range_c=tune_range,
-        tune_steps=_require(tree, path, "tune_steps", int, 41),
-        shg_scan_m=(shg_scan[0] * 1e-9, shg_scan[1] * 1e-9),
-        acceptance_scan_m=(acc_scan[0] * 1e-9, acc_scan[1] * 1e-9),
-        acceptance_points=_require(tree, path, "acceptance_points", int, 161),
-    )
+_CONFIG = {
+    "schema_version": ("schema_version", int, REQUIRED, 1),
+    "simulate": ("simulate", dict, None, 1),
+    "analyze": ("analyze", dict, None, 1),
+    "phasematch": ("phasematch", dict, None, 1),
+}
 
 
 def load_config(path) -> dict:
@@ -354,10 +302,7 @@ def load_config(path) -> dict:
             tree = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(tree, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    _reject_unknown(tree, "config", {"schema_version", "simulate", "analyze", "phasematch", "report"})
-    version = _require(tree, "config", "schema_version", int, required=True)
+    version = _fields(tree, "config", _CONFIG)["schema_version"]
     if version != SCHEMA_VERSION:
         raise ConfigError(f"config.schema_version: unsupported version {version}")
     return tree

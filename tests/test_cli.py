@@ -250,6 +250,35 @@ class TestAnalyzeCommand:
         text = capsys.readouterr().out
         assert "central three-folds" in text
 
+    @pytest.mark.parametrize(
+        "text, cause",
+        [
+            ('{"n_pulses": 5}', "missing key 'car'"),
+            ("[1]", "report is not a JSON object"),
+            ("{not json", "unreadable report"),
+        ],
+    )
+    def test_malformed_report_fails_naming_it(self, tmp_path, capsys, text, cause):
+        report = tmp_path / "report.json"
+        report.write_text(text)
+        assert main(["report", str(report)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {report}: ") and cause in captured.err
+        assert captured.out == ""
+
+    def test_report_with_null_number_fails_naming_it(self, tmp_path, capsys):
+        stream = TimeTagStream(TICK, np.array([1, 2, 3], dtype=np.uint8), np.full(3, 100))
+        ttag_path, out = tmp_path / "tiny.ttag", tmp_path / "out"
+        write_ttag(ttag_path, stream)
+        cfg = write_json(tmp_path / "cfg.json", small_sim_config())
+        assert main(["analyze", str(ttag_path), "--config", cfg, "--output", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        rep["central_error"] = None
+        (out / "report.json").write_text(json.dumps(rep))
+        capsys.readouterr()
+        assert main(["report", str(out / "report.json")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {out / 'report.json'}: malformed value")
+
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
