@@ -184,6 +184,13 @@ class PhasematchPlan:
     acceptance_scan_m: tuple[float, float]
     acceptance_points: int
 
+    def __post_init__(self):
+        if self.tune_steps < 1:
+            raise ValueError(f"tune_steps must be >= 1, got {self.tune_steps}")
+        # the acceptance fit needs a response peak inside the scan
+        if self.acceptance_points < 3:
+            raise ValueError(f"acceptance_points must be >= 3, got {self.acceptance_points}")
+
 
 # one table per dispersion `model` (the default model is lithium_niobate_e)
 _DISPERSION = {
@@ -285,7 +292,7 @@ def parse_phasematch(tree: dict, path: str = "phasematch") -> PhasematchPlan:
         grating = _calibrated_grating(
             calibration, f"{path}.calibration", kw["temperature_c"], dispersion
         )
-    return PhasematchPlan(dispersion=dispersion, grating=grating, **kw)
+    return _build(PhasematchPlan, path, dispersion=dispersion, grating=grating, **kw)
 
 
 _CONFIG = {

@@ -16,9 +16,13 @@ block therefore draws, in this order: the totals of the seven
 detection-bearing pair patterns and of the s2 and i2 leakage photons
 (_EVENT_CHANNELS), the pulse of every such event, the jitter of channels 1,
 2 and 3, then the dark counts of channels 1, 2 and 3.  The cost follows the
-number of detections, not of pulses.  Output is an ordered stream of
-(channel, tick) records, bit-reproducible for a fixed seed and RNG_SCHEME
-independent of the worker count.
+number of detections, not of pulses.  The worker that samples a block also
+sorts its ticks per channel, so the main thread only merges sorted runs: per
+channel by a stable sort, which merges presorted runs in linear time and
+stays correct where jitter makes neighbouring blocks overlap, then across
+channels after dead time.  Output is an ordered stream of (channel, tick)
+records, bit-reproducible for a fixed seed and RNG_SCHEME independent of the
+worker count.
 """
 
 from __future__ import annotations
@@ -54,14 +58,17 @@ CHANNEL_S2 = 2
 CHANNEL_I2 = 3
 
 # Pulses per RNG block; each block draws from its own stream whichever worker
-# runs it, so results do not depend on the thread count.
-BLOCK_PULSES = 1 << 17
+# runs it, so results do not depend on the thread count.  Blocks must be large
+# enough that a worker spends its time in NumPy calls that release the
+# interpreter lock, not in per-call overhead.
+BLOCK_PULSES = 1 << 20
 
 # Version of the sampling scheme, written to the simulate manifest: the bytes
 # produced for a given seed change only with it.  Scheme 1 drew pair numbers
 # and detections pulse by pulse; scheme 2 draws block totals per event kind
-# and scatters them over the block's pulses.
-RNG_SCHEME = 2
+# and scatters them over the block's pulses, in blocks of 2**17 pulses;
+# scheme 3 does the same in blocks of 2**20.
+RNG_SCHEME = 3
 
 # Detection-bearing event kinds and the channels (i1, s2, i2) each one hits,
 # in the order their block totals are drawn: the seven detection patterns of
@@ -232,7 +239,7 @@ def _event_means_per_pulse(config: SimConfig) -> np.ndarray:
 
 
 def _simulate_block(config: SimConfig, block_index: int, p_start: int, p_stop: int):
-    """Raw (unsorted, pre-dead-time) tick arrays per channel for one pulse block.
+    """Sorted, pre-dead-time tick arrays per channel for one pulse block.
 
     Draw order is fixed: the nine block totals of _EVENT_CHANNELS in table
     order (one Poisson draw), the pulse of every event (one uniform integer
@@ -276,6 +283,10 @@ def _simulate_block(config: SimConfig, block_index: int, p_start: int, p_stop: i
                 t = block_t0 + rng.random(n_dark) * block_span
                 ticks = np.rint(t / res).astype(np.int64)
                 out[channel] = np.concatenate([out[channel], ticks])
+    for ticks in out.values():
+        # a value sort: its bytes do not depend on the algorithm, and NumPy
+        # releases the interpreter lock while it runs
+        ticks.sort()
     return out
 
 
@@ -291,11 +302,15 @@ def _apply_dead_time(ticks_sorted: np.ndarray, dead_ticks: int) -> np.ndarray:
     n = len(ticks_sorted)
     if dead_ticks <= 0 or n < 2:
         return ticks_sorted
-    starts = np.flatnonzero(np.diff(ticks_sorted) >= dead_ticks) + 1
-    starts = np.concatenate(([0], starts))
-    stops = np.append(starts[1:], n)
-    keep = np.zeros(n, dtype=bool)
-    keep[starts] = True
+    keep = np.empty(n, dtype=bool)
+    keep[0] = True
+    np.greater_equal(np.diff(ticks_sorted), dead_ticks, out=keep[1:])
+    # keep marks cluster starts; the edges of its runs of False bound the
+    # clusters of two or more tags, far fewer than the tags themselves
+    edges = np.flatnonzero(keep[1:] != keep[:-1]) + 1
+    if len(edges) % 2:
+        edges = np.append(edges, n)
+    starts, stops = edges[0::2] - 1, edges[1::2]
     long = stops - starts >= 3
     for start, stop in zip(starts[long].tolist(), stops[long].tolist()):
         cluster = ticks_sorted[start:stop]
@@ -336,11 +351,13 @@ def simulate_run(config: SimConfig, n_threads: int = 1, progress: bool = False) 
             if progress and ((b + 1) % report_every == 0 or b + 1 == n_blocks):
                 print(f"simulate: {p1}/{config.n_pulses} pulses", file=sys.stderr)
 
+    # block arrays are dropped once merged, and the channel-ordered copy once
+    # reordered, to keep peak memory low
     channels_out = []
     ticks_out = []
     for channel, arm in zip((CHANNEL_I1, CHANNEL_S2, CHANNEL_I2), config.arms):
-        ticks = np.concatenate([r[channel] for r in results]) if results else np.empty(0, np.int64)
-        ticks.sort(kind="stable")
+        ticks = np.concatenate([r.pop(channel) for r in results])
+        ticks.sort(kind="stable")  # merges the per-block sorted runs
         dead_ticks = math.ceil(arm.detector.dead_time_s / config.resolution_s - 1e-12)
         ticks = _apply_dead_time(ticks, dead_ticks)
         channels_out.append(np.full(len(ticks), channel, dtype=np.uint8))
@@ -348,12 +365,12 @@ def simulate_run(config: SimConfig, n_threads: int = 1, progress: bool = False) 
 
     channels = np.concatenate(channels_out)
     ticks = np.concatenate(ticks_out)
-    order = np.lexsort((channels, ticks))
-    return TimeTagStream(
-        resolution_s=config.resolution_s,
-        channels=channels[order],
-        timestamps=ticks[order],
-    )
+    del channels_out, ticks_out
+    # stable over the channel-ordered runs: equal ticks stay in channel order
+    order = np.argsort(ticks, kind="stable")
+    channels, ticks = channels[order], ticks[order]
+    del order
+    return TimeTagStream(resolution_s=config.resolution_s, channels=channels, timestamps=ticks)
 
 
 # ---------------------------------------------------------------------------

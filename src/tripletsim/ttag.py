@@ -51,7 +51,7 @@ def write_ttag(path, stream: TimeTagStream) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(header)
-            fh.write(records.tobytes())
+            fh.write(records)  # the array's own buffer, not a copy of it
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from tripletsim import phasematch as pm
+from tripletsim import simulate
 from tripletsim.analysis import (
     BinningConfig,
     analyze_stream,
@@ -179,7 +180,8 @@ def test_criterion_09_phasematch_properties():
     )
 
 
-def test_criterion_10_determinism(tmp_path):
+def test_criterion_10_determinism(tmp_path, monkeypatch):
+    monkeypatch.setattr(simulate, "BLOCK_PULSES", 1 << 17)  # 4 blocks
     cfg = boosted_config(400_000, seed=424242, dark_hz=500.0)
     paths = []
     for label, threads in (("a", 1), ("b", 4), ("c", 1)):

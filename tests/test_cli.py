@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tripletsim import simulate
 from tripletsim.analysis import build_threefold_histogram, merge_bins
 from tripletsim.cli import main
 from tripletsim.config import (
@@ -58,7 +59,7 @@ class TestSimulateCommand:
         assert out.stat().st_size == 22
         manifest = json.loads((tmp_path / "run.ttag.manifest.json").read_text())
         assert manifest["n_records"] == 0
-        assert manifest["rng_scheme"] == 2
+        assert manifest["rng_scheme"] == 3
 
     def test_same_seed_byte_identical(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", small_sim_config(seed=9))
@@ -67,7 +68,8 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_thread_count_independent(self, tmp_path):
+    def test_thread_count_independent(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(simulate, "BLOCK_PULSES", 1 << 17)  # 4 blocks
         cfg = write_json(tmp_path / "cfg.json", small_sim_config(n_pulses=400_000, seed=12))
         a, b = tmp_path / "a.ttag", tmp_path / "b.ttag"
         assert main(["simulate", "--config", cfg, "--output", str(a), "--threads", "1"]) == 0

@@ -339,3 +339,22 @@ class TestAnalyzeOptionRanges:
         assert not (out / "report.json").exists()
         with pytest.raises(ConfigError, match=f"^analyze: {field}"):
             parse_analyze({key: value})
+
+
+class TestPhasematchRanges:
+    @pytest.mark.parametrize(
+        "key, value, mode",
+        [
+            ("tune_steps", 0, "tune"),
+            ("tune_steps", -1, "tune"),
+            ("acceptance_points", 0, "acceptance"),
+            ("acceptance_points", 2, "acceptance"),  # no interior peak
+        ],
+    )
+    def test_out_of_range_option_rejected(self, tmp_path, capsys, key, value, mode):
+        tree = _phasematch_tree(**{key: value})
+        rc, err = _run(tmp_path, capsys, tree, "phasematch", mode)
+        assert rc == 2
+        assert err.startswith(f"config error: phasematch: {key} must be")
+        with pytest.raises(ConfigError, match=f"^phasematch: {key}"):
+            parse_phasematch(tree["phasematch"])

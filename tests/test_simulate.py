@@ -13,17 +13,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tripletsim
+from tripletsim import simulate
 from tripletsim.config import load_config, parse_simulate
 from tripletsim.pairstats import triplet_success_probability
 from tripletsim.simulate import (
-    BLOCK_PULSES,
     SimConfig,
     TimeTagStream,
+    _apply_dead_time,
     _central_bin_containment,
+    _simulate_block,
     expected_rates,
     simulate_run,
 )
 from conftest import baseline_source, boosted_config, make_arms
+
+# Block size for tests that need many blocks at a small pulse count;
+# simulate_run reads BLOCK_PULSES when it is called.
+SMALL_BLOCK = 1 << 17
 
 
 class TestStreamType:
@@ -63,16 +69,18 @@ class TestSimulateRun:
         assert np.array_equal(a.timestamps, b.timestamps)
         assert np.array_equal(a.channels, b.channels)
 
-    def test_thread_count_independence(self):
+    def test_thread_count_independence(self, monkeypatch):
+        monkeypatch.setattr(simulate, "BLOCK_PULSES", SMALL_BLOCK)  # 4 blocks
         cfg = boosted_config(500_000, seed=23, dark_hz=500.0)
         serial = simulate_run(cfg, n_threads=1)
         parallel = simulate_run(cfg, n_threads=4)
         assert np.array_equal(serial.timestamps, parallel.timestamps)
         assert np.array_equal(serial.channels, parallel.channels)
 
-    def test_progress_reported_on_threaded_path(self, capsys):
+    def test_progress_reported_on_threaded_path(self, capsys, monkeypatch):
         # 21 blocks: reports every second block, and the last one as well
-        n = 20 * BLOCK_PULSES + 1
+        monkeypatch.setattr(simulate, "BLOCK_PULSES", SMALL_BLOCK)
+        n = 20 * SMALL_BLOCK + 1
         cfg = SimConfig(
             source=baseline_source(), arms=make_arms(efficiencies=(0.0,) * 3), n_pulses=n, rng_seed=5
         )
@@ -237,8 +245,6 @@ class TestDeadTimeFilter:
         return accepted
 
     def test_matches_naive_reference(self, rng):
-        from tripletsim.simulate import _apply_dead_time
-
         for _ in range(50):
             n = int(rng.integers(0, 200))
             ticks = np.sort(rng.integers(0, 500, n)).astype(np.int64)
@@ -266,8 +272,6 @@ class TestDeadTimeFilter:
     @settings(max_examples=400, deadline=None)
     @given(clustered_ticks())
     def test_cluster_split_matches_naive_reference(self, case):
-        from tripletsim.simulate import _apply_dead_time
-
         ticks, dead = case
         got = _apply_dead_time(ticks, dead)
         assert got.dtype == np.int64
@@ -323,8 +327,9 @@ class TestThinning:
             assert sigma > 10
             assert abs(observed[code] - n * prob) < 4 * sigma, (code, observed[code], n * prob)
 
-    def test_last_partial_block_stays_inside_the_run(self):
-        n = 3 * BLOCK_PULSES + 5
+    def test_last_partial_block_stays_inside_the_run(self, monkeypatch):
+        monkeypatch.setattr(simulate, "BLOCK_PULSES", SMALL_BLOCK)
+        n = 3 * SMALL_BLOCK + 5
         cfg = SimConfig(
             source=baseline_source(pdc2=0.27, pump_w=460e-6),  # about 5 pairs per pulse
             arms=make_arms(transmission=1.0, efficiencies=(1.0, 1.0, 1.0)),
@@ -335,7 +340,83 @@ class TestThinning:
         pulses = pulse_index(stream.timestamps, cfg)
         assert pulses.min() >= 0
         assert pulses.max() < n
-        assert np.count_nonzero(pulses >= 3 * BLOCK_PULSES) > 0
+        assert np.count_nonzero(pulses >= 3 * SMALL_BLOCK) > 0
+
+
+class TestSortedRunMerge:
+    """simulate_run sorts each block in its worker and merges sorted runs."""
+
+    BLOCK = 1 << 10
+
+    @staticmethod
+    def reference_run(cfg):
+        """Global stable sort of all blocks, dead time, then lexsort by (tick, channel)."""
+        block = simulate.BLOCK_PULSES
+        n_blocks = -(-cfg.n_pulses // block)
+        raw = [
+            _simulate_block(cfg, b, b * block, min((b + 1) * block, cfg.n_pulses))
+            for b in range(n_blocks)
+        ]
+        channels, ticks = [], []
+        for ch, arm in zip((1, 2, 3), cfg.arms):
+            t = np.concatenate([r[ch] for r in raw])
+            t.sort(kind="stable")
+            t = _apply_dead_time(t, math.ceil(arm.detector.dead_time_s / cfg.resolution_s - 1e-12))
+            channels.append(np.full(len(t), ch, dtype=np.uint8))
+            ticks.append(t)
+        channels, ticks = np.concatenate(channels), np.concatenate(ticks)
+        order = np.lexsort((channels, ticks))
+        return raw, channels[order], ticks[order]
+
+    @staticmethod
+    def overlapping_config():
+        # 300 ns jitter against a 100 ns period: neighbouring blocks' sorted
+        # runs overlap at every seam
+        return SimConfig(
+            source=baseline_source(pdc2=0.27, pump_w=460e-6),
+            arms=make_arms(
+                transmission=0.5,
+                dark_rates=(2e5, 2e5, 2e5),
+                jitter=(300e-9, 300e-9, 300e-9),
+                dead_times=(50e-9, 200e-9, 0.0),
+            ),
+            n_pulses=40_000,
+            rng_seed=61,
+        )
+
+    @staticmethod
+    def tied_config():
+        # no jitter and no arm delay: a pulse's tags on ch1, ch2 and ch3 share
+        # one tick, so the order of equal ticks decides the stream
+        return SimConfig(
+            source=baseline_source(pdc2=0.27, pump_w=460e-6),
+            arms=make_arms(transmission=1.0, efficiencies=(0.9, 0.9, 0.9)),
+            n_pulses=40_000,
+            peak_offset_s=0.0,
+            rng_seed=62,
+        )
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_runs_overlapping_across_seams(self, monkeypatch, n_threads):
+        monkeypatch.setattr(simulate, "BLOCK_PULSES", self.BLOCK)
+        cfg = self.overlapping_config()
+        raw, channels, ticks = self.reference_run(cfg)
+        # some block's latest ch1 tick lies after the next block's earliest
+        assert any(a[1].max() > b[1].min() for a, b in zip(raw, raw[1:]))
+        stream = simulate_run(cfg, n_threads=n_threads)
+        assert np.array_equal(stream.timestamps, ticks)
+        assert np.array_equal(stream.channels, channels)
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_equal_ticks_across_channels(self, monkeypatch, n_threads):
+        monkeypatch.setattr(simulate, "BLOCK_PULSES", self.BLOCK)
+        cfg = self.tied_config()
+        _, channels, ticks = self.reference_run(cfg)
+        tied = ticks[1:] == ticks[:-1]
+        assert np.count_nonzero(tied & (channels[1:] != channels[:-1])) > 1000
+        stream = simulate_run(cfg, n_threads=n_threads)
+        assert np.array_equal(stream.timestamps, ticks)
+        assert np.array_equal(stream.channels, channels)
 
 
 class TestJitter:
