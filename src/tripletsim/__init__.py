@@ -28,7 +28,6 @@ from .pairstats import (
 )
 from .phasematch import (
     QpmGrating,
-    QpmProcess,
     idler_partner,
     phase_mismatch,
     poling_period_for_shg,
@@ -40,7 +39,6 @@ from .phasematch import (
     temperature_tuning_curve,
 )
 from .simulate import (
-    MOSI_SNSPD,
     Arm,
     ChannelModel,
     DetectorModel,

@@ -24,7 +24,7 @@ from .config import (
     parse_phasematch,
     parse_simulate,
 )
-from .errors import ConfigError, TripletSimError, TtagFormatError
+from .errors import ConfigError, FitError, NoRootError, TripletSimError, TtagFormatError
 from .simulate import RNG_SCHEME, expected_rates, simulate_run
 
 THREADS_ENV = "TRIPLETSIM_THREADS"
@@ -199,9 +199,12 @@ def cmd_phasematch(args) -> int:
             _atomic_write_text(args.output, text)
 
     if args.mode == "solve":
-        sol = phasematch.solve_phasematched_signal(
-            plan.lambda_p_m, plan.grating, plan.temperature_c, plan.dispersion, plan.bracket_m
-        )
+        try:
+            sol = phasematch.solve_phasematched_signal(
+                plan.lambda_p_m, plan.grating, plan.temperature_c, plan.dispersion, plan.bracket_m
+            )
+        except NoRootError as exc:
+            raise TripletSimError(f"phasematch.bracket_nm: {exc}") from exc
         payload = {
             "lambda_s_m": sol.lambda_s_m,
             "lambda_i_m": sol.lambda_i_m,
@@ -245,14 +248,17 @@ def cmd_phasematch(args) -> int:
         else:
             emit(json.dumps({"shg_peak_m": peak}, indent=2) + "\n")
     elif args.mode == "acceptance":
-        acc = phasematch.pump_acceptance_bandwidth(
-            plan.grating,
-            plan.temperature_c,
-            plan.dispersion,
-            plan.length_m,
-            plan.acceptance_scan_m,
-            n_pump=plan.acceptance_points,
-        )
+        try:
+            acc = phasematch.pump_acceptance_bandwidth(
+                plan.grating,
+                plan.temperature_c,
+                plan.dispersion,
+                plan.length_m,
+                plan.acceptance_scan_m,
+                n_pump=plan.acceptance_points,
+            )
+        except FitError as exc:
+            raise TripletSimError(f"phasematch.acceptance_scan_nm: {exc}") from exc
         payload = {
             "fwhm_m": acc.fwhm_m,
             "peak_m": acc.peak_m,

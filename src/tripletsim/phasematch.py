@@ -2,11 +2,13 @@
 
 Energy conservation fixes the idler wavelength from pump and signal; momentum
 conservation (phase matching) is restored by a poling grating of period
-Lambda_G contributing +/- 2 pi / Lambda_G to the wave-number balance.  This
-module solves the phase-matching condition for the signal wavelength, traces
-temperature tuning curves, locates the second-harmonic peak of the reverse
-process, integrates the pump acceptance bandwidth of a stage, and quantifies
-the spectral overlap of two Gaussian lineshapes.
+Lambda_G contributing +/- 2 pi / Lambda_G to the wave-number balance
+delta_k = k_p - k_s - k_i + K_G, written once in `phase_mismatch`; SHG is its
+degenerate case (pump lambda / 2, signal = idler = lambda).  One sign-change
+root scan serves the signal solver and the SHG peak, and one helper turns a
+bulk mismatch into the grating that closes it for both calibrations.  The
+module also traces temperature tuning curves, integrates the pump acceptance
+bandwidth of a stage, and quantifies the overlap of two Gaussian lineshapes.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ __all__ = [
     "AcceptanceBandwidth",
     "PhasematchSolution",
     "QpmGrating",
-    "QpmProcess",
     "TuningPoint",
     "idler_partner",
     "pdc_signal_response",
@@ -32,7 +33,6 @@ __all__ = [
     "poling_period_for_shg",
     "poling_period_for_target",
     "pump_acceptance_bandwidth",
-    "shg_mismatch",
     "shg_peak_wavelength",
     "shg_response",
     "solve_phasematched_signal",
@@ -46,15 +46,16 @@ BRENT_XTOL_M = 1e-18
 BRENT_MAX_ITER = 200
 
 
-def idler_partner(lambda_p_m: float, lambda_s_m: float) -> float:
-    """Idler wavelength from energy conservation, 1/lp = 1/ls + 1/li."""
-    if lambda_p_m <= 0:
+def idler_partner(lambda_p_m, lambda_s_m):
+    """Idler wavelength from energy conservation, 1/lp = 1/ls + 1/li; vectorized."""
+    if np.any(np.less_equal(lambda_p_m, 0)):
         raise ValueError(f"pump wavelength must be > 0, got {lambda_p_m}")
-    if lambda_s_m <= lambda_p_m:
+    if np.any(np.less_equal(lambda_s_m, lambda_p_m)):
         raise ValueError(
             f"signal wavelength {lambda_s_m} must exceed pump wavelength {lambda_p_m}"
         )
-    return 1.0 / (1.0 / lambda_p_m - 1.0 / lambda_s_m)
+    lambda_i_m = 1.0 / (1.0 / lambda_p_m - 1.0 / lambda_s_m)
+    return lambda_i_m if np.ndim(lambda_i_m) else float(lambda_i_m)
 
 
 @dataclass(frozen=True)
@@ -75,51 +76,58 @@ class QpmGrating:
         return self.sign * 2.0 * math.pi / self.poling_period_m
 
 
-@dataclass(frozen=True)
-class QpmProcess:
-    """One collinear three-wave process: wavelength triple, temperature, grating."""
-
-    lambda_p_m: float
-    lambda_s_m: float
-    lambda_i_m: float
-    temperature_c: float
-    grating: QpmGrating
-    dispersion: object
-
-    def energy_residual(self) -> float:
-        """Relative closure error of 1/lp - 1/ls - 1/li."""
-        lhs = 1.0 / self.lambda_p_m
-        return (lhs - 1.0 / self.lambda_s_m - 1.0 / self.lambda_i_m) / lhs
-
-
 def _wavenumber(dispersion, lambda_m, temperature_c):
     return 2.0 * math.pi * dispersion.n_eff(lambda_m, temperature_c) / lambda_m
 
 
-def phase_mismatch(process: QpmProcess) -> float:
-    """delta_k = k_p - k_s - k_i +/- 2 pi / Lambda_G in inverse meters."""
-    disp = process.dispersion
-    theta = process.temperature_c
-    return (
-        _wavenumber(disp, process.lambda_p_m, theta)
-        - _wavenumber(disp, process.lambda_s_m, theta)
-        - _wavenumber(disp, process.lambda_i_m, theta)
-        + process.grating.grating_k
-    )
-
-
-def _mismatch_vs_signal(lambda_s_m, lambda_p_m, grating, temperature_c, dispersion):
-    """delta_k versus signal wavelength, idler from energy conservation; vectorized."""
-    lambda_s_m = np.asarray(lambda_s_m, dtype=float) if np.ndim(lambda_s_m) else lambda_s_m
-    lambda_i_m = 1.0 / (1.0 / lambda_p_m - 1.0 / lambda_s_m)
-    theta = temperature_c
+def phase_mismatch(lambda_p_m, lambda_s_m, lambda_i_m, temperature_c, dispersion, grating_k=0.0):
+    """delta_k = k_p - k_s - k_i + grating_k in inverse meters; vectorized."""
     dk = (
-        _wavenumber(dispersion, lambda_p_m, theta)
-        - 2.0 * math.pi * dispersion.n_eff(lambda_s_m, theta) / lambda_s_m
-        - 2.0 * math.pi * dispersion.n_eff(lambda_i_m, theta) / lambda_i_m
-        + grating.grating_k
+        _wavenumber(dispersion, lambda_p_m, temperature_c)
+        - _wavenumber(dispersion, lambda_s_m, temperature_c)
+        - _wavenumber(dispersion, lambda_i_m, temperature_c)
+        + grating_k
     )
     return dk if np.ndim(dk) else float(dk)
+
+
+def _mismatch_vs_signal(lambda_s_m, lambda_p_m, grating_k, temperature_c, dispersion):
+    """delta_k versus signal wavelength, idler from energy conservation."""
+    lambda_i_m = idler_partner(lambda_p_m, lambda_s_m)
+    return phase_mismatch(lambda_p_m, lambda_s_m, lambda_i_m, temperature_c, dispersion, grating_k)
+
+
+def _shg_mismatch(lambda_f_m, grating_k, temperature_c, dispersion):
+    """delta_k of second-harmonic generation at fundamental lambda_f (pump lambda_f / 2)."""
+    return phase_mismatch(
+        lambda_f_m / 2.0, lambda_f_m, lambda_f_m, temperature_c, dispersion, grating_k
+    )
+
+
+def _closing_grating(bulk: float) -> QpmGrating:
+    """Grating whose wave number cancels the bulk mismatch exactly."""
+    if bulk == 0.0:
+        raise ValueError(
+            "wave-number balance already closes without a grating; "
+            "a finite poling period cannot be derived"
+        )
+    return QpmGrating(poling_period_m=2.0 * math.pi / abs(bulk), sign=-1 if bulk > 0 else 1)
+
+
+def _sign_change_roots(f, lo: float, hi: float, n_points: int) -> list[float]:
+    """Roots of f on [lo, hi] seen by an n_points grid, sorted.
+
+    Exact zeros on the grid are taken as they are; each sign change between
+    neighbouring grid points is refined with Brent's method.
+    """
+    grid = np.linspace(lo, hi, n_points)
+    vals = f(grid)
+    roots = [float(grid[k]) for k in np.nonzero(vals == 0.0)[0]]
+    for k in np.nonzero(np.diff(np.signbit(vals)))[0]:
+        roots.append(
+            float(brentq(f, grid[k], grid[k + 1], xtol=BRENT_XTOL_M, maxiter=BRENT_MAX_ITER))
+        )
+    return sorted(roots)
 
 
 def poling_period_for_target(
@@ -134,18 +142,13 @@ def poling_period_for_target(
     guided-mode index corrections so the stage meets its design wavelengths
     at the calibration temperature by construction.
     """
-    lambda_i_m = idler_partner(lambda_p_m, lambda_s_m)
-    bulk = (
-        _wavenumber(dispersion, lambda_p_m, temperature_c)
-        - _wavenumber(dispersion, lambda_s_m, temperature_c)
-        - _wavenumber(dispersion, lambda_i_m, temperature_c)
-    )
-    if bulk == 0.0:
-        raise ValueError(
-            "wave-number balance already closes without a grating; "
-            "a finite poling period cannot be derived"
-        )
-    return QpmGrating(poling_period_m=2.0 * math.pi / abs(bulk), sign=-1 if bulk > 0 else 1)
+    bulk = _mismatch_vs_signal(lambda_s_m, lambda_p_m, 0.0, temperature_c, dispersion)
+    return _closing_grating(bulk)
+
+
+def poling_period_for_shg(lambda_f_m: float, temperature_c: float, dispersion) -> QpmGrating:
+    """Grating that phase-matches degenerate conversion at fundamental lambda_f."""
+    return _closing_grating(_shg_mismatch(lambda_f_m, 0.0, temperature_c, dispersion))
 
 
 @dataclass(frozen=True)
@@ -177,41 +180,28 @@ def solve_phasematched_signal(
     lo, hi = bracket
     if not (lambda_p_m < lo < hi):
         raise ValueError(f"bracket {bracket} must satisfy pump < lo < hi")
-    grid = np.linspace(lo, hi, scan_points)
-    vals = _mismatch_vs_signal(grid, lambda_p_m, grating, temperature_c, dispersion)
-    sign_change = np.nonzero(np.diff(np.signbit(vals)))[0]
-    exact = np.nonzero(vals == 0.0)[0]
+    k_g = grating.grating_k
 
-    roots = [float(grid[k]) for k in exact]
-    for k in sign_change:
-        root = brentq(
-            _mismatch_vs_signal,
-            grid[k],
-            grid[k + 1],
-            args=(lambda_p_m, grating, temperature_c, dispersion),
-            xtol=BRENT_XTOL_M,
-            maxiter=BRENT_MAX_ITER,
-        )
-        roots.append(float(root))
+    def mismatch(lambda_s_m):
+        return _mismatch_vs_signal(lambda_s_m, lambda_p_m, k_g, temperature_c, dispersion)
+
+    roots = _sign_change_roots(mismatch, lo, hi, scan_points)
     if not roots:
         raise NoRootError(
             f"delta_k does not change sign over {bracket}; no phase-matched signal"
         )
     # collapse duplicates from adjacent grid cells straddling the same root
-    roots.sort()
     distinct = [roots[0]]
     for r in roots[1:]:
         if r - distinct[-1] > 1e-13:
             distinct.append(r)
     center = 0.5 * (lo + hi)
-    distinct.sort(key=lambda r: abs(r - center))
-    best = distinct[0]
-    roots = distinct
+    best = min(distinct, key=lambda r: abs(r - center))
     return PhasematchSolution(
         lambda_s_m=best,
         lambda_i_m=idler_partner(lambda_p_m, best),
-        residual_delta_k=_mismatch_vs_signal(best, lambda_p_m, grating, temperature_c, dispersion),
-        n_roots=len(roots),
+        residual_delta_k=mismatch(best),
+        n_roots=len(distinct),
     )
 
 
@@ -251,36 +241,9 @@ def temperature_tuning_curve(
     return points
 
 
-def poling_period_for_shg(lambda_f_m: float, temperature_c: float, dispersion) -> QpmGrating:
-    """Grating that phase-matches degenerate conversion at fundamental lambda_f."""
-    bulk = (
-        _wavenumber(dispersion, lambda_f_m / 2.0, temperature_c)
-        - 2.0 * _wavenumber(dispersion, lambda_f_m, temperature_c)
-    )
-    if bulk == 0.0:
-        raise ValueError("degenerate wave-number balance closes without a grating")
-    return QpmGrating(poling_period_m=2.0 * math.pi / abs(bulk), sign=-1 if bulk > 0 else 1)
-
-
 def sinc_sq(x):
     """sin(x)^2 / x^2 with the removable singularity at 0."""
     return np.sinc(np.asarray(x) / np.pi) ** 2
-
-
-def shg_mismatch(lambda_f_m, grating: QpmGrating, temperature_c: float, dispersion):
-    """Wave-number mismatch of second-harmonic generation at fundamental lambda_f.
-
-    The reverse process of degenerate down-conversion: pump at lambda_f / 2,
-    signal and idler both at lambda_f, same grating.  Vectorized.
-    """
-    lambda_f_m = np.asarray(lambda_f_m, dtype=float) if np.ndim(lambda_f_m) else lambda_f_m
-    theta = temperature_c
-    dk = (
-        2.0 * math.pi * dispersion.n_eff(lambda_f_m / 2.0, theta) / (lambda_f_m / 2.0)
-        - 2.0 * (2.0 * math.pi * dispersion.n_eff(lambda_f_m, theta) / lambda_f_m)
-        + grating.grating_k
-    )
-    return dk if np.ndim(dk) else float(dk)
 
 
 def shg_response(
@@ -293,7 +256,7 @@ def shg_response(
 ) -> tuple[np.ndarray, np.ndarray]:
     """sinc^2(delta_k L / 2) second-harmonic conversion curve over the scan."""
     lams = np.linspace(scan[0], scan[1], n_points)
-    dk = shg_mismatch(lams, grating, temperature_c, dispersion)
+    dk = _shg_mismatch(lams, grating.grating_k, temperature_c, dispersion)
     return lams, sinc_sq(dk * length_m / 2.0)
 
 
@@ -307,33 +270,26 @@ def shg_peak_wavelength(
 ) -> float:
     """Fundamental wavelength maximizing the second-harmonic response.
 
-    The peak of the main sinc^2 lobe sits where delta_k = 0, so a bracketed
-    root is used when available; when the scan holds no root the scan-grid
-    argmax is returned with a warning, since it can only be a boundary point
-    or a side lobe.
+    The peak of the main sinc^2 lobe sits where delta_k = 0, so the shortest
+    root inside the scan is used when there is one; when the scan holds no
+    root the scan-grid argmax is returned with a warning, since it can only
+    be a boundary point or a side lobe.
     """
-    lams = np.linspace(scan[0], scan[1], n_points)
-    dk = shg_mismatch(lams, grating, temperature_c, dispersion)
-    sign_change = np.nonzero(np.diff(np.signbit(dk)))[0]
-    if sign_change.size:
-        k = sign_change[0]
-        return float(
-            brentq(
-                shg_mismatch,
-                lams[k],
-                lams[k + 1],
-                args=(grating, temperature_c, dispersion),
-                xtol=BRENT_XTOL_M,
-                maxiter=BRENT_MAX_ITER,
-            )
-        )
-    best = int(np.argmax(sinc_sq(dk * length_m / 2.0)))
+    roots = _sign_change_roots(
+        lambda lam: _shg_mismatch(lam, grating.grating_k, temperature_c, dispersion),
+        scan[0],
+        scan[1],
+        n_points,
+    )
+    if roots:
+        return roots[0]
+    lams, resp = shg_response(grating, temperature_c, dispersion, scan, length_m, n_points)
     warnings.warn(
         "no phase-matched point inside the scan; the reported peak is the "
         "argmax of the sampled response at the scan boundary or a side lobe",
         stacklevel=2,
     )
-    return float(lams[best])
+    return float(lams[int(np.argmax(resp))])
 
 
 def pdc_signal_response(
@@ -358,10 +314,14 @@ def pdc_signal_response(
     lam_min, lam_max = dispersion.lambda_range_m
     lo = max(lo, lam_min * 1.001)
     hi = min(hi, lam_max * 0.999)
+    k_g = grating.grating_k
+
+    def half_phase(lambda_s_m):
+        dk = _mismatch_vs_signal(lambda_s_m, lambda_p_m, k_g, temperature_c, dispersion)
+        return dk * (length_m / 2.0)
+
     coarse = np.linspace(lo, hi, coarse_points)
-    x = _mismatch_vs_signal(coarse, lambda_p_m, grating, temperature_c, dispersion) * (
-        length_m / 2.0
-    )
+    x = half_phase(coarse)
     inside = np.abs(x) <= lobe_span * math.pi
     if np.any(inside):
         idx = np.nonzero(inside)[0]
@@ -375,10 +335,7 @@ def pdc_signal_response(
         a = max(lo, coarse[k] - half)
         b = min(hi, coarse[k] + half)
     fine = np.linspace(a, b, n_points)
-    xf = _mismatch_vs_signal(fine, lambda_p_m, grating, temperature_c, dispersion) * (
-        length_m / 2.0
-    )
-    return float(np.trapezoid(sinc_sq(xf), fine))
+    return float(np.trapezoid(sinc_sq(half_phase(fine)), fine))
 
 
 def _gaussian(x, amplitude, center, sigma):
@@ -440,7 +397,7 @@ def pump_acceptance_bandwidth(
         raise FitError("integrated response vanished over the whole pump scan")
     if peak_idx in (0, n_pump - 1):
         raise FitError(
-            "response peak sits at the scan boundary; widen pump_scan",
+            "response peak sits at the scan boundary; widen the scan",
             residuals=resp / rmax,
         )
     above = resp >= 0.5 * rmax
@@ -461,7 +418,7 @@ def pump_acceptance_bandwidth(
     right = float(np.interp(half, [resp[j], resp[j - 1]], [pumps[j], pumps[j - 1]]))
     if resp[0] > half or resp[-1] > half:
         raise FitError(
-            "half-maximum crossings fall outside the scan; widen pump_scan",
+            "half-maximum crossings fall outside the scan; widen the scan",
             residuals=resp / rmax,
         )
     grid_fwhm = right - left

@@ -46,7 +46,6 @@ __all__ = [
     "ChannelModel",
     "DetectorModel",
     "ExpectedRates",
-    "MOSI_SNSPD",
     "SimConfig",
     "TimeTagStream",
     "expected_rates",
@@ -95,13 +94,6 @@ class DetectorModel:
         for name in ("dark_rate_hz", "jitter_sigma_s", "dead_time_s"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-
-
-# Next-generation nanowire detector preset: ~87% efficiency with ~75 ns
-# recovery, the upgrade path that bounds usable pump repetition rates.
-MOSI_SNSPD = DetectorModel(
-    efficiency=0.87, dark_rate_hz=100.0, jitter_sigma_s=50e-12, dead_time_s=75e-9
-)
 
 
 @dataclass(frozen=True)

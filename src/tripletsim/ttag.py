@@ -8,9 +8,9 @@ Little-endian layout:
     offset 14  count   u64      number of records
     offset 22  records          count x (channel u8, timestamp u64)
 
-Timestamps are ticks since run start, below 2**63 and non-decreasing; the header
-resolution makes files self-describing.  Writes go through a temp file and
-an atomic rename.
+Channels are 1 (i1), 2 (s2) or 3 (i2).  Timestamps are ticks since run start,
+below 2**63 and non-decreasing; the header resolution makes files
+self-describing.  Writes go through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import tempfile
 import numpy as np
 
 from .errors import TtagFormatError
-from .simulate import TimeTagStream
+from .simulate import CHANNEL_I1, CHANNEL_I2, TimeTagStream
 
 __all__ = ["read_ttag", "write_ttag", "TTAG_MAGIC", "TTAG_VERSION"]
 
@@ -33,10 +33,22 @@ _RECORD_DTYPE = np.dtype([("channel", "<u1"), ("timestamp", "<u8")])
 RECORD_SIZE = _RECORD_DTYPE.itemsize  # 9 bytes
 
 
+def _first_bad_channel(channels) -> int:
+    """Index of the first channel outside 1 (i1), 2 (s2), 3 (i2); -1 if none."""
+    if len(channels) == 0 or CHANNEL_I1 <= channels.min() <= channels.max() <= CHANNEL_I2:
+        return -1
+    return int(np.argmax((channels < CHANNEL_I1) | (channels > CHANNEL_I2)))
+
+
 def write_ttag(path, stream: TimeTagStream) -> None:
     """Serialize a stream; atomic (temp file + rename) and byte-deterministic."""
     if len(stream.timestamps) and int(stream.timestamps.min()) < 0:
         raise ValueError("timestamps must be >= 0 for serialization")
+    k = _first_bad_channel(stream.channels)
+    if k >= 0:
+        raise ValueError(
+            f"channel {int(stream.channels[k])} at record {k} must be 1 (i1), 2 (s2) or 3 (i2)"
+        )
     resolution_fs = int(round(stream.resolution_s * 1e15))
     if resolution_fs <= 0:
         raise ValueError("resolution below 1 fs cannot be stored")
@@ -91,6 +103,14 @@ def read_ttag(path) -> TimeTagStream:
             byte_offset=min(bad, len(blob)),
         )
     records = np.frombuffer(blob, dtype=_RECORD_DTYPE, count=count, offset=_HEADER.size)
+    channels = records["channel"].copy()
+    k = _first_bad_channel(channels)
+    if k >= 0:
+        raise TtagFormatError(
+            f"channel {int(channels[k])} at record {k} is not 1 (i1), 2 (s2) or 3 (i2) "
+            f"(byte offset {_HEADER.size + k * RECORD_SIZE})",
+            byte_offset=_HEADER.size + k * RECORD_SIZE,
+        )
     timestamps = records["timestamp"].astype(np.int64)
     if len(timestamps):
         # u64 ticks >= 2**63 wrap to negative int64 values
@@ -110,6 +130,6 @@ def read_ttag(path) -> TimeTagStream:
             )
     return TimeTagStream(
         resolution_s=resolution_fs * 1e-15,
-        channels=records["channel"].copy(),
+        channels=channels,
         timestamps=timestamps,
     )

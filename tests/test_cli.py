@@ -451,6 +451,24 @@ class TestPhasematchCommands:
         assert payload["fwhm_m"] > 0
         assert "fit_residual_rms" in payload
 
+    @pytest.mark.parametrize(
+        "mode, key",
+        [("acceptance", "phasematch.acceptance_scan_nm"), ("solve", "phasematch.bracket_nm")],
+    )
+    def test_solver_failure_names_the_config_key(self, tmp_path, capsys, mode, key):
+        # the default config is calibrated for stage 1, so its acceptance scan
+        # of stage-2 pumps fails; the stage-2 config's bracket holds no signal
+        if mode == "acceptance":
+            tree = {"schema_version": 1, "phasematch": default_config()["phasematch"]}
+            tree["phasematch"]["acceptance_points"] = 41
+            cfg = write_json(tmp_path / "pm.json", tree)
+        else:
+            cfg = str(REPO_CONFIGS / "stage2_phasematch.json")
+        assert main(["phasematch", mode, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ")
+        assert "pump_scan" not in err
+
     def test_missing_section_exit_code(self, tmp_path):
         cfg = write_json(tmp_path / "no_pm.json", {"schema_version": 1})
         assert main(["phasematch", "solve", "--config", cfg]) == 2

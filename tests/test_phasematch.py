@@ -53,22 +53,23 @@ class TestPhaseMismatch:
         lp, ls, li = 532e-9, 800e-9, 1600e-9
         bulk = 2 * math.pi * 2.2 * (1 / lp - 1 / ls - 1 / li)
         grating = pm.QpmGrating(2 * math.pi / abs(bulk), sign=-1 if bulk > 0 else 1)
-        process = pm.QpmProcess(lp, ls, li, 25.0, grating, toy)
-        assert abs(pm.phase_mismatch(process)) < 1e-6 * abs(bulk)
+        dk = pm.phase_mismatch(lp, ls, li, 25.0, toy, grating.grating_k)
+        assert abs(dk) < 1e-6 * abs(bulk)
 
     def test_solved_point_is_matched(self):
         sol = pm.solve_phasematched_signal(532e-9, STAGE1, CAL_TEMP, LN, (700e-9, 900e-9))
-        process = pm.QpmProcess(532e-9, sol.lambda_s_m, sol.lambda_i_m, CAL_TEMP, STAGE1, LN)
-        assert abs(pm.phase_mismatch(process)) < 1e-3
-        assert abs(process.energy_residual()) < 1e-12
+        ls, li = sol.lambda_s_m, sol.lambda_i_m
+        dk = pm.phase_mismatch(532e-9, ls, li, CAL_TEMP, LN, STAGE1.grating_k)
+        assert abs(dk) < 1e-3
+        residual = abs(1 / 532e-9 - 1 / ls - 1 / li) * 532e-9
+        assert residual < 1e-12
 
     def test_perturbation_sign_matches_derivative(self):
         sol = pm.solve_phasematched_signal(532e-9, STAGE1, CAL_TEMP, LN, (700e-9, 900e-9))
 
         def mismatch(ls):
-            return pm.phase_mismatch(
-                pm.QpmProcess(532e-9, ls, pm.idler_partner(532e-9, ls), CAL_TEMP, STAGE1, LN)
-            )
+            li = pm.idler_partner(532e-9, ls)
+            return pm.phase_mismatch(532e-9, ls, li, CAL_TEMP, LN, STAGE1.grating_k)
 
         step = 1e-9
         perturbed = mismatch(sol.lambda_s_m + step)
@@ -78,9 +79,34 @@ class TestPhaseMismatch:
 
     def test_validity_error(self):
         grating = pm.QpmGrating(7e-6)
-        process = pm.QpmProcess(532e-9, 790e-9, 10e-6, CAL_TEMP, grating, LN)
         with pytest.raises(ValidityError):
-            pm.phase_mismatch(process)
+            pm.phase_mismatch(532e-9, 790e-9, 10e-6, CAL_TEMP, LN, grating.grating_k)
+
+    def test_vectorized_matches_scalar(self):
+        ls = np.linspace(780e-9, 800e-9, 7)
+        li = pm.idler_partner(532e-9, ls)
+        dk = pm.phase_mismatch(532e-9, ls, li, CAL_TEMP, LN, STAGE1.grating_k)
+        for lam_s, lam_i, dk_k in zip(ls, li, dk):
+            scalar = pm.phase_mismatch(
+                532e-9, float(lam_s), float(lam_i), CAL_TEMP, LN, STAGE1.grating_k
+            )
+            assert dk_k == scalar
+
+
+class TestCalibration:
+    @pytest.mark.parametrize("dispersion", [CURVED_TOY, LN], ids=["curved_toy", "ln"])
+    def test_shg_calibration_is_degenerate_target(self, dispersion):
+        # SHG at lambda_f is the pump lambda_f / 2 -> lambda_f + lambda_f balance
+        lambda_f = 1581e-9
+        shg = pm.poling_period_for_shg(lambda_f, CAL_TEMP, dispersion)
+        target = pm.poling_period_for_target(lambda_f / 2, lambda_f, CAL_TEMP, dispersion)
+        assert shg.sign == target.sign
+        assert shg.poling_period_m == pytest.approx(target.poling_period_m, rel=1e-12)
+
+    def test_closed_balance_has_no_grating(self):
+        # a constant index closes the degenerate balance by itself
+        with pytest.raises(ValueError, match="without a grating"):
+            pm.poling_period_for_shg(1580e-9, 25.0, ToyDispersion(n0=2.2))
 
 
 class TestSolver:
@@ -103,17 +129,14 @@ class TestSolver:
         dk = np.array(
             [
                 pm.phase_mismatch(
-                    pm.QpmProcess(532e-9, ls, pm.idler_partner(532e-9, ls), theta, STAGE1, LN)
+                    532e-9, ls, pm.idler_partner(532e-9, ls), theta, LN, STAGE1.grating_k
                 )
                 for ls in grid[:: 1000]
             ]
         )
         # coarse oracle just brackets the root; fine oracle pins it
-        dk_fine = pm.phase_mismatch(
-            pm.QpmProcess(
-                532e-9, sol.lambda_s_m, pm.idler_partner(532e-9, sol.lambda_s_m), theta, STAGE1, LN
-            )
-        )
+        li = pm.idler_partner(532e-9, sol.lambda_s_m)
+        dk_fine = pm.phase_mismatch(532e-9, sol.lambda_s_m, li, theta, LN, STAGE1.grating_k)
         assert abs(dk_fine) < 1e-3
         assert sol.lambda_s_m < 790.5e-9  # signal tunes to shorter wavelength when heated
 

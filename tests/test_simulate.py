@@ -195,14 +195,12 @@ class TestSinglesStatistics:
 
 class TestDeadTime:
     def test_exact_spacing_enforced(self):
-        from tripletsim.simulate import MOSI_SNSPD
-
         cfg = SimConfig(
             source=baseline_source(pdc2=2.7e-2),
             arms=make_arms(
                 dark_rates=(2000.0, 2000.0, 2000.0),
                 jitter=(150e-12,) * 3,
-                dead_times=(MOSI_SNSPD.dead_time_s, 10e-6, MOSI_SNSPD.dead_time_s),
+                dead_times=(75e-9, 10e-6, 75e-9),
             ),
             n_pulses=2_000_000,
             rng_seed=31,

@@ -110,6 +110,25 @@ class TestFormatErrors:
             read_ttag(path)
         assert err.value.byte_offset == 22 + bad_record * RECORD_SIZE
 
+    @pytest.mark.parametrize("channel", [0, 7])
+    @pytest.mark.parametrize("side", ["write", "read"])
+    def test_channel_outside_one_to_three_rejected(self, tmp_path, side, channel):
+        # records 0, 1 and 3 are valid; record 2 carries the bad channel byte
+        channels = [1, 3, channel, 2]
+        path = tmp_path / "bad_channel.ttag"
+        if side == "write":
+            stream = TimeTagStream(TICK, np.array(channels, dtype=np.uint8), np.arange(4))
+            with pytest.raises(ValueError, match=f"channel {channel} at record 2"):
+                write_ttag(path, stream)
+            assert not path.exists()
+            return
+        header = struct.pack("<4sHQQ", TTAG_MAGIC, 1, 82312, len(channels))
+        records = b"".join(struct.pack("<BQ", c, t) for t, c in enumerate(channels))
+        path.write_bytes(header + records)
+        with pytest.raises(TtagFormatError, match=f"channel {channel} at record 2") as err:
+            read_ttag(path)
+        assert err.value.byte_offset == 22 + 2 * RECORD_SIZE
+
     def test_zero_resolution_rejected(self, tmp_path):
         path = tmp_path / "zero_res.ttag"
         path.write_bytes(struct.pack("<4sHQQ", TTAG_MAGIC, 1, 0, 0))
