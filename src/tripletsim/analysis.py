@@ -91,51 +91,61 @@ class BinningConfig:
         return n * n
 
 
+def _flat_keys(n_half, i_idx, j_idx) -> np.ndarray:
+    """Flat keys (i + n_half) * (2 n_half + 1) + (j + n_half) of in-grid coordinates."""
+    i_idx, j_idx = (np.asarray(a, dtype=np.int64) for a in (i_idx, j_idx))
+    if len(i_idx) and max(np.abs(i_idx).max(), np.abs(j_idx).max()) > n_half:
+        raise ValueError("bin indices outside the histogram grid")
+    return (i_idx + n_half) * (2 * n_half + 1) + (j_idx + n_half)
+
+
 class Coincidence2DHistogram:
     """Sparse 2-D histogram of (tau1 - tau2, tau3 - tau2) delays.
 
     Bin k covers delays [(k - 1/2) w, (k + 1/2) w) with w = bin_width_s, so
-    bin 0 is centered on zero delay.  Counts are stored as deduplicated
-    coordinate triples sorted by (i, j); the fine tick-resolution grid stays sparse.
+    bin 0 is centered on zero delay.  Only non-empty bins are stored, as ascending
+    flat keys (i + n_half) * (2 n_half + 1) + (j + n_half) and their counts, so
+    the fine tick-resolution grid stays sparse; i_idx and j_idx derive from the keys.
     """
 
     def __init__(self, bin_width_s, n_half, i_idx, j_idx, values, total_reference_events):
+        keys = _flat_keys(n_half, i_idx, j_idx)
+        values = np.asarray(values, dtype=np.int64)
+        # on the grid the flat key orders bins as (i, j) does; producers emit them sorted
+        if np.any(keys[1:] <= keys[:-1]):
+            order = np.argsort(keys, kind="stable")
+            keys, values = keys[order], values[order]
+        self._set(bin_width_s, n_half, keys, values, total_reference_events)
+
+    def _set(self, bin_width_s, n_half, keys, values, total_reference_events):
         self.bin_width_s = float(bin_width_s)
         self.n_half = int(n_half)
-        self.i_idx = np.asarray(i_idx, dtype=np.int64)
-        self.j_idx = np.asarray(j_idx, dtype=np.int64)
+        self._keys = keys
         self.values = np.asarray(values, dtype=np.int64)
         self.total_reference_events = int(total_reference_events)
-        if len(self.values) and (
-            np.any(np.abs(self.i_idx) > self.n_half) or np.any(np.abs(self.j_idx) > self.n_half)
-        ):
-            raise ValueError("bin indices outside the histogram grid")
-        if np.any(self.values < 0):
+        if len(self.values) and self.values.min() < 0:
             raise ValueError("negative bin counts")
-        # on the grid the flat key orders bins as (i, j) does; producers emit them sorted
-        self._keys = (self.i_idx + self.n_half) * self.n_axis_bins + (self.j_idx + self.n_half)
-        if np.any(self._keys[1:] <= self._keys[:-1]):
-            order = np.argsort(self._keys, kind="stable")
-            self.i_idx, self.j_idx, self.values, self._keys = (
-                a[order] for a in (self.i_idx, self.j_idx, self.values, self._keys)
-            )
 
     @classmethod
     def _from_keys(cls, bin_width_s, n_half, keys, counts, total_reference_events):
         """Histogram from ascending, distinct flat keys (i + n_half) * side + (j + n_half)."""
-        side = 2 * n_half + 1
-        i, j = keys // side - n_half, keys % side - n_half
-        return cls(bin_width_s, n_half, i, j, counts, total_reference_events)
+        h = cls.__new__(cls)
+        h._set(bin_width_s, n_half, keys, counts, total_reference_events)
+        return h
 
     @classmethod
     def from_entries(cls, bin_width_s, n_half, i_entries, j_entries, total_reference_events):
         """Accumulate raw per-pair bin indices into deduplicated counts."""
-        i_entries = np.asarray(i_entries, dtype=np.int64)
-        j_entries = np.asarray(j_entries, dtype=np.int64)
-        keys = (i_entries + n_half) * (2 * n_half + 1) + (j_entries + n_half)
-        return cls._from_keys(
-            bin_width_s, n_half, *np.unique(keys, return_counts=True), total_reference_events
-        )
+        keys, counts = np.unique(_flat_keys(n_half, i_entries, j_entries), return_counts=True)
+        return cls._from_keys(bin_width_s, n_half, keys, counts, total_reference_events)
+
+    @property
+    def i_idx(self) -> np.ndarray:
+        return (self._keys // self.n_axis_bins).astype(np.int64) - self.n_half
+
+    @property
+    def j_idx(self) -> np.ndarray:
+        return (self._keys % self.n_axis_bins).astype(np.int64) - self.n_half
 
     @property
     def n_axis_bins(self) -> int:
@@ -157,16 +167,17 @@ class Coincidence2DHistogram:
         return 0
 
 
-# Pairs expanded at once.  Each costs about 70 bytes of transient arrays, so
-# this bounds the histogram's working memory whatever the stream's density.
+# Pairs expanded at once.  Each costs about 40 bytes of transient arrays on
+# top of the 4 or 8 bytes of its key, which is kept until the keys are counted.
 _PAIR_CHUNK = 1 << 20
 
 
 def build_threefold_histogram(stream: TimeTagStream, cfg: BinningConfig) -> Coincidence2DHistogram:
     """Fine (one bin per tick) 2-D histogram around the channel-2 references.
 
-    Windows come from one binary search per channel; the pairs are expanded
-    and counted in chunks of at most _PAIR_CHUNK pairs (or one reference).
+    Windows come from one binary search per channel; the pairs' flat bin keys
+    are expanded in chunks of at most _PAIR_CHUNK pairs (or one reference)
+    into one array, sorted once in place: each run of equal keys is one bin.
     """
     if abs(stream.resolution_s - cfg.base_bin_s) > 1e-4 * cfg.base_bin_s:
         raise ValueError(
@@ -186,33 +197,32 @@ def build_threefold_histogram(stream: TimeTagStream, cfg: BinningConfig) -> Coin
     start3 = np.searchsorted(t3, refs - w, "left")
     count3 = np.searchsorted(t3, refs + w, "right") - start3
     pairs_before = np.concatenate(([0], np.cumsum(count1 * count3)))
+    keys = np.empty(pairs_before[-1], dtype=np.int32 if side * side < 2**31 else np.int64)
 
-    def chunk_keys(a, b):
+    def fill_keys(a, b):
         ref = np.repeat(np.arange(a, b), np.diff(pairs_before[a : b + 1]))
         # pair k of a reference joins its channel-1 tag k // c3 and channel-3 tag k % c3
-        k = np.arange(len(ref)) - (pairs_before[ref] - pairs_before[a])
+        k = np.arange(pairs_before[a], pairs_before[b]) - pairs_before[ref]
         p, q = np.divmod(k, count3[ref])
-        d1 = t1[start1[ref] + p] - refs[ref]
-        d3 = t3[start3[ref] + q] - refs[ref]
-        return np.unique((d1 + w) * side + (d3 + w), return_counts=True)
+        del k
+        p += start1[ref]
+        q += start3[ref]
+        ref = refs[ref] - w  # each pair's window start; rebinding frees the index array
+        keys[pairs_before[a] : pairs_before[b]] = (t1[p] - ref) * side + (t3[q] - ref)
 
-    # the empty first part keeps the concatenation defined without references
-    parts = [(np.empty(0, np.int64), np.empty(0, np.int64))]
     a = 0
     while a < len(refs):
         b = int(np.searchsorted(pairs_before, pairs_before[a] + _PAIR_CHUNK, "right")) - 1
         b = max(b, a + 1)
-        parts.append(chunk_keys(a, b))
+        fill_keys(a, b)
         a = b
-    keys, counts = (np.concatenate(x) for x in zip(*parts))
-    del parts  # release the chunks before sorting
-    # a delay bin recurs across chunks: sum its counts
-    order = np.argsort(keys, kind="stable")
-    keys, counts = keys[order], counts[order]
-    first = np.flatnonzero(np.diff(keys, prepend=-1))
-    keys, counts = keys[first], np.add.reduceat(counts, first)
+    del t1, t3, start1, count1, start3, count3, pairs_before  # before the keys are counted
+    keys.sort()
+    # a run starts where the key changes, and at the first key if there is one
+    starts = np.flatnonzero(np.concatenate(([len(keys) > 0], keys[1:] != keys[:-1])))
     return Coincidence2DHistogram._from_keys(
-        cfg.base_bin_s, n_half_fine, keys, counts, total_reference_events=len(refs)
+        cfg.base_bin_s, n_half_fine, keys[starts], np.diff(starts, append=len(keys)),
+        total_reference_events=len(refs),
     )
 
 
@@ -227,15 +237,18 @@ def merge_bins(h: Coincidence2DHistogram, factor: int) -> Coincidence2DHistogram
     if factor < 1:
         raise ValueError("factor must be >= 1")
     if factor == 1:
-        return Coincidence2DHistogram(
-            h.bin_width_s, h.n_half, h.i_idx, h.j_idx, h.values, h.total_reference_events
+        return Coincidence2DHistogram._from_keys(
+            h.bin_width_s, h.n_half, h._keys, h.values, h.total_reference_events
         )
     half = factor // 2
     n_half_m = (h.n_half + half) // factor
     side = 2 * n_half_m + 1
-    keys = ((h.i_idx + half) // factor + n_half_m) * side + (h.j_idx + half) // factor + n_half_m
+    # fine offset index u = i + n_half falls in merged offset index (u + shift) // factor
+    shift = n_half_m * factor + half - h.n_half
+    i, j = np.divmod(h._keys, h.n_axis_bins)
+    i = (i + shift) // factor * side + (j + shift) // factor  # the merged key
     # float64 sums of integer counts are exact below 2**53
-    sums = np.bincount(keys, weights=h.values, minlength=side * side)
+    sums = np.bincount(i, weights=h.values, minlength=side * side)
     nonempty = np.flatnonzero(sums)
     return Coincidence2DHistogram._from_keys(
         h.bin_width_s * factor, n_half_m, nonempty, sums[nonempty].astype(np.int64),
@@ -257,14 +270,14 @@ def locate_central_peak(h: Coincidence2DHistogram, search_radius: int = 3) -> Pe
 
     Ties resolve toward the smallest delay magnitude, then lexicographically.
     """
-    r = search_radius
-    mask = (np.abs(h.i_idx) <= r) & (np.abs(h.j_idx) <= r) & (h.values > 0)
+    r, i_idx, j_idx = search_radius, h.i_idx, h.j_idx  # each property call decodes the keys
+    mask = (np.abs(i_idx) <= r) & (np.abs(j_idx) <= r) & (h.values > 0)
     if not np.any(mask):
         raise PeakNotFoundError(
             f"no counts within {r} bins of zero delay"
         )
     cand = sorted(
-        zip(h.values[mask], h.i_idx[mask], h.j_idx[mask]),
+        zip(h.values[mask], i_idx[mask], j_idx[mask]),
         key=lambda t: (-t[0], t[1] ** 2 + t[2] ** 2, (t[1], t[2])),
     )
     count, i, j = cand[0]

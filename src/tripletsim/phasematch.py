@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, curve_fit
 
 from .errors import FitError, NoRootError
 
@@ -120,6 +119,7 @@ def _sign_change_roots(f, lo: float, hi: float, n_points: int) -> list[float]:
     Exact zeros on the grid are taken as they are; each sign change between
     neighbouring grid points is refined with Brent's method.
     """
+    from scipy.optimize import brentq  # on demand: `analyze` never loads scipy
     grid = np.linspace(lo, hi, n_points)
     vals = f(grid)
     roots = [float(grid[k]) for k in np.nonzero(vals == 0.0)[0]]
@@ -427,6 +427,7 @@ def pump_acceptance_bandwidth(
     x, y = scan(
         center0 - window_halfwidths * grid_fwhm, center0 + window_halfwidths * grid_fwhm
     )
+    from scipy.optimize import curve_fit  # on demand, like brentq above
     try:
         popt, _ = curve_fit(
             _gaussian,

@@ -139,7 +139,7 @@ class TimeTagStream:
             raise ValueError("resolution_s must be > 0")
         if self.channels.shape != self.timestamps.shape:
             raise ValueError("channels and timestamps must have equal length")
-        if len(self.timestamps) and np.any(np.diff(self.timestamps) < 0):
+        if np.any(self.timestamps[1:] < self.timestamps[:-1]):
             raise ValueError("timestamps must be non-decreasing")
 
     def __len__(self) -> int:

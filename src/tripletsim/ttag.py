@@ -31,6 +31,8 @@ TTAG_VERSION = 1
 _HEADER = struct.Struct("<4sHQQ")
 _RECORD_DTYPE = np.dtype([("channel", "<u1"), ("timestamp", "<u8")])
 RECORD_SIZE = _RECORD_DTYPE.itemsize  # 9 bytes
+# Records per read; the file passes through one such buffer, never held whole.
+_READ_CHUNK = 1 << 20
 
 
 def _first_bad_channel(channels) -> int:
@@ -74,36 +76,42 @@ def write_ttag(path, stream: TimeTagStream) -> None:
 def read_ttag(path) -> TimeTagStream:
     """Parse a file back into a stream, validating structure and ordering."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise TtagFormatError(
-            f"truncated header: file ends at byte {len(blob)}, need {_HEADER.size}",
-            byte_offset=len(blob),
-        )
-    magic, version, resolution_fs, count = _HEADER.unpack_from(blob, 0)
-    if magic != TTAG_MAGIC:
-        raise TtagFormatError(
-            f"bad magic {magic!r} at byte offset 0", byte_offset=0
-        )
-    if version != TTAG_VERSION:
-        raise TtagFormatError(
-            f"unsupported format version {version} at byte offset 4", byte_offset=4
-        )
-    if resolution_fs == 0:
-        raise TtagFormatError(
-            "zero tick resolution at byte offset 6", byte_offset=6
-        )
-    payload = len(blob) - _HEADER.size
-    expected = count * RECORD_SIZE
-    if payload != expected:
-        bad = _HEADER.size + (payload // RECORD_SIZE) * RECORD_SIZE
-        raise TtagFormatError(
-            f"payload holds {payload} bytes but header promises {count} records "
-            f"({expected} bytes); file breaks at byte offset {min(bad, len(blob))}",
-            byte_offset=min(bad, len(blob)),
-        )
-    records = np.frombuffer(blob, dtype=_RECORD_DTYPE, count=count, offset=_HEADER.size)
-    channels = records["channel"].copy()
+        head = fh.read(_HEADER.size)
+        size = os.fstat(fh.fileno()).st_size
+        if len(head) < _HEADER.size:
+            raise TtagFormatError(
+                f"truncated header: file ends at byte {len(head)}, need {_HEADER.size}",
+                byte_offset=len(head),
+            )
+        magic, version, resolution_fs, count = _HEADER.unpack(head)
+        if magic != TTAG_MAGIC:
+            raise TtagFormatError(f"bad magic {magic!r} at byte offset 0", byte_offset=0)
+        if version != TTAG_VERSION:
+            raise TtagFormatError(
+                f"unsupported format version {version} at byte offset 4", byte_offset=4
+            )
+        if resolution_fs == 0:
+            raise TtagFormatError("zero tick resolution at byte offset 6", byte_offset=6)
+        payload = size - _HEADER.size
+        expected = count * RECORD_SIZE
+        if payload != expected:
+            bad = _HEADER.size + (payload // RECORD_SIZE) * RECORD_SIZE
+            raise TtagFormatError(
+                f"payload holds {payload} bytes but header promises {count} records "
+                f"({expected} bytes); file breaks at byte offset {min(bad, size)}",
+                byte_offset=min(bad, size),
+            )
+        channels = np.empty(count, dtype=np.uint8)
+        timestamps = np.empty(count, dtype=np.int64)
+        chunk = np.empty(min(count, _READ_CHUNK), dtype=_RECORD_DTYPE)
+        for a in range(0, count, _READ_CHUNK):
+            n = min(_READ_CHUNK, count - a)
+            if fh.readinto(chunk.view(np.uint8)[: n * RECORD_SIZE]) != n * RECORD_SIZE:
+                off = _HEADER.size + a * RECORD_SIZE
+                raise TtagFormatError(f"file shrank at byte offset {off}", byte_offset=off)
+            channels[a : a + n] = chunk["channel"][:n]
+            timestamps[a : a + n] = chunk["timestamp"][:n]
+        del chunk
     k = _first_bad_channel(channels)
     if k >= 0:
         raise TtagFormatError(
@@ -111,23 +119,21 @@ def read_ttag(path) -> TimeTagStream:
             f"(byte offset {_HEADER.size + k * RECORD_SIZE})",
             byte_offset=_HEADER.size + k * RECORD_SIZE,
         )
-    timestamps = records["timestamp"].astype(np.int64)
-    if len(timestamps):
-        # u64 ticks >= 2**63 wrap to negative int64 values
-        if timestamps.min() < 0:
-            k = int(np.argmax(timestamps < 0))
-            raise TtagFormatError(
-                f"timestamp {int(records['timestamp'][k])} at record {k} exceeds the int64 range "
-                f"(byte offset {_HEADER.size + k * RECORD_SIZE})",
-                byte_offset=_HEADER.size + k * RECORD_SIZE,
-            )
-        bad = np.nonzero(np.diff(timestamps) < 0)[0]
-        if bad.size:
-            k = int(bad[0]) + 1
-            raise TtagFormatError(
-                f"timestamps decrease at record {k} (byte offset {_HEADER.size + k * RECORD_SIZE})",
-                byte_offset=_HEADER.size + k * RECORD_SIZE,
-            )
+    # u64 ticks >= 2**63 wrap to negative int64 values
+    if len(timestamps) and timestamps.min() < 0:
+        k = int(np.argmax(timestamps < 0))
+        raise TtagFormatError(
+            f"timestamp {int(timestamps[k]) + 2**64} at record {k} exceeds the int64 range "
+            f"(byte offset {_HEADER.size + k * RECORD_SIZE})",
+            byte_offset=_HEADER.size + k * RECORD_SIZE,
+        )
+    bad = np.flatnonzero(timestamps[1:] < timestamps[:-1])
+    if bad.size:
+        k = int(bad[0]) + 1
+        raise TtagFormatError(
+            f"timestamps decrease at record {k} (byte offset {_HEADER.size + k * RECORD_SIZE})",
+            byte_offset=_HEADER.size + k * RECORD_SIZE,
+        )
     return TimeTagStream(
         resolution_s=resolution_fs * 1e-15,
         channels=channels,

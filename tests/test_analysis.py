@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -150,6 +151,63 @@ class TestHistogramOracle:
         assert h.total_counts == 0
         assert len(h.values) == 0
         assert h.total_reference_events == 2
+
+    def test_no_pair_inside_any_window(self, monkeypatch):
+        # each reference sees tags on only one of channels 1 and 3, so no pair forms
+        monkeypatch.setattr(analysis, "_PAIR_CHUNK", 1)
+        w = fine_half_window(SMALL)
+        stream = stream_from_ticks(ch1=[1000, 1001], ch2=[1000, 1000 + 4 * w], ch3=[1000 + 4 * w])
+        h = build_threefold_histogram(stream, SMALL)
+        assert h.total_counts == 0 and len(h.values) == len(h.i_idx) == len(h.j_idx) == 0
+        assert h.total_reference_events == 2
+        m = merge_bins(h, SMALL.merge_factor)
+        assert len(m.values) == 0 and m.total_reference_events == 2
+
+    def test_wide_grid_int64_keys_match_brute_force(self):
+        # a 1 ps tick gives a fine grid of more than 2**31 bins, past int32 keys
+        cfg = BinningConfig(
+            base_bin_s=1e-12, merge_factor=16, window_half_span_s=30e-9, rep_period_s=16e-9
+        )
+        w = fine_half_window(cfg)
+        assert (2 * w + 1) ** 2 >= 2**31
+        rng = np.random.default_rng(55)
+        stream = TimeTagStream(
+            1e-12, rng.integers(1, 4, 300).astype(np.uint8), np.sort(rng.integers(0, 400_000, 300))
+        )
+        h = build_threefold_histogram(stream, cfg)
+        expected = brute_force_histogram(stream, cfg)
+        assert h.total_counts > 1000
+        assert as_dict(h) == expected
+        # merged bin k collects the fine bins centred on k * factor
+        f = cfg.merge_factor
+        merged = Counter()
+        for (i, j), c in expected.items():
+            merged[(i + f // 2) // f, (j + f // 2) // f] += c
+        assert as_dict(merge_bins(h, f)) == dict(merged)
+
+    def test_coordinates_derive_from_keys_as_stored_before(self):
+        # the constructor used to store i_idx, j_idx, values sorted by (i, j)
+        rng = np.random.default_rng(12)
+        flat = rng.choice(13 * 13, 50, replace=False)
+        i, j, values = flat // 13 - 6, flat % 13 - 6, rng.integers(1, 9, 50)
+        h = Coincidence2DHistogram(TICK, 6, i, j, values, 1)
+        order = np.lexsort((j, i))
+        assert np.array_equal(h.i_idx, i[order]) and np.array_equal(h.j_idx, j[order])
+        assert np.array_equal(h.values, values[order])
+        assert h.i_idx.dtype == h.j_idx.dtype == np.int64
+        # from_entries: the distinct (i, j) in that order, each with its multiplicity
+        ei, ej = rng.integers(-6, 7, 300), rng.integers(-6, 7, 300)
+        counts = Counter(zip(ei.tolist(), ej.tolist()))
+        f = Coincidence2DHistogram.from_entries(TICK, 6, ei, ej, 1)
+        assert list(zip(f.i_idx.tolist(), f.j_idx.tolist())) == sorted(counts)
+        assert f.values.tolist() == [counts[k] for k in sorted(counts)]
+
+    @pytest.mark.parametrize("i, j", [([7], [0]), ([0], [-7]), ([0, 1], [6, 7])])
+    def test_coordinates_outside_the_grid_rejected(self, i, j):
+        with pytest.raises(ValueError, match="outside the histogram grid"):
+            Coincidence2DHistogram(TICK, 6, i, j, [1] * len(i), 1)
+        with pytest.raises(ValueError, match="outside the histogram grid"):
+            Coincidence2DHistogram.from_entries(TICK, 6, i, j, 1)
 
     def test_constructor_sorts_unsorted_coordinates(self):
         rng = np.random.default_rng(8)

@@ -1,11 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tripletsim
 from tripletsim import simulate
 from tripletsim.analysis import build_threefold_histogram, merge_bins
 from tripletsim.cli import main
@@ -228,6 +232,28 @@ class TestAnalyzeCommand:
         for i, j, v in zip(merged.i_idx, merged.j_idx, merged.values):
             writer.writerow([f"{i * scale:.6f}", f"{j * scale:.6f}", int(v)])
         assert (out / "histogram.csv").read_bytes() == buf.getvalue().encode()
+
+    def test_analysis_never_loads_scipy(self, tmp_path):
+        # a fresh interpreter, since other tests load scipy into this one
+        stream = TimeTagStream(
+            TICK, np.array([1, 2, 3], dtype=np.uint8), np.array([5000] * 3, dtype=np.int64)
+        )
+        ttag_path = tmp_path / "tiny.ttag"
+        write_ttag(ttag_path, stream)
+        cfg = write_json(tmp_path / "cfg.json", small_sim_config())
+        argv = ["analyze", str(ttag_path), "--config", cfg, "--output", str(tmp_path / "out")]
+        code = (
+            "import sys, tripletsim, tripletsim.cli\n"
+            f"rc = tripletsim.cli.main({argv!r})\n"
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(tripletsim.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "0 []"
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["central_count"] == 1
 
     def test_corrupt_file_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ttag"

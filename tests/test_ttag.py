@@ -1,8 +1,10 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tripletsim import ttag
 from tripletsim.errors import TtagFormatError
 from tripletsim.simulate import TimeTagStream
 from tripletsim.ttag import RECORD_SIZE, TTAG_MAGIC, read_ttag, write_ttag
@@ -135,3 +137,84 @@ class TestFormatErrors:
         with pytest.raises(TtagFormatError) as err:
             read_ttag(path)
         assert err.value.byte_offset == 6
+
+
+def raw_file(path, records):
+    """A TTAG file of (channel, tick) records written byte by byte, faults included."""
+    header = struct.pack("<4sHQQ", TTAG_MAGIC, 1, 82312, len(records))
+    path.write_bytes(header + b"".join(struct.pack("<BQ", c, t) for c, t in records))
+    return path
+
+
+def fault(path):
+    with pytest.raises(TtagFormatError) as err:
+        read_ttag(path)
+    return str(err.value), err.value.byte_offset
+
+
+def twelve_records(changes=None):
+    """Records 0..11 on channels 1, 2, 3, 1, ... at ticks 0, 10, 20, ...
+
+    changes[k] replaces record k.
+    """
+    records = [(k % 3 + 1, 10 * k) for k in range(12)]
+    for k, record in (changes or {}).items():
+        records[k] = record
+    return records
+
+
+class TestChunkedReader:
+    """With a four-record buffer every fault is named as by a single whole-file read."""
+
+    @pytest.mark.parametrize(
+        "records, bad_record",
+        [
+            (twelve_records({5: (9, 50)}), 5),  # bad channel byte in the second chunk
+            (twelve_records({6: (1, 2**63 + 1)}), 6),  # beyond int64 in the second chunk
+            (twelve_records({6: (1, 49)}), 6),  # decrease inside a chunk
+            (twelve_records({4: (2, 29)}), 4),  # decrease exactly at a chunk boundary
+            # a bad channel in a later chunk outranks earlier timestamp faults
+            (twelve_records({1: (2, 2**63), 2: (3, 5), 10: (0, 100)}), 10),
+            (twelve_records({1: (2, 2**63), 9: (1, 5)}), 1),  # beyond int64 outranks order
+        ],
+    )
+    def test_fault_named_as_in_one_read(self, tmp_path, monkeypatch, records, bad_record):
+        path = raw_file(tmp_path / "bad.ttag", records)
+        whole = fault(path)
+        monkeypatch.setattr(ttag, "_READ_CHUNK", 4)
+        assert fault(path) == whole
+        assert whole[1] == 22 + bad_record * RECORD_SIZE
+
+    def test_truncated_payload_named_as_in_one_read(self, tmp_path, monkeypatch):
+        path = raw_file(tmp_path / "cut.ttag", twelve_records())
+        path.write_bytes(path.read_bytes()[: 22 + 9 * RECORD_SIZE + 4])
+        whole = fault(path)
+        monkeypatch.setattr(ttag, "_READ_CHUNK", 4)
+        assert fault(path) == whole
+        assert whole[1] == 22 + 9 * RECORD_SIZE
+
+    @pytest.mark.parametrize("n", [0, 12, 1001])
+    def test_round_trip_across_chunks(self, tmp_path, monkeypatch, n):
+        monkeypatch.setattr(ttag, "_READ_CHUNK", 4)
+        stream = sample_stream(n, seed=n)
+        path = tmp_path / "run.ttag"
+        write_ttag(path, stream)
+        back = read_ttag(path)
+        assert np.array_equal(back.channels, stream.channels)
+        assert np.array_equal(back.timestamps, stream.timestamps)
+        assert back.channels.dtype == np.uint8 and back.timestamps.dtype == np.int64
+
+    def test_peak_memory_is_the_stream_plus_one_buffer(self, tmp_path, monkeypatch):
+        # a whole-file read with copies peaks near 26 bytes per record
+        monkeypatch.setattr(ttag, "_READ_CHUNK", 1 << 12)
+        n = 100_000
+        path = tmp_path / "run.ttag"
+        write_ttag(path, sample_stream(n))
+        tracemalloc.start()
+        try:
+            stream = read_ttag(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(stream) == n
+        assert peak <= 9 * n + 9 * ttag._READ_CHUNK + 2**20
