@@ -235,17 +235,17 @@ def cmd_phasematch(args) -> int:
             )
         emit(_csv_text(rows))
     elif args.mode == "shg":
-        peak = phasematch.shg_peak_wavelength(
-            plan.grating, plan.temperature_c, plan.dispersion, plan.shg_scan_m, plan.length_m
-        )
+        shg = (plan.grating, plan.temperature_c, plan.dispersion, plan.shg_scan_m)
         if args.format == "csv":
-            lams, resp = phasematch.shg_response(
-                plan.grating, plan.temperature_c, plan.dispersion, plan.shg_scan_m, plan.length_m
-            )
+            lams, resp = phasematch.shg_response(*shg, plan.length_m)
             rows = [["lambda_fundamental_m", "response"]]
             rows += [[repr(float(l)), repr(float(r))] for l, r in zip(lams, resp)]
             emit(_csv_text(rows))
         else:
+            try:
+                peak = phasematch.shg_peak_wavelength(*shg)
+            except NoRootError as exc:
+                raise TripletSimError(f"phasematch.shg_scan_nm: {exc}") from exc
             emit(json.dumps({"shg_peak_m": peak}, indent=2) + "\n")
     elif args.mode == "acceptance":
         try:

@@ -14,7 +14,6 @@ bandwidth of a stage, and quantifies the overlap of two Gaussian lineshapes.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,15 +264,14 @@ def shg_peak_wavelength(
     temperature_c: float,
     dispersion,
     scan: tuple[float, float],
-    length_m: float = 0.025,
     n_points: int = 801,
 ) -> float:
     """Fundamental wavelength maximizing the second-harmonic response.
 
-    The peak of the main sinc^2 lobe sits where delta_k = 0, so the shortest
-    root inside the scan is used when there is one; when the scan holds no
-    root the scan-grid argmax is returned with a warning, since it can only
-    be a boundary point or a side lobe.
+    The peak of the main sinc^2 lobe sits where delta_k = 0, at any crystal
+    length, so the shortest root inside the scan is used.  A scan that holds
+    no root raises NoRootError: its response maximum could only be a
+    boundary point or a side lobe.
     """
     roots = _sign_change_roots(
         lambda lam: _shg_mismatch(lam, grating.grating_k, temperature_c, dispersion),
@@ -281,15 +279,9 @@ def shg_peak_wavelength(
         scan[1],
         n_points,
     )
-    if roots:
-        return roots[0]
-    lams, resp = shg_response(grating, temperature_c, dispersion, scan, length_m, n_points)
-    warnings.warn(
-        "no phase-matched point inside the scan; the reported peak is the "
-        "argmax of the sampled response at the scan boundary or a side lobe",
-        stacklevel=2,
-    )
-    return float(lams[int(np.argmax(resp))])
+    if not roots:
+        raise NoRootError(f"delta_k does not change sign over {scan}; no phase-matched SHG peak")
+    return roots[0]
 
 
 def pdc_signal_response(

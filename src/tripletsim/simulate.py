@@ -399,35 +399,52 @@ def _central_bin_containment(config: SimConfig, merged_bin_s: float) -> float:
     """Probability that both relative delays of a triplet land in the peak bin.
 
     The delays tau1 - tau2 and tau3 - tau2 share the channel-2 jitter z and
-    are independent given z, so the probability is one integral over z.
+    are independent given z, so the probability is one integral over z, taken
+    by a fixed composite Gauss-Legendre rule in u = z / s2: 20 nodes per panel,
+    panels at most 0.5 wide, breakpoints at both steps and around each at
+    (s_k/s2) * 2^m < 1 for each nonzero side jitter s_k.  Over 1500 seeded
+    draws (log-uniform jitters 10 ps - 2 ns, offsets within 3 ns) it agrees
+    with scipy's adaptive `quad` to 5e-13 absolute (99th percentile 1e-15),
+    and it resolves the narrow edge ramp `quad` stepped over when one side
+    jitter is 0 and the other is far below s2.
     """
-    from scipy.integrate import quad
-    from scipy.special import ndtr
+    from numpy.polynomial.legendre import leggauss  # on demand: `analyze` never calls this
 
     s1, s2, s3 = (arm.detector.jitter_sigma_s for arm in config.arms)
     w = merged_bin_s
     off = config.peak_offset_s
     k = round(off / w)  # merged bin holding the peak
     lo, hi = (k - 0.5) * w - off, (k + 0.5) * w - off
+    erfc = np.frompyfunc(math.erfc, 1, 1)
 
     def inside(z, s):
         """P(lo <= j - z <= hi) for a jitter j ~ N(0, s^2)."""
         if s == 0.0:
-            return float(lo + z <= 0.0 <= hi + z)
-        return float(ndtr((hi + z) / s) - ndtr((lo + z) / s))
+            return ((lo + z <= 0.0) & (0.0 <= hi + z)) * 1.0
+        r = s * math.sqrt(2.0)
+        return np.asarray(0.5 * (erfc((lo + z) / r) - erfc((hi + z) / r)), float)
 
     if s2 == 0.0:
-        return inside(0.0, s1) * inside(0.0, s3)
-    # in units u = z / s2: both factors step at z = -hi and z = -lo, and their
-    # product vanishes 12 of the smaller jitter beyond; quad needs both facts
+        return float(inside(0.0, s1) * inside(0.0, s3))
+    # in units u = z / s2: both factors step at u = -hi/s2 and -lo/s2 over a
+    # ramp s_k/s2 wide, and their product vanishes 12 of the smaller jitter beyond
     pad = 12.0 * min(s1, s3)
     a, b = max(-hi - pad, -12.0 * s2) / s2, min(-lo + pad, 12.0 * s2) / s2
-    steps = [x for x in (-hi / s2, -lo / s2) if a < x < b]
-    total, _ = quad(
-        lambda u: math.exp(-0.5 * u * u) * inside(u * s2, s1) * inside(u * s2, s3),
-        a, b, points=steps or None, epsabs=1e-13, epsrel=1e-11, limit=200,
+    cuts = {a, b, -hi / s2, -lo / s2}
+    for step in (-hi / s2, -lo / s2):
+        for d in (s1 / s2, s3 / s2):
+            while 0.0 < d < 1.0:
+                cuts.update((step - d, step + d))
+                d *= 2.0
+    cuts = sorted(c for c in cuts if a <= c <= b)
+    ends = np.concatenate(
+        [np.linspace(p, q, math.ceil(2.0 * (q - p)) + 1)[:-1] for p, q in zip(cuts, cuts[1:])] + [[b]]
     )
-    return total / math.sqrt(2.0 * math.pi)
+    half = 0.5 * np.diff(ends)[:, None]
+    nodes, weights = leggauss(20)
+    u = (ends[:-1, None] + half * (1.0 + nodes)).ravel()
+    f = np.exp(-0.5 * u * u) * inside(u * s2, s1) * inside(u * s2, s3)
+    return float((half * weights).ravel() @ f) / math.sqrt(2.0 * math.pi)
 
 
 def expected_rates(config: SimConfig, merged_bin_s: float | None = None) -> ExpectedRates:

@@ -234,17 +234,15 @@ class TestAnalyzeCommand:
         assert (out / "histogram.csv").read_bytes() == buf.getvalue().encode()
 
     def test_analysis_never_loads_scipy(self, tmp_path):
-        # a fresh interpreter, since other tests load scipy into this one
-        stream = TimeTagStream(
-            TICK, np.array([1, 2, 3], dtype=np.uint8), np.array([5000] * 3, dtype=np.int64)
-        )
-        ttag_path = tmp_path / "tiny.ttag"
-        write_ttag(ttag_path, stream)
+        # a fresh interpreter, since other tests load scipy into this one;
+        # simulate writes expected_central_count, so the containment runs too
+        ttag_path = tmp_path / "run.ttag"
         cfg = write_json(tmp_path / "cfg.json", small_sim_config())
-        argv = ["analyze", str(ttag_path), "--config", cfg, "--output", str(tmp_path / "out")]
+        simulate_argv = ["simulate", "--config", cfg, "--output", str(ttag_path)]
+        analyze_argv = ["analyze", str(ttag_path), "--config", cfg, "--output", str(tmp_path / "out")]
         code = (
             "import sys, tripletsim, tripletsim.cli\n"
-            f"rc = tripletsim.cli.main({argv!r})\n"
+            f"rc = tripletsim.cli.main({simulate_argv!r}) or tripletsim.cli.main({analyze_argv!r})\n"
             "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(tripletsim.__file__).resolve().parents[1]))
@@ -253,7 +251,9 @@ class TestAnalyzeCommand:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "0 []"
-        assert json.loads((tmp_path / "out" / "report.json").read_text())["central_count"] == 1
+        manifest = json.loads((tmp_path / "run.ttag.manifest.json").read_text())
+        assert manifest["expected"]["expected_central_count"] > 1.0
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["central_count"] > 0
 
     def test_corrupt_file_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ttag"
@@ -494,6 +494,19 @@ class TestPhasematchCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key}: ")
         assert "pump_scan" not in err
+
+    def test_shg_without_root_names_the_scan(self, capsys):
+        # the baseline is calibrated for stage 1: its SHG scan holds no root,
+        # and the largest sampled response is a side lobe
+        cfg = str(REPO_CONFIGS / "baseline.json")
+        assert main(["phasematch", "shg", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: phasematch.shg_scan_nm: ")
+        # the response curve needs no root
+        assert main(["phasematch", "shg", "--config", cfg, "--format", "csv"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0] == "lambda_fundamental_m,response" and len(rows) == 802
 
     def test_missing_section_exit_code(self, tmp_path):
         cfg = write_json(tmp_path / "no_pm.json", {"schema_version": 1})

@@ -204,18 +204,20 @@ class TestTuningCurve:
 class TestShg:
     def test_toy_exact_peak(self):
         grating = pm.poling_period_for_shg(1580e-9, 25.0, CURVED_TOY)
-        peak = pm.shg_peak_wavelength(grating, 25.0, CURVED_TOY, (1500e-9, 1650e-9), 0.02)
+        peak = pm.shg_peak_wavelength(grating, 25.0, CURVED_TOY, (1500e-9, 1650e-9))
         assert peak == pytest.approx(1580e-9, abs=1e-12)
 
     def test_stage2_degeneracy(self):
-        peak = pm.shg_peak_wavelength(STAGE2, CAL_TEMP, LN, (1570e-9, 1610e-9), 0.022)
+        peak = pm.shg_peak_wavelength(STAGE2, CAL_TEMP, LN, (1570e-9, 1610e-9))
         assert peak == pytest.approx(1581.0e-9, abs=0.5e-9)
 
     def test_peak_invariant_width_not(self):
         scan = (1570e-9, 1610e-9)
-        p1 = pm.shg_peak_wavelength(STAGE2, CAL_TEMP, LN, scan, 0.011)
-        p2 = pm.shg_peak_wavelength(STAGE2, CAL_TEMP, LN, scan, 0.022)
-        assert p1 == pytest.approx(p2, abs=1e-12)
+        # the peak takes no crystal length: it must be the response maximum at each
+        peak = pm.shg_peak_wavelength(STAGE2, CAL_TEMP, LN, scan)
+        for length in (0.011, 0.022):
+            lams, resp = pm.shg_response(STAGE2, CAL_TEMP, LN, scan, length, n_points=8001)
+            assert lams[int(np.argmax(resp))] == pytest.approx(peak, abs=lams[1] - lams[0])
 
         def fwhm(length):
             lams, resp = pm.shg_response(STAGE2, CAL_TEMP, LN, scan, length, n_points=8001)
@@ -226,9 +228,10 @@ class TestShg:
         ratio = fwhm(0.011) / fwhm(0.022)
         assert ratio == pytest.approx(2.0, rel=0.1)
 
-    def test_peak_outside_scan_warns(self):
-        with pytest.warns(UserWarning, match="scan"):
-            pm.shg_peak_wavelength(STAGE2, CAL_TEMP, LN, (1590e-9, 1610e-9), 0.022)
+    def test_peak_outside_scan_raises(self):
+        # the sampled response there peaks at a boundary or a side lobe
+        with pytest.raises(NoRootError, match="sign"):
+            pm.shg_peak_wavelength(STAGE2, CAL_TEMP, LN, (1590e-9, 1610e-9))
 
 
 class TestAcceptanceBandwidth:

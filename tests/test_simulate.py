@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import tripletsim
 from tripletsim import simulate
-from tripletsim.config import load_config, parse_simulate
+from tripletsim.config import load_config, parse_analyze, parse_simulate
 from tripletsim.pairstats import triplet_success_probability
 from tripletsim.simulate import (
     SimConfig,
@@ -461,23 +461,23 @@ class TestExpectedRates:
             2 * r1.triplet_probability_per_pulse, rel=1e-12
         )
 
-    def test_central_count_needs_no_scipy_stats(self):
-        # importing scipy.stats takes about half a second, and simulate calls
-        # this for its manifest
+    def test_central_count_needs_no_scipy(self):
+        # importing scipy takes about half a second and 40 MB, and simulate
+        # calls this for its manifest
         code = (
             "import sys\n"
             "from tripletsim.config import default_config, parse_simulate\n"
             "from tripletsim.simulate import expected_rates\n"
             "cfg = parse_simulate(default_config()['simulate'])\n"
             "assert expected_rates(cfg, merged_bin_s=1.317e-9).expected_central_count > 0\n"
-            "print('scipy.stats' in sys.modules)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(tripletsim.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
 
     def test_central_count_includes_higher_orders(self):
         cfg = boosted_config(100_000_000, seed=0)
@@ -537,3 +537,57 @@ class TestCentralBinContainment:
     def test_no_jitter_is_certain(self):
         cfg = self.config((0.0, 0.0, 0.0), -0.165e-9)
         assert _central_bin_containment(cfg, self.MERGED_BIN_S) == 1.0
+
+    def quad_oracle(self, jitters, offset_s):
+        """The adaptive-quadrature form of the same integral, kept as reference."""
+        from scipy.integrate import quad
+        from scipy.special import ndtr
+
+        s1, s2, s3 = jitters
+        lo, hi = self.edges(offset_s)
+
+        def inside(z, s):
+            return float(ndtr((hi + z) / s) - ndtr((lo + z) / s))
+
+        pad = 12.0 * min(s1, s3)
+        a, b = max(-hi - pad, -12.0 * s2) / s2, min(-lo + pad, 12.0 * s2) / s2
+        total, _ = quad(
+            lambda u: math.exp(-0.5 * u * u) * inside(u * s2, s1) * inside(u * s2, s3),
+            a, b, points=[x for x in (-hi / s2, -lo / s2) if a < x < b] or None,
+            epsabs=1e-13, epsrel=1e-11, limit=200,
+        )
+        return total / math.sqrt(2.0 * math.pi)
+
+    def test_matches_quad_over_seeded_draws(self):
+        rng = np.random.default_rng(20261018)
+        worst = 0.0
+        for _ in range(500):
+            jitters = tuple(10.0 ** rng.uniform(-11.0, math.log10(2e-9), 3))  # 10 ps - 2 ns
+            offset_s = rng.uniform(-3e-9, 3e-9)
+            got = _central_bin_containment(self.config(jitters, offset_s), self.MERGED_BIN_S)
+            worst = max(worst, abs(got - self.quad_oracle(jitters, offset_s)))
+        assert worst <= 1e-10
+
+    def test_baseline_config_matches_quad(self):
+        tree = load_config(Path(__file__).resolve().parent.parent / "configs" / "baseline.json")
+        cfg = parse_simulate(tree["simulate"])
+        merged_bin_s = parse_analyze(tree["analyze"]).binning.merged_bin_s
+        jitters = tuple(arm.detector.jitter_sigma_s for arm in cfg.arms)
+        oracle = self.quad_oracle(jitters, cfg.peak_offset_s)
+        assert _central_bin_containment(cfg, merged_bin_s) == pytest.approx(oracle, rel=1e-15)
+
+    def test_narrow_edge_ramp_with_one_exact_side(self):
+        # s1 = 0 makes the range end exactly at the steps, where channel 3's
+        # 0.38 ps ramp is far narrower than s2: adaptive quad stepped over it
+        # and returned the s3 -> 0 limit, 1.9e-4 too high
+        from scipy.special import ndtr
+
+        s2, s3, offset_s = 324.3e-12, 0.38e-12, 0.638e-9
+        lo, hi = self.edges(offset_s)
+        z = np.linspace(-hi, -lo, 2_000_001)  # 0.66 fs apart, far finer than s3
+        density = np.exp(-0.5 * (z / s2) ** 2) / (s2 * math.sqrt(2.0 * math.pi))
+        expected = np.trapezoid(density * (ndtr((hi + z) / s3) - ndtr((lo + z) / s3)), z)
+        got = _central_bin_containment(self.config((0.0, s2, s3), offset_s), self.MERGED_BIN_S)
+        assert got == pytest.approx(expected, abs=1e-9)
+        limit = std_normal_cdf(-lo / s2) - std_normal_cdf(-hi / s2)
+        assert limit - got > 1e-4
