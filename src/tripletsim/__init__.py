@@ -19,7 +19,6 @@ from .analysis import (
 from .dispersion import SellmeierDispersion, ToyDispersion, lithium_niobate_e
 from .pairstats import (
     ArmEfficiencies,
-    PairNumberDistribution,
     SourceParams,
     genuine_triplet_fraction,
     mean_pairs_from_pump,

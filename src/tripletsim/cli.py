@@ -14,6 +14,7 @@ import os
 import sys
 import tempfile
 
+import numpy as np
 
 from . import analysis, phasematch, ttag
 from .config import (
@@ -87,6 +88,8 @@ def cmd_simulate(args) -> int:
         "config_sha256": config_hash(tree),
         "rng_seed": sim_cfg.rng_seed,
         "rng_scheme": RNG_SCHEME,
+        # NumPy may change what a Generator draws between releases
+        "numpy_version": np.__version__,
         "n_pulses": sim_cfg.n_pulses,
         "n_records": stream.n_records,
         "resolution_ps": sim_cfg.resolution_s * 1e12,

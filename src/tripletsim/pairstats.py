@@ -12,15 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import C_VAC_M_S, PLANCK_J_S
 
 __all__ = [
     "ArmEfficiencies",
-    "PairNumberDistribution",
     "SourceParams",
-    "default_truncation_order",
     "genuine_triplet_fraction",
     "log_poisson_pmf",
     "mean_pairs_from_pump",
@@ -57,42 +53,6 @@ def poisson_pair_probability(mean: float, m: int) -> float:
     return math.exp(log_poisson_pmf(mean, m))
 
 
-def default_truncation_order(mean: float) -> int:
-    """Truncation order keeping the neglected tail below 1e-12 for mean <= 10."""
-    return math.ceil(mean) + 40
-
-
-@dataclass(frozen=True)
-class PairNumberDistribution:
-    """Per-pulse pair-number occupation probabilities (rho_0 ... rho_n)."""
-
-    mean_pairs: float
-    probabilities: np.ndarray
-    truncation_order: int
-
-    @classmethod
-    def from_mean(cls, mean: float, truncation_order: int | None = None) -> "PairNumberDistribution":
-        if mean < 0:
-            raise ValueError(f"mean must be >= 0, got {mean}")
-        if truncation_order is None:
-            truncation_order = default_truncation_order(mean)
-        probs = np.array(
-            [poisson_pair_probability(mean, m) for m in range(truncation_order + 1)]
-        )
-        return cls(mean_pairs=mean, probabilities=probs, truncation_order=truncation_order)
-
-    @property
-    def normalization_residual(self) -> float:
-        """1 - sum(rho_m); the probability mass lost to truncation."""
-        return 1.0 - float(self.probabilities.sum())
-
-    @property
-    def sample_mean(self) -> float:
-        """sum(m * rho_m), which must reproduce mean_pairs at sufficient order."""
-        m = np.arange(self.truncation_order + 1)
-        return float(np.dot(m, self.probabilities))
-
-
 @dataclass(frozen=True)
 class SourceParams:
     """Pump and conversion parameters of the cascaded source.
@@ -110,12 +70,12 @@ class SourceParams:
     pdc2_efficiency: float
 
     def __post_init__(self):
-        if self.pump_power_w < 0:
-            raise ValueError("pump_power_w must be >= 0")
-        if self.pump_wavelength_m <= 0:
-            raise ValueError("pump_wavelength_m must be > 0")
-        if self.rep_rate_hz <= 0:
-            raise ValueError("rep_rate_hz must be > 0")
+        # written so that NaN fails too
+        if not self.pump_power_w >= 0:
+            raise ValueError(f"pump_power_w must be >= 0, got {self.pump_power_w}")
+        for name in ("pump_wavelength_m", "rep_rate_hz"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         for name in ("injection_efficiency", "pdc1_efficiency", "pdc2_efficiency"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:

@@ -23,6 +23,12 @@ stays correct where jitter makes neighbouring blocks overlap, then across
 channels after dead time.  Output is an ordered stream of (channel, tick)
 records, bit-reproducible for a fixed seed and RNG_SCHEME independent of the
 worker count.
+
+The statistical oracle, expected_rates, reads the same event table: singles
+are the table's column sums weighted by the kinds' means, the dead-time-free
+central term comes from the joint cumulants of the photon numbers, and with
+dead time the central term is a sum of positive terms, one per set of kinds
+that occur in a pulse and cover all three channels.
 """
 
 from __future__ import annotations
@@ -92,8 +98,8 @@ class DetectorModel:
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError(f"efficiency must lie in [0, 1], got {self.efficiency}")
         for name in ("dark_rate_hz", "jitter_sigma_s", "dead_time_s"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not getattr(self, name) >= 0:  # also rejects NaN
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -112,8 +118,8 @@ class ChannelModel:
     def __post_init__(self):
         if not 0.0 <= self.transmission <= 1.0:
             raise ValueError(f"transmission must lie in [0, 1], got {self.transmission}")
-        if self.leakage_rate_per_pulse < 0:
-            raise ValueError("leakage_rate_per_pulse must be >= 0")
+        if not self.leakage_rate_per_pulse >= 0:
+            raise ValueError(f"leakage_rate_per_pulse must be >= 0, got {self.leakage_rate_per_pulse}")
 
 
 @dataclass(frozen=True)
@@ -135,8 +141,8 @@ class TimeTagStream:
     timestamps: np.ndarray  # int64 ticks, non-decreasing
 
     def __post_init__(self):
-        if self.resolution_s <= 0:
-            raise ValueError("resolution_s must be > 0")
+        if not self.resolution_s > 0:
+            raise ValueError(f"resolution_s must be > 0, got {self.resolution_s}")
         if self.channels.shape != self.timestamps.shape:
             raise ValueError("channels and timestamps must have equal length")
         if np.any(self.timestamps[1:] < self.timestamps[:-1]):
@@ -169,10 +175,11 @@ class SimConfig:
     def __post_init__(self):
         if self.n_pulses <= 0:
             raise ValueError("n_pulses must be > 0")
-        if self.rep_period_s <= 0:
-            raise ValueError("rep_period_s must be > 0")
-        if self.resolution_s <= 0:
-            raise ValueError("resolution_s must be > 0")
+        for name in ("rep_period_s", "resolution_s"):
+            if not getattr(self, name) > 0:  # also rejects NaN
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not math.isfinite(self.peak_offset_s):
+            raise ValueError(f"peak_offset_s must be finite, got {self.peak_offset_s}")
         if len(self.arms) != 3:
             raise ValueError("exactly three arms (i1, s2, i2) required")
         if self.arms[0].channel.leakage_rate_per_pulse != 0.0:
@@ -370,11 +377,6 @@ def simulate_run(config: SimConfig, n_threads: int = 1, progress: bool = False) 
 # ---------------------------------------------------------------------------
 
 
-def _poisson_pgf(mu: float, x: float) -> float:
-    """E[x^m] for m ~ Poisson(mu)."""
-    return math.exp(-mu * (1.0 - x))
-
-
 @dataclass(frozen=True)
 class ExpectedRates:
     """Analytic expectations for a SimConfig.
@@ -450,91 +452,63 @@ def _central_bin_containment(config: SimConfig, merged_bin_s: float) -> float:
 def expected_rates(config: SimConfig, merged_bin_s: float | None = None) -> ExpectedRates:
     """Closed-form singles and triple-coincidence expectations for a config.
 
-    With merged_bin_s given, expected_central_count predicts the central-bin
-    count of the two-dimensional three-fold histogram, including same-pulse
-    higher-order pair combinations and leakage.  Dark-count contributions to
-    the central bin are not modelled; the prediction is accurate while the
-    per-bin noise floor is negligible against the peak.  Dead-time corrections
-    use the steady-state non-paralyzable form and same-pulse pile-up collapse,
-    both documented approximations; with all dead times zero the formulas are
-    exact.
+    Reads the sampler's event table: each kind of _EVENT_CHANNELS occurs a
+    Poisson number of times per pulse (_event_means_per_pulse), independently
+    of the others, and puts one photon on each channel its row marks.  With
+    merged_bin_s given, expected_central_count predicts the central-bin count,
+    including same-pulse higher-order pair combinations and leakage but not
+    dark counts (accurate while the per-bin noise floor is small against the
+    peak): E[n1 n2 n3] per pulse from the joint cumulants when every dead time
+    is zero (exact), else P(n1, n2, n3 > 0), a sum of positive terms over the
+    sets of kinds that occur and cover all three channels, times steady-state
+    non-paralyzable blocking by earlier pulses (an approximation, as is the
+    collapse of same-pulse pile-up to one click in the singles).
     """
-    mu = config.mean_pairs
-    p2c = config.source.pdc2_efficiency
-    arm1, arm2, arm3 = config.arms
-    p1, p2, p3 = (a.detection_prob for a in config.arms)
-    leak2 = arm2.channel.leakage_rate_per_pulse * p2
-    leak3 = arm3.channel.leakage_rate_per_pulse * p3
+    means = _event_means_per_pulse(config)
     rep = config.rep_period_s
-    span = config.n_pulses * rep
-
-    photons_per_pulse = (mu * p1, mu * p2c * p2 + leak2, mu * p2c * p3 + leak3)
-    dead = tuple(a.detector.dead_time_s for a in config.arms)
-    darks = tuple(a.detector.dark_rate_hz for a in config.arms)
+    dead = [arm.detector.dead_time_s for arm in config.arms]
 
     rates = []
-    for per_pulse, dark, tau in zip(photons_per_pulse, darks, dead):
+    for per_pulse, arm, tau in zip((means @ _EVENT_CHANNELS).tolist(), config.arms, dead):
         if tau > 0:
             # same-pulse pile-up collapses to one accepted click per pulse
-            per_pulse_eff = -math.expm1(-per_pulse)
-        else:
-            per_pulse_eff = per_pulse
-        rate = per_pulse_eff / rep + dark
+            per_pulse = -math.expm1(-per_pulse)
+        rate = per_pulse / rep + arm.detector.dark_rate_hz
         if tau >= rep:
             # dead window spans later pulses: steady-state non-paralyzable loss
             rate = rate / (1.0 + rate * tau)
         # for 0 < tau < rep only click-dark overlaps are lost, O(dark * tau)
         rates.append(rate)
-    singles_rates = tuple(rates)
-    singles_counts = tuple(r * span for r in singles_rates)
-
-    p_triple = triplet_success_probability(config.source, config.arm_efficiencies())
 
     central = None
     if merged_bin_s is not None:
-        if all(t == 0.0 for t in dead):
-            # E[n1 n2 n3] per pulse with full multiplicities
-            e_m2 = mu + mu**2
-            e_m2m1 = mu**3 + 2 * mu**2
-            photon_term = p1 * p2 * p3 * (p2c * e_m2 + p2c**2 * e_m2m1)
-            leak_term = (
-                leak3 * e_m2 * p1 * p2c * p2
-                + leak2 * e_m2 * p1 * p2c * p3
-                + mu * p1 * leak2 * leak3
-            )
-            per_pulse_central = photon_term + leak_term
-        else:
-            # E[1{n1>0} 1{n2>0} 1{n3>0}]: dead time collapses same-pulse tags
-            q1 = 1.0 - p1
-            q2 = 1.0 - p2c * p2
-            q3 = 1.0 - p2c * p3
-            q23 = 1.0 - p2c * (p2 + p3 - p2 * p3)
-            c2 = math.exp(-leak2)
-            c3 = math.exp(-leak3)
-            per_pulse_central = (
-                1.0
-                - c2 * _poisson_pgf(mu, q2)
-                - c3 * _poisson_pgf(mu, q3)
-                + c2 * c3 * _poisson_pgf(mu, q23)
-                - _poisson_pgf(mu, q1)
-                + c2 * _poisson_pgf(mu, q1 * q2)
-                + c3 * _poisson_pgf(mu, q1 * q3)
-                - c2 * c3 * _poisson_pgf(mu, q1 * q23)
-            )
-            # cross-pulse blocking by earlier clicks on each channel
-            for rate, tau in zip(singles_rates, dead):
-                if tau >= rep:
-                    per_pulse_central *= 1.0 / (1.0 + rate * tau)
-        central = (
-            per_pulse_central
-            * config.n_pulses
-            * _central_bin_containment(config, merged_bin_s)
-        )
+        if not any(dead):
+            # E[n1 n2 n3]; the joint cumulant of a set of channels is the mean
+            # number of events hitting all of them
+            def kappa(*channels):
+                return float(means @ _EVENT_CHANNELS[:, channels].all(axis=1))
 
+            k1, k2, k3 = kappa(0), kappa(1), kappa(2)
+            per_pulse_central = (
+                kappa(0, 1, 2) + kappa(0, 1) * k3 + kappa(0, 2) * k2 + kappa(1, 2) * k1 + k1 * k2 * k3
+            )
+        else:
+            # one row per set of kinds that occur in the pulse
+            occur = (np.arange(1 << len(means))[:, None] >> np.arange(len(means))) & 1
+            covers = (occur @ _EVENT_CHANNELS).all(axis=1)
+            terms = np.where(occur[covers], -np.expm1(-means), np.exp(-means)).prod(axis=1)
+            per_pulse_central = float(terms.sum())
+            # cross-pulse blocking by earlier clicks on each channel
+            for rate, tau in zip(rates, dead):
+                if tau >= rep:
+                    per_pulse_central /= 1.0 + rate * tau
+        central = per_pulse_central * config.n_pulses * _central_bin_containment(config, merged_bin_s)
+
+    p_triple = triplet_success_probability(config.source, config.arm_efficiencies())
     return ExpectedRates(
-        mean_pairs=mu,
-        singles_rates_hz=singles_rates,
-        singles_counts=singles_counts,
+        mean_pairs=config.mean_pairs,
+        singles_rates_hz=tuple(rates),
+        singles_counts=tuple(r * (config.n_pulses * rep) for r in rates),
         triplet_probability_per_pulse=p_triple,
         triplet_rate_hz=p_triple * config.source.rep_rate_hz,
         expected_triplets=p_triple * config.n_pulses,

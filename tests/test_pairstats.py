@@ -1,13 +1,11 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripletsim.pairstats import (
     ArmEfficiencies,
-    PairNumberDistribution,
     SourceParams,
     genuine_triplet_fraction,
     log_poisson_pmf,
@@ -50,26 +48,6 @@ class TestPoissonPairProbability:
         lp = log_poisson_pmf(mean, m)
         if p > 0:
             assert math.log(p) == pytest.approx(lp, abs=1e-10)
-
-
-class TestPairNumberDistribution:
-    @given(st.floats(min_value=0.0, max_value=10.0))
-    @settings(max_examples=60)
-    def test_normalization_residual(self, mean):
-        dist = PairNumberDistribution.from_mean(mean)
-        assert dist.truncation_order == math.ceil(mean) + 40
-        assert abs(dist.normalization_residual) < 1e-12
-
-    @given(st.floats(min_value=1e-6, max_value=10.0))
-    @settings(max_examples=60)
-    def test_mean_identity(self, mean):
-        dist = PairNumberDistribution.from_mean(mean)
-        assert dist.sample_mean == pytest.approx(mean, rel=1e-9)
-
-    def test_probabilities_in_unit_interval(self):
-        dist = PairNumberDistribution.from_mean(0.215)
-        assert np.all(dist.probabilities >= 0)
-        assert np.all(dist.probabilities <= 1)
 
 
 class TestMeanPairsFromPump:

@@ -17,6 +17,8 @@ from tripletsim import simulate
 from tripletsim.config import load_config, parse_analyze, parse_simulate
 from tripletsim.pairstats import triplet_success_probability
 from tripletsim.simulate import (
+    ChannelModel,
+    DetectorModel,
     SimConfig,
     TimeTagStream,
     _apply_dead_time,
@@ -132,6 +134,38 @@ class TestSimulateRun:
                 n_pulses=10,
                 rng_seed=0,
             )
+
+
+# every range check of a model field must also reject NaN: a NaN jitter
+# simulated as zero jitter, and a NaN peak offset dropped every ch1 and ch3 photon
+NAN_CHECKED_FIELDS = [
+    (lambda: DetectorModel(0.5), "dark_rate_hz"),
+    (lambda: DetectorModel(0.5), "jitter_sigma_s"),
+    (lambda: DetectorModel(0.5), "dead_time_s"),
+    (ChannelModel, "leakage_rate_per_pulse"),
+    (baseline_source, "pump_power_w"),
+    (baseline_source, "pump_wavelength_m"),
+    (baseline_source, "rep_rate_hz"),
+    (lambda: boosted_config(10, 0), "rep_period_s"),
+    (lambda: boosted_config(10, 0), "resolution_s"),
+    (lambda: boosted_config(10, 0), "peak_offset_s"),
+    (lambda: TimeTagStream(1e-12, np.zeros(0, np.uint8), np.zeros(0, np.int64)), "resolution_s"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    NAN_CHECKED_FIELDS,
+    ids=[f"{type(make()).__name__}.{field}" for make, field in NAN_CHECKED_FIELDS],
+)
+def test_nan_field_rejected(make, field):
+    with pytest.raises(ValueError, match=field):
+        replace(make(), **{field: math.nan})
+
+
+def test_infinite_peak_offset_rejected():
+    with pytest.raises(ValueError, match="peak_offset_s"):
+        replace(boosted_config(10, 0), peak_offset_s=-math.inf)
 
 
 class TestSinglesStatistics:
@@ -487,6 +521,75 @@ class TestExpectedRates:
         assert rates.expected_central_count > rates.expected_triplets
         mu = cfg.mean_pairs
         assert rates.expected_central_count > rates.expected_triplets * (1 + mu * 0.9)
+
+    @staticmethod
+    def central_per_pulse_reference(cfg):
+        """Hand-expanded central term per pulse, evaluated to 50 digits.
+
+        The moment polynomial E[n1 n2 n3] without dead time; otherwise the
+        inclusion-exclusion over Poisson PGFs for P(n1, n2, n3 > 0) times the
+        cross-pulse blocking of each channel whose dead time spans a pulse.
+        """
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            f = mpmath.mpf
+            mu, conv, rep = f(cfg.mean_pairs), f(cfg.source.pdc2_efficiency), f(cfg.rep_period_s)
+            p1, p2, p3 = (f(arm.detection_prob) for arm in cfg.arms)
+            leak2, leak3 = (
+                f(arm.channel.leakage_rate_per_pulse) * p for arm, p in zip(cfg.arms[1:], (p2, p3))
+            )
+            dead = [f(arm.detector.dead_time_s) for arm in cfg.arms]
+            if not any(dead):
+                e_m2, e_m2m1 = mu + mu**2, mu**3 + 2 * mu**2
+                return (
+                    p1 * p2 * p3 * (conv * e_m2 + conv**2 * e_m2m1)
+                    + leak3 * e_m2 * p1 * conv * p2
+                    + leak2 * e_m2 * p1 * conv * p3
+                    + mu * p1 * leak2 * leak3
+                )
+
+            def pgf(x):
+                return mpmath.exp(-mu * (1 - x))
+
+            q1, q2, q3 = 1 - p1, 1 - conv * p2, 1 - conv * p3
+            q23 = 1 - conv * (p2 + p3 - p2 * p3)
+            c2, c3 = mpmath.exp(-leak2), mpmath.exp(-leak3)
+            central = (
+                1 - c2 * pgf(q2) - c3 * pgf(q3) + c2 * c3 * pgf(q23)
+                - pgf(q1) + c2 * pgf(q1 * q2) + c3 * pgf(q1 * q3) - c2 * c3 * pgf(q1 * q23)
+            )
+            photons = (mu * p1, mu * conv * p2 + leak2, mu * conv * p3 + leak3)
+            for per_pulse, arm, tau in zip(photons, cfg.arms, dead):
+                if tau >= rep:
+                    rate = -mpmath.expm1(-per_pulse) / rep + f(arm.detector.dark_rate_hz)
+                    rate = rate / (1 + rate * tau)
+                    central /= 1 + rate * tau
+            return central
+
+    @pytest.mark.parametrize("leakage", [0.0, 1e-3])
+    @pytest.mark.parametrize("dead_times", ["configured", "zero", "ch1_only"])
+    @pytest.mark.parametrize("pdc2", [pytest.param(None, id="physical"), 0.05, 0.3])
+    def test_central_term_matches_50_digit_reference(self, pdc2, dead_times, leakage):
+        tree = load_config(Path(__file__).resolve().parent.parent / "configs" / "baseline.json")
+        cfg = parse_simulate(tree["simulate"])
+        merged_bin_s = parse_analyze(tree["analyze"]).binning.merged_bin_s
+        if pdc2 is not None:
+            cfg = replace(cfg, source=replace(cfg.source, pdc2_efficiency=pdc2))
+        scale = {"configured": (1, 1, 1), "zero": (0, 0, 0), "ch1_only": (1, 0, 0)}[dead_times]
+        cfg = replace(cfg, arms=tuple(
+            replace(
+                arm,
+                channel=replace(arm.channel, leakage_rate_per_pulse=leakage if k else 0.0),
+                detector=replace(arm.detector, dead_time_s=arm.detector.dead_time_s * scale[k]),
+            )
+            for k, arm in enumerate(cfg.arms)
+        ))
+        got = expected_rates(cfg, merged_bin_s).expected_central_count / (
+            cfg.n_pulses * _central_bin_containment(cfg, merged_bin_s)
+        )
+        # at physical efficiencies the hand-expanded PGF terms of size 1
+        # cancel to about 7e-11: in double precision that lost 6 digits
+        assert got == pytest.approx(float(self.central_per_pulse_reference(cfg)), rel=1e-13, abs=0)
 
 
 def std_normal_cdf(x):
