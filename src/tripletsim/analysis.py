@@ -13,7 +13,7 @@ the occupancy statistics of all bins separate both from Poissonian noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -504,30 +504,21 @@ class TripletReport:
     histogram: Coincidence2DHistogram = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        d = {
-            "central_count": self.central_count,
-            "central_error": self.central_error,
-            "peak_bin": list(self.peak_bin) if self.peak_bin is not None else None,
-            "peak_delay_ns": list(self.peak_delay_ns) if self.peak_delay_ns is not None else None,
-            "accidental_mean": self.accidental_mean,
-            "n_accidental_bins": self.n_accidental_bins,
-            "car": None if math.isinf(self.car) else self.car,
-            "car_error": None if math.isinf(self.car_error) else self.car_error,
-            "car_is_lower_bound": self.car_is_lower_bound,
-            "noise_mean_per_bin": self.noise_mean_per_bin,
-            "fit_chi2": self.fit_chi2,
-            "fit_dof": self.fit_dof,
-            "fit_excluded_counts": self.fit_excluded_counts,
-            "snr": self.snr,
-            "snr_is_lower_bound": self.snr_is_lower_bound,
-            "noise_tail_probability": self.noise_tail_probability,
-            "success_probability": self.success_probability,
-            "success_error": self.success_error,
-            "n_pulses": self.n_pulses,
-            "n_bins_total": self.n_bins_total,
-            "occupancy": {str(k): v for k, v in self.occupancy.items()},
-        }
-        return d
+        """JSON-ready fields but the histogram (written as histogram.csv instead).
+
+        Tuples become lists, infinities None and dict keys str.
+        """
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self) if f.compare}
+
+
+def _json_value(value):
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, float) and math.isinf(value):
+        return None
+    if isinstance(value, dict):
+        return {str(k): v for k, v in value.items()}
+    return value
 
 
 def derive_n_pulses(stream: TimeTagStream, cfg: BinningConfig) -> int:

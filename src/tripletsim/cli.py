@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
@@ -91,7 +92,7 @@ def cmd_simulate(args) -> int:
         # NumPy may change what a Generator draws between releases
         "numpy_version": np.__version__,
         "n_pulses": sim_cfg.n_pulses,
-        "n_records": stream.n_records,
+        "n_records": len(stream),
         "resolution_ps": sim_cfg.resolution_s * 1e12,
         "expected": {
             "mean_pairs_per_pulse": rates.mean_pairs,
@@ -106,7 +107,7 @@ def cmd_simulate(args) -> int:
     manifest_path = args.output + ".manifest.json"
     _atomic_write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(
-        f"wrote {stream.n_records} records to {args.output} (manifest {manifest_path})",
+        f"wrote {len(stream)} records to {args.output} (manifest {manifest_path})",
         file=sys.stderr,
     )
     return 0
@@ -227,16 +228,13 @@ def cmd_phasematch(args) -> int:
             plan.dispersion,
             plan.bracket_m,
         )
-        rows = [["temperature_c", "lambda_s_m", "lambda_i_m"]]
-        for pt in curve:
-            rows.append(
-                [
-                    repr(pt.temperature_c),
-                    "" if pt.lambda_s_m is None else repr(pt.lambda_s_m),
-                    "" if pt.lambda_i_m is None else repr(pt.lambda_i_m),
-                ]
-            )
-        emit(_csv_text(rows))
+        points = [asdict(pt) for pt in curve]
+        if args.format == "csv":
+            rows = [["temperature_c", "lambda_s_m", "lambda_i_m"]]
+            rows += [["" if v is None else repr(v) for v in pt.values()] for pt in points]
+            emit(_csv_text(rows))
+        else:
+            emit(json.dumps(points, indent=2) + "\n")
     elif args.mode == "shg":
         shg = (plan.grating, plan.temperature_c, plan.dispersion, plan.shg_scan_m)
         if args.format == "csv":
@@ -288,10 +286,12 @@ def cmd_report(args) -> int:
             car_text = f">= {rep['car']:.3g} (no accidental counts)"
         else:
             car_text = f"{rep['car']:.3g} +/- {rep['car_error']:.2g}"
+        peak = rep["peak_delay_ns"]
+        peak_text = "none (no counts in the peak search square)" if peak is None else peak
         lines = [
             f"pulses analyzed        {rep['n_pulses']}",
             f"central three-folds    {rep['central_count']} +/- {rep['central_error']:.2f}",
-            f"peak delay (ns)        {rep['peak_delay_ns']}",
+            f"peak delay (ns)        {peak_text}",
             f"accidental mean        {rep['accidental_mean']:.4g} over {rep['n_accidental_bins']} bins",
             "car                    " + car_text,
             f"noise mean per bin     {rep['noise_mean_per_bin']:.4g}",

@@ -17,6 +17,7 @@ import json
 import reprlib
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 from .constants import DEFAULT_TICK_S
 from .analysis import BinningConfig
@@ -339,66 +340,5 @@ def config_hash(tree: dict) -> str:
 
 
 def default_config() -> dict:
-    """Baseline configuration reproducing the reference measurement settings.
-
-    Arm transmissions are back-solved so the three-arm efficiency product is
-    2.17e-3 with the detector efficiencies 0.6 / 0.25 / 0.7; dark rates are
-    back-solved so the noise floor of a full-length run averages 0.048
-    three-fold coincidences per merged bin.
-    """
-    t = (2.17e-3 / (0.6 * 0.25 * 0.7)) ** (1.0 / 3.0)
-    arm = lambda eff, dark, dead: {
-        "transmission": round(t, 6),
-        "leakage_rate_per_pulse": 0.0,
-        "detector": {
-            "efficiency": eff,
-            "dark_rate_hz": dark,
-            "jitter_sigma_ps": 150.0,
-            "dead_time_ns": dead,
-        },
-    }
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "simulate": {
-            "source": {
-                "pump_power_uW": 10.0,
-                "pump_wavelength_nm": 532.0,
-                "rep_rate_MHz": 10.0,
-                "injection_efficiency": 0.5,
-                "pdc1_pairs_per_pump_photon": 8.1e-8,
-                "pdc2_pairs_per_pump_photon": 2.7e-7,
-            },
-            "arms": {
-                "i1": arm(0.6, 300.0, 50.0),
-                "s2": arm(0.25, 2500.0, 10000.0),
-                "i2": arm(0.7, 1500.0, 50.0),
-            },
-            "rep_period_ns": 100.0,
-            "n_pulses": 10_000_000,
-            "peak_offset_ns": -0.165,
-            "resolution_ps": 82.3125,
-            "rng_seed": 1,
-        },
-        "analyze": {
-            "base_bin_ps": 82.3125,
-            "merge_factor": 16,
-            "window_half_span_ns": 300.0,
-            "rep_period_ns": 100.0,
-        },
-        "phasematch": {
-            "dispersion": {"model": "lithium_niobate_e"},
-            "calibration": {
-                "lambda_p_nm": 532.0,
-                "lambda_s_nm": 790.5,
-                "temperature_c": 163.5,
-            },
-            "temperature_c": 163.5,
-            "lambda_p_nm": 532.0,
-            "bracket_nm": [700.0, 900.0],
-            "length_mm": 22.0,
-            "tune_range_c": [153.5, 173.5],
-            "tune_steps": 41,
-            "shg_scan_nm": [1570.0, 1610.0],
-            "acceptance_scan_nm": [787.0, 793.0],
-        },
-    }
+    """A fresh copy of the baseline configuration shipped as baseline.json."""
+    return load_config(Path(__file__).with_name("baseline.json"))

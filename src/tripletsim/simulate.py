@@ -151,10 +151,6 @@ class TimeTagStream:
     def __len__(self) -> int:
         return len(self.timestamps)
 
-    @property
-    def n_records(self) -> int:
-        return len(self.timestamps)
-
     def channel_ticks(self, channel: int) -> np.ndarray:
         """Sorted timestamps (ticks) of one channel."""
         return self.timestamps[self.channels == channel]

@@ -278,6 +278,19 @@ class TestAnalyzeCommand:
         text = capsys.readouterr().out
         assert "central three-folds" in text
 
+    def test_report_without_peak_says_so(self, tmp_path, capsys):
+        stream = TimeTagStream(TICK, np.empty(0, np.uint8), np.empty(0, np.int64))
+        ttag_path, out = tmp_path / "empty.ttag", tmp_path / "out"
+        write_ttag(ttag_path, stream)
+        cfg = write_json(tmp_path / "cfg.json", small_sim_config())
+        assert main(["analyze", str(ttag_path), "--config", cfg, "--output", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["peak_delay_ns"] is None
+        capsys.readouterr()
+        assert main(["report", str(out / "report.json")]) == 0
+        text = capsys.readouterr().out
+        assert "peak delay (ns)        none (no counts in the peak search square)\n" in text
+        assert "None" not in text
+
     @pytest.mark.parametrize(
         "text, cause",
         [
@@ -458,6 +471,20 @@ class TestPhasematchCommands:
         lams = np.array([float(r[1]) for r in data])
         crossing = np.interp(163.5, thetas, lams)
         assert crossing == pytest.approx(790.5e-9, abs=0.01e-9)
+
+    def test_tune_csv_and_json_agree(self, tmp_path):
+        # the stage-2 grating has no signal root in its bracket up to 163.5 C
+        cfg = str(REPO_CONFIGS / "stage2_phasematch.json")
+        csv_out, json_out = tmp_path / "tune.csv", tmp_path / "tune.json"
+        assert main(["phasematch", "tune", "--config", cfg, "--output", str(csv_out)]) == 0
+        argv = ["phasematch", "tune", "--config", cfg, "--output", str(json_out), "--format", "json"]
+        assert main(argv) == 0
+        rows = list(csv.DictReader(io.StringIO(csv_out.read_text())))
+        points = json.loads(json_out.read_text())
+        assert [list(pt) for pt in points] == [["temperature_c", "lambda_s_m", "lambda_i_m"]] * 41
+        assert [{k: None if v == "" else float(v) for k, v in row.items()} for row in rows] == points
+        assert any(pt["lambda_s_m"] is None for pt in points)
+        assert any(pt["lambda_s_m"] is not None for pt in points)
 
     def test_shg_json(self, tmp_path, capsys):
         tree = {"schema_version": 1, "phasematch": dict(default_config()["phasematch"])}

@@ -19,7 +19,14 @@ from tripletsim.dispersion import SellmeierDispersion, ToyDispersion, lithium_ni
 from tripletsim.errors import ConfigError
 from tripletsim.pairstats import SourceParams
 from tripletsim.phasematch import QpmGrating, poling_period_for_shg, poling_period_for_target
-from tripletsim.simulate import Arm, ChannelModel, DetectorModel, SimConfig, TimeTagStream
+from tripletsim.simulate import (
+    Arm,
+    ChannelModel,
+    DetectorModel,
+    SimConfig,
+    TimeTagStream,
+    expected_rates,
+)
 from tripletsim.ttag import write_ttag
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -186,6 +193,34 @@ def test_parsed_values_are_pinned():
     _same(parse_analyze({}), _baseline_analyze())
     _same(parse_phasematch(json.loads(json.dumps(TOY_TREE))), _toy_plan())
     _same(parse_phasematch(json.loads(json.dumps(SELLMEIER_TREE))), _sellmeier_plan())
+
+
+class TestBaselineProvenance:
+    """The shipped baseline is the reference measurement's operating point.
+
+    Arm transmissions are back-solved so that, with the detector
+    efficiencies 0.6 / 0.25 / 0.7, the three-arm efficiency product is the
+    reference 2.17e-3; the predicted triplet rate is then 6.35e-11 per pulse
+    against the measured (6.25 +/- 1.09)e-11.
+    """
+
+    def test_write_config_emits_the_shipped_file(self, tmp_path):
+        out = tmp_path / "c.json"
+        assert main(["write-config", "--output", str(out)]) == 0
+        assert out.read_bytes() == (CONFIGS / "baseline.json").read_bytes()
+
+    def test_arm_transmissions_are_back_solved(self):
+        arms = load_config(CONFIGS / "baseline.json")["simulate"]["arms"]
+        transmission = round((2.17e-3 / (0.6 * 0.25 * 0.7)) ** (1 / 3), 6)
+        assert transmission == 0.274425
+        assert [arm["transmission"] for arm in arms.values()] == [transmission] * 3
+        assert [arm["detector"]["efficiency"] for arm in arms.values()] == [0.6, 0.25, 0.7]
+
+    def test_predicted_rates(self):
+        sim = parse_simulate(load_config(CONFIGS / "baseline.json")["simulate"])
+        assert sim.arm_efficiencies().product == pytest.approx(2.17e-3, rel=1e-5)
+        rates = expected_rates(sim)
+        assert rates.triplet_probability_per_pulse == pytest.approx(6.35e-11, rel=1e-3)
 
 
 def _run(tmp_path, capsys, tree, *command):
