@@ -167,7 +167,7 @@ class Coincidence2DHistogram:
         return 0
 
 
-# Pairs expanded at once.  Each costs about 40 bytes of transient arrays on
+# Pairs expanded at once.  Each costs about 16 bytes of transient arrays on
 # top of the 4 or 8 bytes of its key, which is kept until the keys are counted.
 _PAIR_CHUNK = 1 << 20
 
@@ -176,7 +176,7 @@ def build_threefold_histogram(stream: TimeTagStream, cfg: BinningConfig) -> Coin
     """Fine (one bin per tick) 2-D histogram around the channel-2 references.
 
     Windows come from one binary search per channel; the pairs' flat bin keys
-    are expanded in chunks of at most _PAIR_CHUNK pairs (or one reference)
+    are expanded in chunks of at most _PAIR_CHUNK pairs (or one channel-3 tag's)
     into one array, sorted once in place: each run of equal keys is one bin.
     """
     if abs(stream.resolution_s - cfg.base_bin_s) > 1e-4 * cfg.base_bin_s:
@@ -192,31 +192,40 @@ def build_threefold_histogram(stream: TimeTagStream, cfg: BinningConfig) -> Coin
     w = n_half_fine
     side = 2 * w + 1
 
-    start1 = np.searchsorted(t1, refs - w, "left")
+    win = refs - w  # each reference's window start
+    start1 = np.searchsorted(t1, win, "left")
     count1 = np.searchsorted(t1, refs + w, "right") - start1
-    start3 = np.searchsorted(t3, refs - w, "left")
+    start3 = np.searchsorted(t3, win, "left")
     count3 = np.searchsorted(t3, refs + w, "right") - start3
-    pairs_before = np.concatenate(([0], np.cumsum(count1 * count3)))
+    # one entry per channel-3 tag in the window of a reference with a channel-1 tag there
+    # too; pair k (over all entries) of entry e is channel-1 tag base[e] + k and delay off[e]
+    count3[count1 == 0] = 0
+    n1 = np.repeat(count1, count3)
+    pairs_before = np.concatenate(([0], np.cumsum(n1)))
     keys = np.empty(pairs_before[-1], dtype=np.int32 if side * side < 2**31 else np.int64)
+    base = np.repeat(start1, count3) - pairs_before[:-1]
+    win = np.repeat(win, count3)
+    off = t3[np.arange(len(win)) + np.repeat(start3 - np.cumsum(count3) + count3, count3)]
+    off = (off - win).astype(keys.dtype)
+    del start1, count1, start3, count3, t3
 
     def fill_keys(a, b):
-        ref = np.repeat(np.arange(a, b), np.diff(pairs_before[a : b + 1]))
-        # pair k of a reference joins its channel-1 tag k // c3 and channel-3 tag k % c3
-        k = np.arange(pairs_before[a], pairs_before[b]) - pairs_before[ref]
-        p, q = np.divmod(k, count3[ref])
-        del k
-        p += start1[ref]
-        q += start3[ref]
-        ref = refs[ref] - w  # each pair's window start; rebinding frees the index array
-        keys[pairs_before[a] : pairs_before[b]] = (t1[p] - ref) * side + (t3[q] - ref)
+        n, chunk = n1[a:b], keys[pairs_before[a] : pairs_before[b]]
+        p = np.repeat(base[a:b], n)
+        p += np.arange(pairs_before[a], pairs_before[b])
+        p = t1[p]
+        # subtract before multiplying: absolute ticks times side would overflow int64
+        p -= np.repeat(win[a:b], n)
+        np.multiply(p, side, out=chunk, casting="unsafe")  # below side**2, so fits the keys
+        chunk += np.repeat(off[a:b], n)
 
     a = 0
-    while a < len(refs):
+    while a < len(n1):
         b = int(np.searchsorted(pairs_before, pairs_before[a] + _PAIR_CHUNK, "right")) - 1
         b = max(b, a + 1)
         fill_keys(a, b)
         a = b
-    del t1, t3, start1, count1, start3, count3, pairs_before  # before the keys are counted
+    del t1, n1, pairs_before, base, win, off  # before the sort
     keys.sort()
     # a run starts where the key changes, and at the first key if there is one
     starts = np.flatnonzero(np.concatenate(([len(keys) > 0], keys[1:] != keys[:-1])))

@@ -32,12 +32,12 @@ from .simulate import RNG_SCHEME, expected_rates, simulate_run
 THREADS_ENV = "TRIPLETSIM_THREADS"
 
 
-def _atomic_write_text(path, text: str) -> None:
+def _atomic_write_text(path, text: str | bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".out-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(text.encode() if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -113,13 +113,16 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _histogram_csv(h) -> str:
-    # plain numbers need no CSV quoting; each axis label is formatted once
+def _histogram_csv(h) -> bytes:
+    # plain numbers need no CSV quoting; a row joins the labels of i and j (each with
+    # its comma) and the count's digits, NUL-padded to fixed widths, and drops the NULs
     scale = h.bin_width_s * 1e9
-    labels = [f"{k * scale:.6f}" for k in range(-h.n_half, h.n_half + 1)]
-    i_idx, j_idx = (h.i_idx + h.n_half).tolist(), (h.j_idx + h.n_half).tolist()
-    rows = [f"{labels[i]},{labels[j]},{v}\n" for i, j, v in zip(i_idx, j_idx, h.values.tolist())]
-    return "tau1_minus_tau2_ns,tau3_minus_tau2_ns,count\n" + "".join(rows)
+    labels = np.array([f"{k * scale:.6f},".encode() for k in range(-h.n_half, h.n_half + 1)])
+    counts, which = np.unique(h.values, return_inverse=True)
+    digits = np.array([f"{v}\n".encode() for v in counts.tolist()], dtype=bytes)
+    columns = labels.take(h.i_idx + h.n_half), labels.take(h.j_idx + h.n_half), digits.take(which)
+    rows = np.rec.fromarrays(columns).view(np.uint8, np.ndarray)
+    return b"tau1_minus_tau2_ns,tau3_minus_tau2_ns,count\n" + rows[rows != 0].tobytes()
 
 
 def _occupancy_csv(occupancy: dict) -> str:

@@ -153,7 +153,14 @@ class TimeTagStream:
 
     def channel_ticks(self, channel: int) -> np.ndarray:
         """Sorted timestamps (ticks) of one channel."""
-        return self.timestamps[self.channels == channel]
+        out = np.empty(np.count_nonzero(self.channels == channel), dtype=self.timestamps.dtype)
+        k, step = 0, 1 << 16  # by slices, so only one slice's index of kept ticks is held
+        for a in range(0, len(self), step):
+            i = np.flatnonzero(self.channels[a : a + step] == channel)
+            # the indices are in range; "clip" lets take write to out without a buffer
+            np.take(self.timestamps[a : a + step], i, out=out[k : k + len(i)], mode="clip")
+            k += len(i)
+        return out
 
 
 @dataclass(frozen=True)

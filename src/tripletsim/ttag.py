@@ -127,15 +127,15 @@ def read_ttag(path) -> TimeTagStream:
             f"(byte offset {_HEADER.size + k * RECORD_SIZE})",
             byte_offset=_HEADER.size + k * RECORD_SIZE,
         )
-    bad = np.flatnonzero(timestamps[1:] < timestamps[:-1])
-    if bad.size:
-        k = int(bad[0]) + 1
-        raise TtagFormatError(
-            f"timestamps decrease at record {k} (byte offset {_HEADER.size + k * RECORD_SIZE})",
-            byte_offset=_HEADER.size + k * RECORD_SIZE,
-        )
-    return TimeTagStream(
-        resolution_s=resolution_fs * 1e-15,
-        channels=channels,
-        timestamps=timestamps,
+    try:
+        return TimeTagStream(resolution_fs * 1e-15, channels, timestamps)
+    except ValueError:
+        # the stream checks the order; the first decrease is located only when that fails
+        bad = np.flatnonzero(timestamps[1:] < timestamps[:-1])
+        if not bad.size:
+            raise
+    k = int(bad[0]) + 1
+    raise TtagFormatError(
+        f"timestamps decrease at record {k} (byte offset {_HEADER.size + k * RECORD_SIZE})",
+        byte_offset=_HEADER.size + k * RECORD_SIZE,
     )

@@ -51,6 +51,15 @@ def random_stream(rng, n_events, span_ticks):
     return TimeTagStream(TICK, channels, ticks)
 
 
+def one_sided_stream(rng, n_events, span_ticks):
+    """Random stream whose middle third has no channel-1 tag and last third no channel-3 tag."""
+    ticks = np.sort(rng.integers(0, span_ticks, n_events)).astype(np.int64)
+    third = ticks * 3 // span_ticks
+    pair = rng.integers(2, 4, n_events)  # channel 2 or 3; minus one, channel 1 or 2
+    channels = np.where(third == 0, rng.integers(1, 4, n_events), pair - (third == 2))
+    return TimeTagStream(TICK, channels.astype(np.uint8), ticks)
+
+
 def brute_force_histogram(stream, cfg):
     """Independent oracle: full pairwise masks and dict accumulation."""
     f = cfg.merge_factor
@@ -127,11 +136,33 @@ class TestHistogramOracle:
         # boundaries and delay bins recur across chunks
         monkeypatch.setattr(analysis, "_PAIR_CHUNK", budget)
         rng = np.random.default_rng(4321 + budget)
-        for trial in range(5):
-            stream = random_stream(rng, int(rng.integers(200, 800)), 1500)
+        w = fine_half_window(SMALL)
+        for trial in range(10):
+            # the later trials hold references that see channel 3 but no channel 1, and the reverse
+            make = random_stream if trial < 5 else one_sided_stream
+            stream = make(rng, int(rng.integers(200, 800)), 1500)
             h = build_threefold_histogram(stream, SMALL)
             assert h.total_counts > 3 * budget, trial
             assert as_dict(h) == brute_force_histogram(stream, SMALL), trial
+            if make is one_sided_stream:
+                refs = stream.channel_ticks(2)
+                seen = [
+                    np.searchsorted(t, refs + w, "right") > np.searchsorted(t, refs - w, "left")
+                    for t in (stream.channel_ticks(1), stream.channel_ticks(3))
+                ]
+                assert np.any(seen[1] & ~seen[0]) and np.any(seen[0] & ~seen[1]), trial
+
+    @pytest.mark.parametrize("cfg", [SMALL, BinningConfig()], ids=["small", "default"])
+    def test_shift_near_int64_limit_leaves_histogram_unchanged(self, cfg):
+        # absolute ticks times the grid side would overflow int64 at this offset
+        rng = np.random.default_rng(808)
+        stream = random_stream(rng, 600, 40 * fine_half_window(cfg))
+        shifted = TimeTagStream(TICK, stream.channels, stream.timestamps + (2**62 - 2**40))
+        h, g = (build_threefold_histogram(s, cfg) for s in (stream, shifted))
+        assert h.total_counts > 100
+        assert np.array_equal(g.i_idx, h.i_idx) and np.array_equal(g.j_idx, h.j_idx)
+        assert np.array_equal(g.values, h.values)
+        assert g.total_reference_events == h.total_reference_events
 
     def test_window_edges_are_inclusive(self):
         w = fine_half_window(SMALL)

@@ -11,8 +11,8 @@ import pytest
 
 import tripletsim
 from tripletsim import simulate
-from tripletsim.analysis import build_threefold_histogram, merge_bins
-from tripletsim.cli import main
+from tripletsim.analysis import Coincidence2DHistogram, build_threefold_histogram, merge_bins
+from tripletsim.cli import _histogram_csv, main
 from tripletsim.config import (
     config_hash,
     default_config,
@@ -29,6 +29,37 @@ TICK = 82.3125e-12
 def write_json(path, tree):
     path.write_text(json.dumps(tree, indent=2))
     return str(path)
+
+
+def csv_writer_histogram(h) -> bytes:
+    """The row-at-a-time histogram.csv formatter the CLI used before, kept as the oracle."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["tau1_minus_tau2_ns", "tau3_minus_tau2_ns", "count"])
+    scale = h.bin_width_s * 1e9
+    for i, j, v in zip(h.i_idx, h.j_idx, h.values):
+        writer.writerow([f"{i * scale:.6f}", f"{j * scale:.6f}", int(v)])
+    return buf.getvalue().encode()
+
+
+def planted_merged_histogram():
+    """Merged histogram of a random stream plus 80 references that share planted delays.
+
+    Each planted reference adds 16 pairs to one merged bin, 4 to two others and 1 to
+    a fourth, so those bins hold about 1280, 320 and 80; the background adds 1s.
+    """
+    rng = np.random.default_rng(77)
+    ticks = {c: list(rng.integers(0, 1_000_000, k)) for c, k in ((1, 1500), (2, 500), (3, 1500))}
+    for t0 in range(2_000_000, 2_000_000 + 80 * 20_000, 20_000):
+        ticks[2].append(t0)
+        ticks[1] += [t0 + 100 + d for d in range(4)] + [t0 + 300]
+        ticks[3] += [t0 - 200 + d for d in range(4)] + [t0 + 300]
+    channels = np.concatenate([np.full(len(t), c, np.uint8) for c, t in ticks.items()])
+    stream_ticks = np.concatenate([np.asarray(t, np.int64) for t in ticks.values()])
+    order = np.lexsort((channels, stream_ticks))
+    stream = TimeTagStream(TICK, channels[order], stream_ticks[order])
+    binning = parse_analyze(small_sim_config()["analyze"]).binning
+    return merge_bins(build_threefold_histogram(stream, binning), binning.merge_factor)
 
 
 def small_sim_config(n_pulses=100_000, seed=1, pdc2=2.7e-1, dark=0.0, dead=0.0):
@@ -224,14 +255,24 @@ class TestAnalyzeCommand:
         merged = merge_bins(build_threefold_histogram(stream, binning), binning.merge_factor)
         assert len(merged.values) > 1000
         assert merged.i_idx.min() < 0 < merged.j_idx.max()
-        # the row-at-a-time formatter the CLI used before, kept as the oracle
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["tau1_minus_tau2_ns", "tau3_minus_tau2_ns", "count"])
-        scale = merged.bin_width_s * 1e9
-        for i, j, v in zip(merged.i_idx, merged.j_idx, merged.values):
-            writer.writerow([f"{i * scale:.6f}", f"{j * scale:.6f}", int(v)])
-        assert (out / "histogram.csv").read_bytes() == buf.getvalue().encode()
+        assert (out / "histogram.csv").read_bytes() == csv_writer_histogram(merged)
+
+    @pytest.mark.parametrize("case", ["planted", "empty", "huge_count"])
+    def test_histogram_csv_bytes_match_csv_writer(self, case):
+        if case == "planted":
+            h = planted_merged_histogram()
+            assert h.values.max() > 1000
+            assert {1, 2, 4} <= {len(str(v)) for v in h.values.tolist()}
+        elif case == "empty":
+            h = Coincidence2DHistogram(16 * TICK, 228, [], [], [], 3)
+        else:  # a largest count far above the number of distinct counts
+            h = Coincidence2DHistogram(
+                16 * TICK, 5, [-5, 0, 2, 5, 1], [5, 0, -3, -5, 1], [1, 10**15, 42, 7, 7], 9
+            )
+        expected = csv_writer_histogram(h)
+        assert _histogram_csv(h) == expected
+        if case == "empty":
+            assert expected == b"tau1_minus_tau2_ns,tau3_minus_tau2_ns,count\n"
 
     def test_analysis_never_loads_scipy(self, tmp_path):
         # a fresh interpreter, since other tests load scipy into this one;
