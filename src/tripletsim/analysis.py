@@ -85,67 +85,40 @@ class BinningConfig:
     def rep_period_bins(self) -> int:
         return round(self.rep_period_s / self.merged_bin_s)
 
-    @property
-    def n_bins_total(self) -> int:
-        n = 2 * self.n_half_merged + 1
-        return n * n
 
-
-def _flat_keys(n_half, i_idx, j_idx) -> np.ndarray:
-    """Flat keys (i + n_half) * (2 n_half + 1) + (j + n_half) of in-grid coordinates."""
-    i_idx, j_idx = (np.asarray(a, dtype=np.int64) for a in (i_idx, j_idx))
-    if len(i_idx) and max(np.abs(i_idx).max(), np.abs(j_idx).max()) > n_half:
-        raise ValueError("bin indices outside the histogram grid")
-    return (i_idx + n_half) * (2 * n_half + 1) + (j_idx + n_half)
-
-
+@dataclass(frozen=True, eq=False)
 class Coincidence2DHistogram:
     """Sparse 2-D histogram of (tau1 - tau2, tau3 - tau2) delays.
 
     Bin k covers delays [(k - 1/2) w, (k + 1/2) w) with w = bin_width_s, so
-    bin 0 is centered on zero delay.  Only non-empty bins are stored, as ascending
-    flat keys (i + n_half) * (2 n_half + 1) + (j + n_half) and their counts, so
-    the fine tick-resolution grid stays sparse; i_idx and j_idx derive from the keys.
+    bin 0 is centered on zero delay.  Only non-empty bins are stored: keys holds
+    their strictly ascending flat keys (i + n_half) * (2 n_half + 1) + (j + n_half)
+    and values their counts, so the fine tick-resolution grid stays sparse;
+    i_idx and j_idx derive from the keys.
     """
 
-    def __init__(self, bin_width_s, n_half, i_idx, j_idx, values, total_reference_events):
-        keys = _flat_keys(n_half, i_idx, j_idx)
-        values = np.asarray(values, dtype=np.int64)
-        # on the grid the flat key orders bins as (i, j) does; producers emit them sorted
-        if np.any(keys[1:] <= keys[:-1]):
-            order = np.argsort(keys, kind="stable")
-            keys, values = keys[order], values[order]
-        self._set(bin_width_s, n_half, keys, values, total_reference_events)
-
-    def _set(self, bin_width_s, n_half, keys, values, total_reference_events):
-        self.bin_width_s = float(bin_width_s)
-        self.n_half = int(n_half)
-        self._keys = keys
-        self.values = np.asarray(values, dtype=np.int64)
-        self.total_reference_events = int(total_reference_events)
-        if len(self.values) and self.values.min() < 0:
-            raise ValueError("negative bin counts")
-
-    @classmethod
-    def _from_keys(cls, bin_width_s, n_half, keys, counts, total_reference_events):
-        """Histogram from ascending, distinct flat keys (i + n_half) * side + (j + n_half)."""
-        h = cls.__new__(cls)
-        h._set(bin_width_s, n_half, keys, counts, total_reference_events)
-        return h
+    bin_width_s: float
+    n_half: int
+    keys: np.ndarray
+    values: np.ndarray
+    total_reference_events: int
 
     @classmethod
     def from_entries(cls, bin_width_s, n_half, i_entries, j_entries, total_reference_events):
         """Accumulate raw per-pair bin indices into deduplicated counts."""
-        keys, counts = np.unique(_flat_keys(n_half, i_entries, j_entries), return_counts=True)
-        return cls._from_keys(bin_width_s, n_half, keys, counts, total_reference_events)
+        i, j = (np.asarray(a, dtype=np.int64) for a in (i_entries, j_entries))
+        if len(i) and max(np.abs(i).max(), np.abs(j).max()) > n_half:
+            raise ValueError("bin indices outside the histogram grid")
+        keys, counts = np.unique((i + n_half) * (2 * n_half + 1) + (j + n_half), return_counts=True)
+        return cls(bin_width_s, n_half, keys, counts, total_reference_events)
 
     @property
     def i_idx(self) -> np.ndarray:
-        return (self._keys // self.n_axis_bins).astype(np.int64) - self.n_half
+        return (self.keys // self.n_axis_bins).astype(np.int64) - self.n_half
 
     @property
     def j_idx(self) -> np.ndarray:
-        return (self._keys % self.n_axis_bins).astype(np.int64) - self.n_half
+        return (self.keys % self.n_axis_bins).astype(np.int64) - self.n_half
 
     @property
     def n_axis_bins(self) -> int:
@@ -161,8 +134,8 @@ class Coincidence2DHistogram:
 
     def count_at(self, i: int, j: int) -> int:
         key = (i + self.n_half) * self.n_axis_bins + (j + self.n_half)
-        pos = np.searchsorted(self._keys, key)
-        if pos < len(self._keys) and self._keys[pos] == key:
+        pos = np.searchsorted(self.keys, key)
+        if pos < len(self.keys) and self.keys[pos] == key:
             return int(self.values[pos])
         return 0
 
@@ -229,7 +202,7 @@ def build_threefold_histogram(stream: TimeTagStream, cfg: BinningConfig) -> Coin
     keys.sort()
     # a run starts where the key changes, and at the first key if there is one
     starts = np.flatnonzero(np.concatenate(([len(keys) > 0], keys[1:] != keys[:-1])))
-    return Coincidence2DHistogram._from_keys(
+    return Coincidence2DHistogram(
         cfg.base_bin_s, n_half_fine, keys[starts], np.diff(starts, append=len(keys)),
         total_reference_events=len(refs),
     )
@@ -246,20 +219,18 @@ def merge_bins(h: Coincidence2DHistogram, factor: int) -> Coincidence2DHistogram
     if factor < 1:
         raise ValueError("factor must be >= 1")
     if factor == 1:
-        return Coincidence2DHistogram._from_keys(
-            h.bin_width_s, h.n_half, h._keys, h.values, h.total_reference_events
-        )
+        return h
     half = factor // 2
     n_half_m = (h.n_half + half) // factor
     side = 2 * n_half_m + 1
     # fine offset index u = i + n_half falls in merged offset index (u + shift) // factor
     shift = n_half_m * factor + half - h.n_half
-    i, j = np.divmod(h._keys, h.n_axis_bins)
+    i, j = np.divmod(h.keys, h.n_axis_bins)
     i = (i + shift) // factor * side + (j + shift) // factor  # the merged key
     # float64 sums of integer counts are exact below 2**53
     sums = np.bincount(i, weights=h.values, minlength=side * side)
     nonempty = np.flatnonzero(sums)
-    return Coincidence2DHistogram._from_keys(
+    return Coincidence2DHistogram(
         h.bin_width_s * factor, n_half_m, nonempty, sums[nonempty].astype(np.int64),
         h.total_reference_events,
     )
@@ -302,12 +273,7 @@ def locate_central_peak(h: Coincidence2DHistogram, search_radius: int = 3) -> Pe
 @dataclass(frozen=True)
 class AccidentalEstimate:
     mean: float
-    counts: list[int]
-    offsets: list[tuple[int, int]]
-
-    @property
-    def n_bins(self) -> int:
-        return len(self.counts)
+    n_bins: int
 
 
 def accidental_mean(
@@ -327,7 +293,6 @@ def accidental_mean(
         raise ValueError("histogram is not on the merged grid of this config")
     r = cfg.rep_period_bins
     kmax = (h.n_half + max(abs(peak.i), abs(peak.j))) // r + 1
-    offsets = []
     counts = []
     for a in range(-kmax, kmax + 1):
         for b in range(-kmax, kmax + 1):
@@ -336,15 +301,12 @@ def accidental_mean(
             i = peak.i + a * r
             j = peak.j + b * r
             if abs(i) <= h.n_half and abs(j) <= h.n_half:
-                offsets.append((a, b))
                 counts.append(h.count_at(i, j))
     if len(counts) < min_bins:
         raise InsufficientStatisticsError(
             f"only {len(counts)} neighbor-pulse bins inside the window (need {min_bins})"
         )
-    return AccidentalEstimate(
-        mean=float(np.mean(counts)), counts=counts, offsets=offsets
-    )
+    return AccidentalEstimate(mean=float(np.mean(counts)), n_bins=len(counts))
 
 
 @dataclass(frozen=True)
@@ -389,7 +351,6 @@ class PoissonFit:
     mean: float
     chi2: float
     dof: int
-    n_bins_included: int
     excluded_counts: list[int]
 
 
@@ -439,7 +400,6 @@ def poisson_fit(
         mean=mean,
         chi2=chi2,
         dof=max(dof - 1, 0),
-        n_bins_included=n_included,
         excluded_counts=[int(k) for k in values[~included]],
     )
 

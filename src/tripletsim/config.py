@@ -308,7 +308,7 @@ def load_config(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             tree = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # JSON text is UTF-8
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     version = _fields(tree, "config", _CONFIG)["schema_version"]
     if version != SCHEMA_VERSION:

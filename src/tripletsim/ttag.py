@@ -56,7 +56,7 @@ def write_ttag(path, stream: TimeTagStream) -> None:
         raise ValueError("resolution below 1 fs cannot be stored")
     records = np.empty(len(stream.timestamps), dtype=_RECORD_DTYPE)
     records["channel"] = stream.channels
-    records["timestamp"] = stream.timestamps.astype(np.uint64)
+    records["timestamp"] = stream.timestamps  # cast on assignment, no temporary copy
     header = _HEADER.pack(TTAG_MAGIC, TTAG_VERSION, resolution_fs, len(records))
 
     path = os.fspath(path)

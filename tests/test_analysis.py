@@ -81,6 +81,9 @@ def brute_force_histogram(stream, cfg):
 
 
 def as_dict(h):
+    """{(i, j): count}, once the keys are checked strictly ascending and on the grid."""
+    assert np.all(h.keys[1:] > h.keys[:-1])
+    assert len(h.keys) == 0 or (h.keys[0] >= 0 and h.keys[-1] < h.n_axis_bins**2)
     return {(int(i), int(j)): int(v) for i, j, v in zip(h.i_idx, h.j_idx, h.values)}
 
 
@@ -110,7 +113,7 @@ class TestBinningConfig:
         assert cfg.merged_bin_s == pytest.approx(1.317e-9, rel=1e-12)
         assert cfg.n_half_merged == 228
         assert cfg.rep_period_bins == 76
-        assert cfg.n_bins_total == 457 * 457 == 208849
+        assert (2 * cfg.n_half_merged + 1) ** 2 == 457 * 457 == 208849
 
     def test_bad_merge_factor(self):
         with pytest.raises(ValueError):
@@ -217,43 +220,20 @@ class TestHistogramOracle:
         assert as_dict(merge_bins(h, f)) == dict(merged)
 
     def test_coordinates_derive_from_keys_as_stored_before(self):
-        # the constructor used to store i_idx, j_idx, values sorted by (i, j)
+        # from_entries: the distinct (i, j) sorted by (i, j), each with its multiplicity
         rng = np.random.default_rng(12)
-        flat = rng.choice(13 * 13, 50, replace=False)
-        i, j, values = flat // 13 - 6, flat % 13 - 6, rng.integers(1, 9, 50)
-        h = Coincidence2DHistogram(TICK, 6, i, j, values, 1)
-        order = np.lexsort((j, i))
-        assert np.array_equal(h.i_idx, i[order]) and np.array_equal(h.j_idx, j[order])
-        assert np.array_equal(h.values, values[order])
-        assert h.i_idx.dtype == h.j_idx.dtype == np.int64
-        # from_entries: the distinct (i, j) in that order, each with its multiplicity
         ei, ej = rng.integers(-6, 7, 300), rng.integers(-6, 7, 300)
         counts = Counter(zip(ei.tolist(), ej.tolist()))
         f = Coincidence2DHistogram.from_entries(TICK, 6, ei, ej, 1)
         assert list(zip(f.i_idx.tolist(), f.j_idx.tolist())) == sorted(counts)
         assert f.values.tolist() == [counts[k] for k in sorted(counts)]
+        assert f.i_idx.dtype == f.j_idx.dtype == np.int64
+        assert as_dict(f) == dict(counts)
 
     @pytest.mark.parametrize("i, j", [([7], [0]), ([0], [-7]), ([0, 1], [6, 7])])
     def test_coordinates_outside_the_grid_rejected(self, i, j):
         with pytest.raises(ValueError, match="outside the histogram grid"):
-            Coincidence2DHistogram(TICK, 6, i, j, [1] * len(i), 1)
-        with pytest.raises(ValueError, match="outside the histogram grid"):
             Coincidence2DHistogram.from_entries(TICK, 6, i, j, 1)
-
-    def test_constructor_sorts_unsorted_coordinates(self):
-        rng = np.random.default_rng(8)
-        i, j = rng.integers(-6, 7, 40), rng.integers(-6, 7, 40)
-        h = Coincidence2DHistogram.from_entries(TICK, 6, i, j, 1)
-        perm = rng.permutation(len(h.values))
-        shuffled = Coincidence2DHistogram(
-            TICK, 6, h.i_idx[perm], h.j_idx[perm], h.values[perm], 1
-        )
-        for a in ("i_idx", "j_idx", "values"):
-            assert np.array_equal(getattr(shuffled, a), getattr(h, a))
-        expected = as_dict(h)
-        for a in range(-6, 7):
-            for b in range(-6, 7):
-                assert shuffled.count_at(a, b) == expected.get((a, b), 0)
 
     def test_single_triple_at_zero_delay(self):
         stream = stream_from_ticks(ch1=[100], ch2=[100], ch3=[100])
@@ -357,15 +337,16 @@ def lattice_histogram(cfg, peak_count, lattice_value, n_half=None):
     """Merged-grid histogram with a peak at zero and uniform neighbor bins."""
     n_half = cfg.n_half_merged if n_half is None else n_half
     r = cfg.rep_period_bins
-    i_idx, j_idx, values = [0], [0], [peak_count]
+    i_idx, j_idx, counts = [0], [0], [peak_count]
     kmax = n_half // r
     for a in range(-kmax, kmax + 1):
         for b in range(-kmax, kmax + 1):
             if (a, b) != (0, 0):
                 i_idx.append(a * r)
                 j_idx.append(b * r)
-                values.append(lattice_value)
-    return Coincidence2DHistogram(cfg.merged_bin_s, n_half, i_idx, j_idx, values, 1)
+                counts.append(lattice_value)
+    i_entries, j_entries = np.repeat(i_idx, counts), np.repeat(j_idx, counts)
+    return Coincidence2DHistogram.from_entries(cfg.merged_bin_s, n_half, i_entries, j_entries, 1)
 
 
 class TestAccidentals:
@@ -423,13 +404,13 @@ class TestOccupancy:
         cfg = BinningConfig()
         h = Coincidence2DHistogram.from_entries(cfg.merged_bin_s, cfg.n_half_merged, [], [], 0)
         occ = occupancy_histogram(h)
-        assert occ == {0: cfg.n_bins_total}
+        assert occ == {0: 457 * 457}
 
     def test_single_triple(self):
         cfg = BinningConfig()
         h = Coincidence2DHistogram.from_entries(cfg.merged_bin_s, cfg.n_half_merged, [0], [0], 1)
         occ = occupancy_histogram(h)
-        assert occ == {0: cfg.n_bins_total - 1, 1: 1}
+        assert occ == {0: 457 * 457 - 1, 1: 1}
 
 
 class TestPoissonFit:

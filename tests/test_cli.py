@@ -264,11 +264,12 @@ class TestAnalyzeCommand:
             assert h.values.max() > 1000
             assert {1, 2, 4} <= {len(str(v)) for v in h.values.tolist()}
         elif case == "empty":
-            h = Coincidence2DHistogram(16 * TICK, 228, [], [], [], 3)
+            h = Coincidence2DHistogram.from_entries(16 * TICK, 228, [], [], 3)
         else:  # a largest count far above the number of distinct counts
-            h = Coincidence2DHistogram(
-                16 * TICK, 5, [-5, 0, 2, 5, 1], [5, 0, -3, -5, 1], [1, 10**15, 42, 7, 7], 9
-            )
+            # flat keys (i + 5) * 11 + (j + 5) of (-5, 5), (0, 0), (1, 1), (2, -3), (5, -5)
+            keys, values = np.array([10, 60, 72, 79, 110]), np.array([1, 10**15, 7, 42, 7])
+            h = Coincidence2DHistogram(16 * TICK, 5, keys, values, 9)
+            assert h.i_idx.tolist() == [-5, 0, 1, 2, 5] and h.j_idx.tolist() == [5, 0, 1, -3, -5]
         expected = csv_writer_histogram(h)
         assert _histogram_csv(h) == expected
         if case == "empty":
@@ -363,6 +364,23 @@ class TestAnalyzeCommand:
 
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+class TestUnreadableConfig:
+    @pytest.mark.parametrize("command", ["simulate", "analyze", "phasematch"])
+    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{}"], ids=["json", "utf8"])
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, command, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        ttag_path = tmp_path / "run.ttag"
+        write_ttag(ttag_path, TimeTagStream(TICK, np.array([2], np.uint8), np.array([5], np.int64)))
+        argv = {
+            "simulate": ["simulate", "--output", str(tmp_path / "x.ttag")],
+            "analyze": ["analyze", str(ttag_path), "--output", str(tmp_path / "out")],
+            "phasematch": ["phasematch", "solve"],
+        }[command]
+        assert main(argv + ["--config", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {bad}: not valid JSON (")
 
 
 class TestShippedConfigs:
