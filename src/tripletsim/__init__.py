@@ -10,7 +10,6 @@ from .analysis import (
     car,
     locate_central_peak,
     merge_bins,
-    noise_tail_probability,
     occupancy_histogram,
     poisson_fit,
     snr,

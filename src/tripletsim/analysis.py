@@ -19,7 +19,7 @@ import numpy as np
 
 from .constants import DEFAULT_TICK_S
 from .errors import InsufficientStatisticsError, PeakNotFoundError, FitError
-from .pairstats import log_poisson_pmf
+from .pairstats import poisson_pair_probability
 from .simulate import CHANNEL_I1, CHANNEL_I2, CHANNEL_S2, TimeTagStream
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "derive_n_pulses",
     "locate_central_peak",
     "merge_bins",
-    "noise_tail_probability",
     "occupancy_histogram",
     "poisson_fit",
     "snr",
@@ -392,7 +391,7 @@ def poisson_fit(
     chi2 = 0.0
     dof = 0
     for k, obs in zip(values[included], freqs[included]):
-        expected = n_included * math.exp(log_poisson_pmf(mean, int(k)))
+        expected = n_included * poisson_pair_probability(mean, int(k))
         if expected >= 5.0:
             chi2 += (obs - expected) ** 2 / expected
             dof += 1
@@ -402,11 +401,6 @@ def poisson_fit(
         dof=max(dof - 1, 0),
         excluded_counts=[int(k) for k in values[~included]],
     )
-
-
-def noise_tail_probability(mean: float, n: int) -> float:
-    """Poisson probability of n counts at the fitted noise mean, in log space."""
-    return math.exp(log_poisson_pmf(mean, n))
 
 
 def snr(central: int, noise_mean: float, n_bins: int | None = None) -> float:
@@ -544,13 +538,6 @@ def analyze_merged(
     occupancy = occupancy_histogram(merged)
     fit = poisson_fit(occupancy, exclude_sigma=fit_exclude_sigma)
 
-    if fit.mean > 0:
-        snr_value = snr(central, fit.mean)
-        snr_lower = False
-    else:
-        snr_value = snr(central, 0.0, n_bins=merged.n_bins_total)
-        snr_lower = True
-
     success = success_probability_estimate(central, n_pulses)
 
     return TripletReport(
@@ -567,9 +554,9 @@ def analyze_merged(
         fit_chi2=fit.chi2,
         fit_dof=fit.dof,
         fit_excluded_counts=fit.excluded_counts,
-        snr=snr_value,
-        snr_is_lower_bound=snr_lower,
-        noise_tail_probability=noise_tail_probability(fit.mean, central),
+        snr=snr(central, fit.mean, n_bins=merged.n_bins_total),
+        snr_is_lower_bound=not fit.mean > 0,
+        noise_tail_probability=poisson_pair_probability(fit.mean, central),
         success_probability=success.value,
         success_error=success.error,
         n_pulses=n_pulses,

@@ -1,18 +1,18 @@
 """Command-line front end: simulate, analyze, phasematch, report.
 
 One command per process; data goes to files (or stdout for single-value
-results), diagnostics to stderr, exit code 0 only on success.  Output files
-are written atomically.
+results), diagnostics to stderr, exit code 0 only on success.  Every output
+file is written by `ttag.atomic_write`.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
-import tempfile
 from dataclasses import asdict
 
 import numpy as np
@@ -32,22 +32,7 @@ from .simulate import RNG_SCHEME, expected_rates, simulate_run
 THREADS_ENV = "TRIPLETSIM_THREADS"
 
 
-def _atomic_write_text(path, text: str | bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".out-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(text.encode() if isinstance(text, str) else text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _csv_text(rows) -> str:
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     for row in rows:
@@ -94,18 +79,10 @@ def cmd_simulate(args) -> int:
         "n_pulses": sim_cfg.n_pulses,
         "n_records": len(stream),
         "resolution_ps": sim_cfg.resolution_s * 1e12,
-        "expected": {
-            "mean_pairs_per_pulse": rates.mean_pairs,
-            "singles_counts": list(rates.singles_counts),
-            "singles_rates_hz": list(rates.singles_rates_hz),
-            "triplet_probability_per_pulse": rates.triplet_probability_per_pulse,
-            "triplet_rate_hz": rates.triplet_rate_hz,
-            "expected_triplets": rates.expected_triplets,
-            "expected_central_count": rates.expected_central_count,
-        },
+        "expected": asdict(rates),
     }
     manifest_path = args.output + ".manifest.json"
-    _atomic_write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    ttag.atomic_write(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(
         f"wrote {len(stream)} records to {args.output} (manifest {manifest_path})",
         file=sys.stderr,
@@ -123,10 +100,6 @@ def _histogram_csv(h) -> bytes:
     columns = labels.take(h.i_idx + h.n_half), labels.take(h.j_idx + h.n_half), digits.take(which)
     rows = np.rec.fromarrays(columns).view(np.uint8, np.ndarray)
     return b"tau1_minus_tau2_ns,tau3_minus_tau2_ns,count\n" + rows[rows != 0].tobytes()
-
-
-def _occupancy_csv(occupancy: dict) -> str:
-    return _csv_text([["threefolds_per_bin", "absolute_frequency"], *sorted(occupancy.items())])
 
 
 def _json_object(path, what: str) -> dict:
@@ -175,16 +148,14 @@ def cmd_analyze(args) -> int:
         rows = [["key", "value"]] + [
             [k, json.dumps(v)] for k, v in report_dict.items() if k != "occupancy"
         ]
-        _atomic_write_text(os.path.join(args.output, "report.csv"), _csv_text(rows))
+        files = {"report.csv": _csv_text(rows)}
     else:
-        _atomic_write_text(
-            os.path.join(args.output, "report.json"),
-            json.dumps(report_dict, indent=2, sort_keys=True) + "\n",
-        )
-    _atomic_write_text(os.path.join(args.output, "histogram.csv"), _histogram_csv(report.histogram))
-    _atomic_write_text(
-        os.path.join(args.output, "occupancy.csv"), _occupancy_csv(report.occupancy)
-    )
+        files = {"report.json": json.dumps(report_dict, indent=2, sort_keys=True) + "\n"}
+    files["histogram.csv"] = _histogram_csv(report.histogram)
+    occupancy = sorted(report.occupancy.items())
+    files["occupancy.csv"] = _csv_text([["threefolds_per_bin", "absolute_frequency"], *occupancy])
+    for name, data in files.items():
+        ttag.atomic_write(os.path.join(args.output, name), data)
     print(
         f"central={report.central_count} car={report.car:.3g} snr={report.snr:.3g} "
         f"noise_mean={report.noise_mean_per_bin:.3g}",
@@ -193,90 +164,91 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _pair_rows(header, xs, ys) -> list:
+    return [header] + [[repr(float(x)), repr(float(y))] for x, y in zip(xs, ys)]
+
+
+def _solve(plan, fmt: str):
+    sol = phasematch.solve_phasematched_signal(
+        plan.lambda_p_m, plan.grating, plan.temperature_c, plan.dispersion, plan.bracket_m
+    )
+    payload = {
+        "lambda_s_m": sol.lambda_s_m,
+        "lambda_i_m": sol.lambda_i_m,
+        "residual_delta_k_per_m": sol.residual_delta_k,
+        "n_roots": sol.n_roots,
+    }
+    return payload if fmt == "json" else [payload.keys(), payload.values()]
+
+
+def _tune(plan, fmt: str):
+    curve = phasematch.temperature_tuning_curve(
+        plan.grating,
+        plan.lambda_p_m,
+        plan.tune_range_c,
+        plan.tune_steps,
+        plan.dispersion,
+        plan.bracket_m,
+    )
+    points = [asdict(pt) for pt in curve]
+    if fmt == "json":
+        return points
+    header = ["temperature_c", "lambda_s_m", "lambda_i_m"]
+    return [header] + [["" if v is None else repr(v) for v in pt.values()] for pt in points]
+
+
+def _shg(plan, fmt: str):
+    # the response curve needs no root, so csv works where the json peak fails
+    shg = (plan.grating, plan.temperature_c, plan.dispersion, plan.shg_scan_m)
+    if fmt == "json":
+        return {"shg_peak_m": phasematch.shg_peak_wavelength(*shg)}
+    lams, resp = phasematch.shg_response(*shg, plan.length_m)
+    return _pair_rows(["lambda_fundamental_m", "response"], lams, resp)
+
+
+def _acceptance(plan, fmt: str):
+    acc = phasematch.pump_acceptance_bandwidth(
+        plan.grating,
+        plan.temperature_c,
+        plan.dispersion,
+        plan.length_m,
+        plan.acceptance_scan_m,
+        n_pump=plan.acceptance_points,
+    )
+    if fmt == "json":
+        return {
+            "fwhm_m": acc.fwhm_m,
+            "peak_m": acc.peak_m,
+            "fit_residual_rms": acc.residual_rms,
+        }
+    return _pair_rows(["pump_lambda_m", "integrated_response"], acc.pump_grid_m, acc.response)
+
+
+# mode -> (JSON payload or CSV rows for a format, config key a failed solve names, default format)
+_PHASEMATCH_MODES = {
+    "solve": (_solve, "phasematch.bracket_nm", "json"),
+    "tune": (_tune, "phasematch.bracket_nm", "csv"),
+    "shg": (_shg, "phasematch.shg_scan_nm", "json"),
+    "acceptance": (_acceptance, "phasematch.acceptance_scan_nm", "json"),
+}
+
+
 def cmd_phasematch(args) -> int:
     tree = load_config(args.config)
     if "phasematch" not in tree:
         raise ConfigError("config.phasematch: section required by this command")
     plan = parse_phasematch(tree["phasematch"])
-
-    def emit(text: str) -> None:
-        if args.output is None or args.output == "-":
-            sys.stdout.write(text)
-        else:
-            _atomic_write_text(args.output, text)
-
-    if args.mode == "solve":
-        try:
-            sol = phasematch.solve_phasematched_signal(
-                plan.lambda_p_m, plan.grating, plan.temperature_c, plan.dispersion, plan.bracket_m
-            )
-        except NoRootError as exc:
-            raise TripletSimError(f"phasematch.bracket_nm: {exc}") from exc
-        payload = {
-            "lambda_s_m": sol.lambda_s_m,
-            "lambda_i_m": sol.lambda_i_m,
-            "residual_delta_k_per_m": sol.residual_delta_k,
-            "n_roots": sol.n_roots,
-        }
-        if args.format == "csv":
-            emit(_csv_text([payload.keys(), payload.values()]))
-        else:
-            emit(json.dumps(payload, indent=2) + "\n")
-    elif args.mode == "tune":
-        curve = phasematch.temperature_tuning_curve(
-            plan.grating,
-            plan.lambda_p_m,
-            plan.tune_range_c,
-            plan.tune_steps,
-            plan.dispersion,
-            plan.bracket_m,
-        )
-        points = [asdict(pt) for pt in curve]
-        if args.format == "csv":
-            rows = [["temperature_c", "lambda_s_m", "lambda_i_m"]]
-            rows += [["" if v is None else repr(v) for v in pt.values()] for pt in points]
-            emit(_csv_text(rows))
-        else:
-            emit(json.dumps(points, indent=2) + "\n")
-    elif args.mode == "shg":
-        shg = (plan.grating, plan.temperature_c, plan.dispersion, plan.shg_scan_m)
-        if args.format == "csv":
-            lams, resp = phasematch.shg_response(*shg, plan.length_m)
-            rows = [["lambda_fundamental_m", "response"]]
-            rows += [[repr(float(l)), repr(float(r))] for l, r in zip(lams, resp)]
-            emit(_csv_text(rows))
-        else:
-            try:
-                peak = phasematch.shg_peak_wavelength(*shg)
-            except NoRootError as exc:
-                raise TripletSimError(f"phasematch.shg_scan_nm: {exc}") from exc
-            emit(json.dumps({"shg_peak_m": peak}, indent=2) + "\n")
-    elif args.mode == "acceptance":
-        try:
-            acc = phasematch.pump_acceptance_bandwidth(
-                plan.grating,
-                plan.temperature_c,
-                plan.dispersion,
-                plan.length_m,
-                plan.acceptance_scan_m,
-                n_pump=plan.acceptance_points,
-            )
-        except FitError as exc:
-            raise TripletSimError(f"phasematch.acceptance_scan_nm: {exc}") from exc
-        payload = {
-            "fwhm_m": acc.fwhm_m,
-            "peak_m": acc.peak_m,
-            "fit_residual_rms": acc.residual_rms,
-        }
-        if args.format == "csv":
-            rows = [["pump_lambda_m", "integrated_response"]]
-            rows += [
-                [repr(float(p)), repr(float(r))]
-                for p, r in zip(acc.pump_grid_m, acc.response)
-            ]
-            emit(_csv_text(rows))
-        else:
-            emit(json.dumps(payload, indent=2) + "\n")
+    compute, key, default_format = _PHASEMATCH_MODES[args.mode]
+    fmt = args.format or default_format
+    try:
+        out = compute(plan, fmt)
+    except (NoRootError, FitError) as exc:
+        raise TripletSimError(f"{key}: {exc}") from exc
+    text = _csv_text(out) if fmt == "csv" else json.dumps(out, indent=2) + "\n"
+    if args.output == "-":
+        sys.stdout.write(text)
+    else:
+        ttag.atomic_write(args.output, text)
     return 0
 
 
@@ -312,7 +284,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_write_config(args) -> int:
-    _atomic_write_text(args.output, json.dumps(default_config(), indent=2) + "\n")
+    ttag.atomic_write(args.output, json.dumps(default_config(), indent=2) + "\n")
     print(f"wrote default config to {args.output}", file=sys.stderr)
     return 0
 
@@ -340,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.set_defaults(func=cmd_analyze)
 
     p_pm = sub.add_parser("phasematch", help="quasi-phase-matching design calculations")
-    p_pm.add_argument("mode", choices=("solve", "tune", "shg", "acceptance"))
+    p_pm.add_argument("mode", choices=tuple(_PHASEMATCH_MODES))
     p_pm.add_argument("--config", required=True)
     p_pm.add_argument("--output", default="-", help="output file, '-' for stdout")
     p_pm.add_argument("--format", choices=("json", "csv"), default=None)
@@ -360,8 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "format", None) is None and args.command == "phasematch":
-        args.format = "csv" if args.mode == "tune" else "json"
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -37,19 +37,11 @@ def log_poisson_pmf(mean: float, m: int) -> float:
 
 
 def poisson_pair_probability(mean: float, m: int) -> float:
-    """Probability of generating exactly m pairs in one pulse, exp(-mu) mu^m / m!.
+    """Poisson probability exp(-mu) mu^m / m! of exactly m pairs in one pulse.
 
-    Evaluated directly for small m and in log space above m = 20, where the
-    factorial would overflow.
+    Also the report's noise tail probability: m counts in a bin at the fitted
+    noise mean.  Evaluated in log space, so the factorial cannot overflow.
     """
-    if mean < 0:
-        raise ValueError(f"mean must be >= 0, got {mean}")
-    if m < 0:
-        raise ValueError(f"count must be >= 0, got {m}")
-    if m <= 20:
-        if mean == 0.0:
-            return 1.0 if m == 0 else 0.0
-        return math.exp(-mean) * mean**m / math.factorial(m)
     return math.exp(log_poisson_pmf(mean, m))
 
 

@@ -391,7 +391,7 @@ class ExpectedRates:
     quantity to compare against the measured central-bin count.
     """
 
-    mean_pairs: float
+    mean_pairs_per_pulse: float
     singles_rates_hz: tuple[float, float, float]
     singles_counts: tuple[float, float, float]
     triplet_probability_per_pulse: float
@@ -509,7 +509,7 @@ def expected_rates(config: SimConfig, merged_bin_s: float | None = None) -> Expe
 
     p_triple = triplet_success_probability(config.source, config.arm_efficiencies())
     return ExpectedRates(
-        mean_pairs=config.mean_pairs,
+        mean_pairs_per_pulse=config.mean_pairs,
         singles_rates_hz=tuple(rates),
         singles_counts=tuple(r * (config.n_pulses * rep) for r in rates),
         triplet_probability_per_pulse=p_triple,

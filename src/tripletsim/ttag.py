@@ -10,21 +10,22 @@ Little-endian layout:
 
 Channels are 1 (i1), 2 (s2) or 3 (i2).  Timestamps are ticks since run start,
 below 2**63 and non-decreasing; the header resolution makes files
-self-describing.  Writes go through a temp file and an atomic rename.
+self-describing.  `atomic_write` writes a temp file beside the target and
+renames it into place; `write_ttag` and every file the command line writes
+go through it.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-import tempfile
 
 import numpy as np
 
 from .errors import TtagFormatError
 from .simulate import CHANNEL_I1, CHANNEL_I2, TimeTagStream
 
-__all__ = ["read_ttag", "write_ttag", "TTAG_MAGIC", "TTAG_VERSION"]
+__all__ = ["atomic_write", "read_ttag", "write_ttag", "TTAG_MAGIC", "TTAG_VERSION"]
 
 TTAG_MAGIC = b"TTAG"
 TTAG_VERSION = 1
@@ -35,6 +36,28 @@ RECORD_SIZE = _RECORD_DTYPE.itemsize  # 9 bytes
 _READ_CHUNK = 1 << 20
 
 
+def atomic_write(path, *chunks) -> None:
+    """Write str (as UTF-8) and bytes-like chunks to path, replacing it atomically.
+
+    The temp file is created beside path with mode 0o666, so the umask gives it
+    the mode open() would give a new file, also where it replaces one with
+    another mode; on any error it is removed and path is left as it was.
+    """
+    path = os.fspath(path)
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk.encode() if isinstance(chunk, str) else chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def _first_bad_channel(channels) -> int:
     """Index of the first channel outside 1 (i1), 2 (s2), 3 (i2); -1 if none."""
     if len(channels) == 0 or CHANNEL_I1 <= channels.min() <= channels.max() <= CHANNEL_I2:
@@ -43,7 +66,7 @@ def _first_bad_channel(channels) -> int:
 
 
 def write_ttag(path, stream: TimeTagStream) -> None:
-    """Serialize a stream; atomic (temp file + rename) and byte-deterministic."""
+    """Serialize a stream; atomic (see `atomic_write`) and byte-deterministic."""
     if len(stream.timestamps) and int(stream.timestamps.min()) < 0:
         raise ValueError("timestamps must be >= 0 for serialization")
     k = _first_bad_channel(stream.channels)
@@ -58,19 +81,7 @@ def write_ttag(path, stream: TimeTagStream) -> None:
     records["channel"] = stream.channels
     records["timestamp"] = stream.timestamps  # cast on assignment, no temporary copy
     header = _HEADER.pack(TTAG_MAGIC, TTAG_VERSION, resolution_fs, len(records))
-
-    path = os.fspath(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".ttag-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header)
-            fh.write(records)  # the array's own buffer, not a copy of it
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+    atomic_write(path, header, records)  # the array's own buffer, not a copy of it
 
 
 def read_ttag(path) -> TimeTagStream:

@@ -17,7 +17,6 @@ from tripletsim.analysis import (
     analyze_stream,
     build_threefold_histogram,
     car,
-    noise_tail_probability,
     poisson_fit,
     snr,
 )
@@ -26,6 +25,7 @@ from tripletsim.pairstats import (
     ArmEfficiencies,
     SourceParams,
     mean_pairs_from_pump,
+    poisson_pair_probability,
     triplet_success_probability,
 )
 from tripletsim.simulate import SimConfig, expected_rates, simulate_run
@@ -56,7 +56,7 @@ def test_criterion_02_mean_pair_number():
 
 
 def test_criterion_03_noise_tail_and_snr():
-    p = noise_tail_probability(0.048, 33)
+    p = poisson_pair_probability(0.048, 33)
     assert 3.3e-81 / 2 < p < 3.3e-81 * 2
     s = snr(33, 0.048)
     assert s == pytest.approx(687.5, rel=1e-12)

@@ -15,7 +15,6 @@ from tripletsim.analysis import (
     car,
     locate_central_peak,
     merge_bins,
-    noise_tail_probability,
     occupancy_histogram,
     poisson_fit,
     snr,
@@ -447,22 +446,23 @@ class TestPoissonFit:
 
 class TestScalarStatistics:
     def test_noise_tail_reference(self):
-        p = noise_tail_probability(0.048, 33)
+        p = poisson_pair_probability(0.048, 33)
         assert 3.3e-81 / 2 < p < 3.3e-81 * 2
 
     def test_noise_tail_trivial(self):
-        assert noise_tail_probability(0.7, 0) == pytest.approx(math.exp(-0.7), rel=1e-12)
-        assert noise_tail_probability(1.0, 1) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert poisson_pair_probability(0.7, 0) == pytest.approx(math.exp(-0.7), rel=1e-12)
+        assert poisson_pair_probability(1.0, 1) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     @pytest.mark.parametrize("mean", [0.0, 0.048, 0.5, 3.0])
     @pytest.mark.parametrize("n", [0, 1, 5, 21, 33, 50])
     def test_pmf_consistency_with_pair_statistics(self, mean, n):
-        a = noise_tail_probability(mean, n)
-        b = poisson_pair_probability(mean, n)
-        if b > 0:
-            assert abs(a - b) / b < 1e-12
+        # the log-space pmf against the direct product, exact at a zero mean
+        a = poisson_pair_probability(mean, n)
+        if mean == 0.0:
+            assert a == (1.0 if n == 0 else 0.0)
         else:
-            assert a == b
+            b = math.exp(-mean) * mean**n / math.factorial(n)
+            assert abs(a - b) / b < 1e-12
 
     def test_snr_reference(self):
         assert snr(33, 0.048) == pytest.approx(687.5, rel=1e-12)

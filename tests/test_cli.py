@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import tripletsim
-from tripletsim import simulate
+from tripletsim import simulate, ttag
 from tripletsim.analysis import Coincidence2DHistogram, build_threefold_histogram, merge_bins
 from tripletsim.cli import _histogram_csv, main
 from tripletsim.config import (
@@ -18,6 +19,7 @@ from tripletsim.config import (
     default_config,
     load_config,
     parse_analyze,
+    parse_phasematch,
     parse_simulate,
 )
 from tripletsim.simulate import TimeTagStream, expected_rates
@@ -81,6 +83,57 @@ class TestWriteConfig:
         assert main(["write-config", "--output", str(out)]) == 0
         tree = load_config(out)
         assert tree["schema_version"] == 1
+
+
+@pytest.fixture(params=[0o022, 0o027], ids=oct)
+def umask(request):
+    """The process umask, set for one test and restored after."""
+    saved = os.umask(request.param)
+    yield request.param
+    os.umask(saved)
+
+
+class TestOutputFiles:
+    def test_outputs_get_0666_less_the_umask(self, tmp_path, umask):
+        # a replaced file takes the new mode too, not the mode it had
+        base = tmp_path / "c.json"
+        base.write_text("{}")
+        base.chmod(0o600)
+        assert main(["write-config", "--output", str(base)]) == 0
+        cfg = write_json(tmp_path / "small.json", small_sim_config())
+        run, out = tmp_path / "run.ttag", tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--output", str(run)]) == 0
+        assert main(["analyze", str(run), "--config", cfg, "--output", str(out)]) == 0
+        pm = tmp_path / "solve.json"
+        assert main(["phasematch", "solve", "--config", str(base), "--output", str(pm)]) == 0
+        written = [base, run, tmp_path / "run.ttag.manifest.json", pm, *out.iterdir()]
+        assert len(written) == 7
+        assert {p.name: oct(stat.S_IMODE(p.stat().st_mode)) for p in written} == {
+            p.name: oct(0o666 & ~umask) for p in written
+        }
+
+    @pytest.mark.parametrize("how", ["write-config", "write_ttag", "bad chunk"])
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, how):
+        target = tmp_path / "target"
+        target.write_bytes(b"old bytes")
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        if how == "write-config":
+            monkeypatch.setattr(os, "replace", refuse)
+            assert main(["write-config", "--output", str(target)]) == 1
+        elif how == "write_ttag":
+            monkeypatch.setattr(os, "replace", refuse)
+            stream = TimeTagStream(TICK, np.array([1, 2], np.uint8), np.array([5, 9], np.int64))
+            with pytest.raises(OSError, match="replace refused"):
+                write_ttag(target, stream)
+        else:
+            # a failure halfway through the chunks, after some bytes were written
+            with pytest.raises(TypeError):
+                ttag.atomic_write(target, "new ", b"bytes", 7)
+        assert target.read_bytes() == b"old bytes"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["target"]
 
 
 class TestSimulateCommand:
@@ -544,6 +597,34 @@ class TestPhasematchCommands:
         assert [{k: None if v == "" else float(v) for k, v in row.items()} for row in rows] == points
         assert any(pt["lambda_s_m"] is None for pt in points)
         assert any(pt["lambda_s_m"] is not None for pt in points)
+
+    def test_solve_csv_and_json_agree(self, tmp_path):
+        cfg = str(REPO_CONFIGS / "baseline.json")
+        csv_out, json_out = tmp_path / "solve.csv", tmp_path / "solve.json"
+        argv = ["phasematch", "solve", "--config", cfg, "--output"]
+        assert main([*argv, str(csv_out), "--format", "csv"]) == 0
+        assert main([*argv, str(json_out)]) == 0
+        (row,) = list(csv.DictReader(io.StringIO(csv_out.read_text())))
+        payload = json.loads(json_out.read_text())
+        assert list(row) == list(payload)
+        assert {k: float(v) for k, v in row.items()} == payload
+        assert payload["lambda_s_m"] == pytest.approx(790.5e-9, abs=1e-12)
+
+    def test_acceptance_csv(self, tmp_path):
+        cfg = REPO_CONFIGS / "stage2_phasematch.json"
+        out = tmp_path / "acceptance.csv"
+        argv = ["phasematch", "acceptance", "--config", str(cfg), "--format", "csv"]
+        assert main([*argv, "--output", str(out)]) == 0
+        rows = out.read_text().splitlines()
+        assert rows[0] == "pump_lambda_m,integrated_response"
+        points = parse_phasematch(load_config(cfg)["phasematch"]).acceptance_points
+        assert len(rows) == 1 + points
+        pumps, response = np.array([[float(v) for v in r.split(",")] for r in rows[1:]]).T
+        assert np.all(np.diff(pumps) > 0) and np.all(response >= 0)
+        # the json fit's peak lies inside the grid the csv lists
+        assert main(argv[:-2] + ["--output", str(tmp_path / "acceptance.json")]) == 0
+        peak = json.loads((tmp_path / "acceptance.json").read_text())["peak_m"]
+        assert pumps[0] < peak < pumps[-1]
 
     def test_shg_json(self, tmp_path, capsys):
         tree = {"schema_version": 1, "phasematch": dict(default_config()["phasematch"])}

@@ -33,7 +33,7 @@ class TestPoissonPairProbability:
             poisson_pair_probability(0.1, -1)
 
     def test_log_space_branch_continuity(self):
-        # the m > 20 log-space branch agrees with the direct product
+        # at m = 21 the log-space evaluation agrees with the direct product
         mean = 3.7
         direct = math.exp(-mean) * mean**21 / math.factorial(21)
         assert poisson_pair_probability(mean, 21) == pytest.approx(direct, rel=1e-12)
