@@ -207,21 +207,23 @@ def _shg(plan, fmt: str):
 
 
 def _acceptance(plan, fmt: str):
-    acc = phasematch.pump_acceptance_bandwidth(
+    # like the shg curve, the response csv needs no half-maximum crossings
+    stage = (
         plan.grating,
         plan.temperature_c,
         plan.dispersion,
         plan.length_m,
         plan.acceptance_scan_m,
-        n_pump=plan.acceptance_points,
+        plan.acceptance_points,
     )
     if fmt == "json":
+        acc = phasematch.pump_acceptance_bandwidth(*stage)
         return {
             "fwhm_m": acc.fwhm_m,
             "peak_m": acc.peak_m,
-            "fit_residual_rms": acc.residual_rms,
         }
-    return _pair_rows(["pump_lambda_m", "integrated_response"], acc.pump_grid_m, acc.response)
+    pumps, resp = phasematch.pump_acceptance_response(*stage)
+    return _pair_rows(["pump_lambda_m", "integrated_response"], pumps, resp)
 
 
 # mode -> (JSON payload or CSV rows for a format, config key a failed solve names, default format)

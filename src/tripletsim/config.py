@@ -188,7 +188,7 @@ class PhasematchPlan:
     def __post_init__(self):
         if self.tune_steps < 1:
             raise ValueError(f"tune_steps must be >= 1, got {self.tune_steps}")
-        # the acceptance fit needs a response peak inside the scan
+        # the acceptance width needs a response peak inside the scan
         if self.acceptance_points < 3:
             raise ValueError(f"acceptance_points must be >= 3, got {self.acceptance_points}")
 

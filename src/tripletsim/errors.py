@@ -14,7 +14,7 @@ class NoRootError(TripletSimError, RuntimeError):
 
 
 class FitError(TripletSimError, RuntimeError):
-    """A least-squares fit failed; carries residual diagnostics when available."""
+    """A fit or a half-maximum width failed; carries diagnostics when available."""
 
     def __init__(self, message, residuals=None):
         super().__init__(message)

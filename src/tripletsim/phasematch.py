@@ -7,8 +7,9 @@ delta_k = k_p - k_s - k_i + K_G, written once in `phase_mismatch`; SHG is its
 degenerate case (pump lambda / 2, signal = idler = lambda).  One sign-change
 root scan serves the signal solver and the SHG peak, and one helper turns a
 bulk mismatch into the grating that closes it for both calibrations.  The
-module also traces temperature tuning curves, integrates the pump acceptance
-bandwidth of a stage, and quantifies the overlap of two Gaussian lineshapes.
+module also traces temperature tuning curves, reads the pump acceptance
+bandwidth of a stage off its integrated response at half maximum, and
+quantifies the overlap of two Gaussian lineshapes.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "poling_period_for_shg",
     "poling_period_for_target",
     "pump_acceptance_bandwidth",
+    "pump_acceptance_response",
     "shg_peak_wavelength",
     "shg_response",
     "solve_phasematched_signal",
@@ -40,8 +42,7 @@ __all__ = [
 
 # Wavelength tolerance of the root finder.  Far below the nominal 1e-4 nm so
 # that the residual |delta_k| at a solution stays under 1e-3 per meter.
-BRENT_XTOL_M = 1e-18
-BRENT_MAX_ITER = 200
+ROOT_XTOL_M = 1e-18
 
 
 def idler_partner(lambda_p_m, lambda_s_m):
@@ -115,18 +116,26 @@ def _closing_grating(bulk: float) -> QpmGrating:
 def _sign_change_roots(f, lo: float, hi: float, n_points: int) -> list[float]:
     """Roots of f on [lo, hi] seen by an n_points grid, sorted.
 
-    Exact zeros on the grid are taken as they are; each sign change between
-    neighbouring grid points is refined with Brent's method.
+    Exact zeros on the grid are taken as they are.  Each strict sign change
+    between neighbouring grid points brackets one root, and one bisection
+    halves all brackets at once, f taking the array of their midpoints, until
+    every bracket is at most ROOT_XTOL_M wide.  The iteration count is fixed
+    up front, so the loop ends even where the float spacing of a wavelength
+    exceeds the tolerance.
     """
-    from scipy.optimize import brentq  # on demand: `analyze` never loads scipy
     grid = np.linspace(lo, hi, n_points)
     vals = f(grid)
-    roots = [float(grid[k]) for k in np.nonzero(vals == 0.0)[0]]
-    for k in np.nonzero(np.diff(np.signbit(vals)))[0]:
-        roots.append(
-            float(brentq(f, grid[k], grid[k + 1], xtol=BRENT_XTOL_M, maxiter=BRENT_MAX_ITER))
-        )
-    return sorted(roots)
+    signs = np.sign(vals)
+    k = np.flatnonzero(signs[:-1] * signs[1:] < 0)
+    a, b, sign_a = grid[k], grid[k + 1], signs[k]
+    widest = float(np.max(b - a, initial=0.0))
+    for _ in range(math.ceil(math.log2(max(widest / ROOT_XTOL_M, 1.0)))):
+        mid = 0.5 * (a + b)
+        right = np.sign(f(mid)) == sign_a
+        a = np.where(right, mid, a)
+        b = np.where(right, b, mid)
+    roots = np.concatenate([grid[vals == 0.0], 0.5 * (a + b)])
+    return np.sort(roots).tolist()
 
 
 def poling_period_for_target(
@@ -172,8 +181,8 @@ def solve_phasematched_signal(
 ) -> PhasematchSolution:
     """Signal wavelength with delta_k = 0 inside the bracket.
 
-    The bracket is scanned for sign changes first; each is refined with
-    Brent's method.  With several roots the one nearest the bracket center is
+    The bracket is scanned for sign changes first; each is refined by
+    bisection.  With several roots the one nearest the bracket center is
     returned and the multiplicity is flagged on the result.
     """
     lo, hi = bracket
@@ -189,18 +198,13 @@ def solve_phasematched_signal(
         raise NoRootError(
             f"delta_k does not change sign over {bracket}; no phase-matched signal"
         )
-    # collapse duplicates from adjacent grid cells straddling the same root
-    distinct = [roots[0]]
-    for r in roots[1:]:
-        if r - distinct[-1] > 1e-13:
-            distinct.append(r)
     center = 0.5 * (lo + hi)
-    best = min(distinct, key=lambda r: abs(r - center))
+    best = min(roots, key=lambda r: abs(r - center))
     return PhasematchSolution(
         lambda_s_m=best,
         lambda_i_m=idler_partner(lambda_p_m, best),
         residual_delta_k=mismatch(best),
-        n_roots=len(distinct),
+        n_roots=len(roots),
     )
 
 
@@ -330,22 +334,32 @@ def pdc_signal_response(
     return float(np.trapezoid(sinc_sq(half_phase(fine)), fine))
 
 
-def _gaussian(x, amplitude, center, sigma):
-    return amplitude * np.exp(-0.5 * ((x - center) / sigma) ** 2)
-
-
-FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
-
-
 @dataclass(frozen=True)
 class AcceptanceBandwidth:
     fwhm_m: float
     peak_m: float
-    pump_grid_m: np.ndarray
-    response: np.ndarray
-    fit_amplitude: float
-    fit_sigma_m: float
-    residual_rms: float
+
+
+def pump_acceptance_response(
+    grating: QpmGrating,
+    temperature_c: float,
+    dispersion,
+    length_m: float,
+    pump_scan: tuple[float, float],
+    n_pump: int = 161,
+    n_signal: int = 1000,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Signal-integrated sinc^2 response of the stage on an n_pump grid over pump_scan."""
+    pumps = np.linspace(pump_scan[0], pump_scan[1], n_pump)
+    response = np.array(
+        [
+            pdc_signal_response(
+                p, grating, temperature_c, dispersion, length_m, n_points=n_signal
+            )
+            for p in pumps
+        ]
+    )
+    return pumps, response
 
 
 def pump_acceptance_bandwidth(
@@ -356,33 +370,18 @@ def pump_acceptance_bandwidth(
     pump_scan: tuple[float, float],
     n_pump: int = 161,
     n_signal: int = 1000,
-    window_halfwidths: float = 1.0,
 ) -> AcceptanceBandwidth:
-    """Gaussian FWHM of the integrated stage response versus pump wavelength.
+    """Full width at half maximum of the integrated stage response versus pump wavelength.
 
-    A first pass over pump_scan locates the response peak and its half-maximum
-    crossings.  A second, refined pass samples the peak over
-    +/- window_halfwidths measured widths, and the Gaussian is least-squares
-    fitted there.  Because the fit window tracks the measured width, the
-    extracted FWHM is scale-covariant: halving the phase-matched width (for
-    example by doubling the interaction length) halves the fit FWHM.
+    The response of `pump_acceptance_response` is read at half its maximum:
+    each crossing is linearly interpolated between its two neighbouring grid
+    points, the width is their distance and the peak their midpoint.  No
+    lineshape is assumed, so halving the phase-matched width (for example by
+    doubling the interaction length) halves the FWHM.
     """
-    if window_halfwidths <= 0:
-        raise ValueError("window_halfwidths must be > 0")
-
-    def scan(lo, hi):
-        pumps = np.linspace(lo, hi, n_pump)
-        resp = np.array(
-            [
-                pdc_signal_response(
-                    p, grating, temperature_c, dispersion, length_m, n_points=n_signal
-                )
-                for p in pumps
-            ]
-        )
-        return pumps, resp
-
-    pumps, resp = scan(pump_scan[0], pump_scan[1])
+    pumps, resp = pump_acceptance_response(
+        grating, temperature_c, dispersion, length_m, pump_scan, n_pump, n_signal
+    )
     peak_idx = int(np.argmax(resp))
     rmax = resp[peak_idx]
     if rmax <= 0:
@@ -392,58 +391,24 @@ def pump_acceptance_bandwidth(
             "response peak sits at the scan boundary; widen the scan",
             residuals=resp / rmax,
         )
-    above = resp >= 0.5 * rmax
+    half = 0.5 * rmax
+    above = resp >= half
     segments = np.count_nonzero(np.diff(above.astype(int)) == 1) + int(above[0])
     if segments > 1:
         raise FitError(
             f"response is non-unimodal ({segments} separate half-maximum segments)",
             residuals=resp / rmax,
         )
-    half = 0.5 * rmax
-    i = peak_idx
-    while i > 0 and resp[i] > half:
-        i -= 1
-    left = float(np.interp(half, [resp[i], resp[i + 1]], [pumps[i], pumps[i + 1]]))
-    j = peak_idx
-    while j < n_pump - 1 and resp[j] > half:
-        j += 1
-    right = float(np.interp(half, [resp[j], resp[j - 1]], [pumps[j], pumps[j - 1]]))
     if resp[0] > half or resp[-1] > half:
         raise FitError(
             "half-maximum crossings fall outside the scan; widen the scan",
             residuals=resp / rmax,
         )
-    grid_fwhm = right - left
-    center0 = 0.5 * (left + right)
-
-    x, y = scan(
-        center0 - window_halfwidths * grid_fwhm, center0 + window_halfwidths * grid_fwhm
-    )
-    from scipy.optimize import curve_fit  # on demand, like brentq above
-    try:
-        popt, _ = curve_fit(
-            _gaussian,
-            x,
-            y,
-            p0=(float(np.max(y)), center0, grid_fwhm / FWHM_PER_SIGMA),
-            maxfev=20000,
-        )
-    except RuntimeError as exc:
-        raise FitError(f"gaussian fit failed to converge: {exc}", residuals=y) from exc
-    amplitude, center, sigma = popt
-    sigma = abs(float(sigma))
-    residuals = (y - _gaussian(x, *popt)) / float(np.max(y))
-    if amplitude <= 0 or sigma <= 0 or not np.isfinite(sigma):
-        raise FitError("gaussian fit returned a non-physical shape", residuals=residuals)
-    return AcceptanceBandwidth(
-        fwhm_m=FWHM_PER_SIGMA * sigma,
-        peak_m=float(center),
-        pump_grid_m=x,
-        response=y,
-        fit_amplitude=float(amplitude),
-        fit_sigma_m=sigma,
-        residual_rms=float(np.sqrt(np.mean(residuals**2))),
-    )
+    # the outermost points above half maximum, with a point at or below it beyond each
+    i, j = np.flatnonzero(resp > half)[[0, -1]]
+    left = float(np.interp(half, resp[[i - 1, i]], pumps[[i - 1, i]]))
+    right = float(np.interp(half, resp[[j + 1, j]], pumps[[j + 1, j]]))
+    return AcceptanceBandwidth(fwhm_m=right - left, peak_m=0.5 * (left + right))
 
 
 def spectral_overlap(fwhm_a_m: float, fwhm_b_m: float) -> float:

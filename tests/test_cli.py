@@ -328,28 +328,6 @@ class TestAnalyzeCommand:
         if case == "empty":
             assert expected == b"tau1_minus_tau2_ns,tau3_minus_tau2_ns,count\n"
 
-    def test_analysis_never_loads_scipy(self, tmp_path):
-        # a fresh interpreter, since other tests load scipy into this one;
-        # simulate writes expected_central_count, so the containment runs too
-        ttag_path = tmp_path / "run.ttag"
-        cfg = write_json(tmp_path / "cfg.json", small_sim_config())
-        simulate_argv = ["simulate", "--config", cfg, "--output", str(ttag_path)]
-        analyze_argv = ["analyze", str(ttag_path), "--config", cfg, "--output", str(tmp_path / "out")]
-        code = (
-            "import sys, tripletsim, tripletsim.cli\n"
-            f"rc = tripletsim.cli.main({simulate_argv!r}) or tripletsim.cli.main({analyze_argv!r})\n"
-            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(tripletsim.__file__).resolve().parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "0 []"
-        manifest = json.loads((tmp_path / "run.ttag.manifest.json").read_text())
-        assert manifest["expected"]["expected_central_count"] > 1.0
-        assert json.loads((tmp_path / "out" / "report.json").read_text())["central_count"] > 0
-
     def test_corrupt_file_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ttag"
         bad.write_bytes(b"NOPE" + b"\x00" * 30)
@@ -621,7 +599,7 @@ class TestPhasematchCommands:
         assert len(rows) == 1 + points
         pumps, response = np.array([[float(v) for v in r.split(",")] for r in rows[1:]]).T
         assert np.all(np.diff(pumps) > 0) and np.all(response >= 0)
-        # the json fit's peak lies inside the grid the csv lists
+        # the json width's peak lies inside the grid the csv lists
         assert main(argv[:-2] + ["--output", str(tmp_path / "acceptance.json")]) == 0
         peak = json.loads((tmp_path / "acceptance.json").read_text())["peak_m"]
         assert pumps[0] < peak < pumps[-1]
@@ -642,7 +620,7 @@ class TestPhasematchCommands:
         assert main(["phasematch", "acceptance", "--config", cfg]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["fwhm_m"] > 0
-        assert "fit_residual_rms" in payload
+        assert list(payload) == ["fwhm_m", "peak_m"]
 
     @pytest.mark.parametrize(
         "mode, key",
@@ -675,6 +653,20 @@ class TestPhasematchCommands:
         rows = capsys.readouterr().out.splitlines()
         assert rows[0] == "lambda_fundamental_m,response" and len(rows) == 802
 
+    def test_acceptance_without_crossings_names_the_scan(self, capsys):
+        # the baseline is calibrated for stage 1: its pump scan holds no
+        # half-maximum crossings of the stage response
+        cfg = str(REPO_CONFIGS / "baseline.json")
+        assert main(["phasematch", "acceptance", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: phasematch.acceptance_scan_nm: ")
+        # the response curve needs no crossings
+        assert main(["phasematch", "acceptance", "--config", cfg, "--format", "csv"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        points = parse_phasematch(load_config(cfg)["phasematch"]).acceptance_points
+        assert rows[0] == "pump_lambda_m,integrated_response" and len(rows) == 1 + points
+
     def test_missing_section_exit_code(self, tmp_path):
         cfg = write_json(tmp_path / "no_pm.json", {"schema_version": 1})
         assert main(["phasematch", "solve", "--config", cfg]) == 2
@@ -703,3 +695,41 @@ class TestPhasematchCommands:
         assert main(["phasematch", "solve", "--config", cfg]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["lambda_s_m"] == pytest.approx(790.5e-9, abs=1e-12)
+
+
+class TestWithoutScipy:
+    def test_every_command_runs(self, tmp_path):
+        # a fresh interpreter, since other tests load scipy into this one; a None
+        # entry in sys.modules makes any scipy import raise.  simulate writes
+        # expected_central_count, so the central-bin containment runs too
+        ttag_path, out = tmp_path / "run.ttag", tmp_path / "out"
+        cfg = write_json(tmp_path / "cfg.json", small_sim_config())
+        stage1, stage2 = REPO_CONFIGS / "baseline.json", REPO_CONFIGS / "stage2_phasematch.json"
+        runs = [
+            ["simulate", "--config", cfg, "--output", str(ttag_path)],
+            ["analyze", str(ttag_path), "--config", cfg, "--output", str(out)],
+            ["report", str(out / "report.json")],
+        ] + [
+            ["phasematch", mode, "--config", str(config), "--output", str(tmp_path / mode)]
+            for mode, config in (
+                ("solve", stage1),
+                ("tune", stage1),
+                ("shg", stage2),
+                ("acceptance", stage2),
+            )
+        ]
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from tripletsim.cli import main\n"
+            f"print([main(argv) for argv in {runs!r}])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(tripletsim.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == str([0] * len(runs)), done.stderr
+        manifest = json.loads((tmp_path / "run.ttag.manifest.json").read_text())
+        assert manifest["expected"]["expected_central_count"] > 1.0
+        assert json.loads((out / "report.json").read_text())["central_count"] > 0

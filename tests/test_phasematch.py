@@ -157,6 +157,19 @@ class TestSolver:
         assert abs(sol.lambda_s_m - center) <= abs(800e-9 - center) + 1e-12
         assert sol.lambda_s_m == pytest.approx(mirror, abs=1e-12)
 
+    def test_root_on_a_grid_point_counts_once(self, monkeypatch):
+        # an exact zero on the scan grid, with the sign changing across it,
+        # is one root: the cells beside it bracket no strict sign change
+        grid = np.linspace(700e-9, 900e-9, 5)
+        monkeypatch.setattr(
+            pm, "_mismatch_vs_signal", lambda lambda_s_m, *_: lambda_s_m - grid[2]
+        )
+        sol = pm.solve_phasematched_signal(
+            532e-9, STAGE1, CAL_TEMP, LN, (700e-9, 900e-9), scan_points=5
+        )
+        assert sol.n_roots == 1
+        assert sol.lambda_s_m == grid[2] and sol.residual_delta_k == 0.0
+
 
 class TestTuningCurve:
     def test_single_step(self):
@@ -244,17 +257,16 @@ class TestAcceptanceBandwidth:
     def test_peak_near_half_harmonic(self):
         acc = pm.pump_acceptance_bandwidth(STAGE2, CAL_TEMP, LN, 0.022, (787e-9, 793e-9))
         assert acc.peak_m == pytest.approx(790.5e-9, abs=0.5e-9)
-        assert acc.residual_rms < 0.25
 
     def test_toy_centroid_tracks_argmax(self):
         # the integrated response keeps a one-sided tail for any dispersion,
-        # so the Gaussian centroid can only track the argmax to a fraction of
-        # the width, not coincide with it
+        # so the half-maximum midpoint can only track the argmax to a fraction
+        # of the width, not coincide with it
         grating = pm.poling_period_for_shg(1580e-9, 25.0, CURVED_TOY)
-        acc = pm.pump_acceptance_bandwidth(
-            grating, 25.0, CURVED_TOY, 0.02, (785e-9, 795e-9), n_pump=201
-        )
-        argmax = acc.pump_grid_m[int(np.argmax(acc.response))]
+        stage = (grating, 25.0, CURVED_TOY, 0.02, (785e-9, 795e-9), 201)
+        acc = pm.pump_acceptance_bandwidth(*stage)
+        pumps, response = pm.pump_acceptance_response(*stage)
+        argmax = pumps[int(np.argmax(response))]
         assert abs(acc.peak_m - argmax) <= 0.25 * acc.fwhm_m
 
     def test_peak_outside_scan_fails(self):
