@@ -328,6 +328,28 @@ class TestAnalyzeCommand:
         if case == "empty":
             assert expected == b"tau1_minus_tau2_ns,tau3_minus_tau2_ns,count\n"
 
+    def test_analysis_never_loads_scipy(self, tmp_path):
+        # a fresh interpreter, since other tests load scipy into this one;
+        # simulate writes expected_central_count, so the containment runs too
+        ttag_path = tmp_path / "run.ttag"
+        cfg = write_json(tmp_path / "cfg.json", small_sim_config())
+        simulate_argv = ["simulate", "--config", cfg, "--output", str(ttag_path)]
+        analyze_argv = ["analyze", str(ttag_path), "--config", cfg, "--output", str(tmp_path / "out")]
+        code = (
+            "import sys, tripletsim, tripletsim.cli\n"
+            f"rc = tripletsim.cli.main({simulate_argv!r}) or tripletsim.cli.main({analyze_argv!r})\n"
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(tripletsim.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "0 []"
+        manifest = json.loads((tmp_path / "run.ttag.manifest.json").read_text())
+        assert manifest["expected"]["expected_central_count"] > 1.0
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["central_count"] > 0
+
     def test_corrupt_file_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ttag"
         bad.write_bytes(b"NOPE" + b"\x00" * 30)

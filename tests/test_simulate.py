@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import itertools
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tripletsim
 from tripletsim import simulate
 from tripletsim.config import load_config, parse_analyze, parse_simulate
 from tripletsim.pairstats import triplet_success_probability
@@ -490,6 +494,24 @@ class TestExpectedRates:
         assert r2.triplet_probability_per_pulse == pytest.approx(
             2 * r1.triplet_probability_per_pulse, rel=1e-12
         )
+
+    def test_central_count_needs_no_scipy(self):
+        # importing scipy takes about half a second and 40 MB, and simulate
+        # calls this for its manifest
+        code = (
+            "import sys\n"
+            "from tripletsim.config import default_config, parse_simulate\n"
+            "from tripletsim.simulate import expected_rates\n"
+            "cfg = parse_simulate(default_config()['simulate'])\n"
+            "assert expected_rates(cfg, merged_bin_s=1.317e-9).expected_central_count > 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(tripletsim.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_central_count_includes_higher_orders(self):
         cfg = boosted_config(100_000_000, seed=0)
