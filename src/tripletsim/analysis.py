@@ -139,9 +139,11 @@ class Coincidence2DHistogram:
         return 0
 
 
-# Pairs expanded at once.  Each costs about 16 bytes of transient arrays on
-# top of the 4 or 8 bytes of its key, which is kept until the keys are counted.
-_PAIR_CHUNK = 1 << 20
+# Pairs expanded at once.  Each costs about 16 bytes of transient arrays on top of
+# the 4 or 8 bytes of its key, so a chunk's temporaries (about 1 MB) stay cache-sized.
+_PAIR_CHUNK = 1 << 16
+# Fine bins merged at once, for the same reason.
+_BIN_CHUNK = 1 << 16
 
 
 def build_threefold_histogram(stream: TimeTagStream, cfg: BinningConfig) -> Coincidence2DHistogram:
@@ -157,6 +159,7 @@ def build_threefold_histogram(stream: TimeTagStream, cfg: BinningConfig) -> Coin
             f"base bin {cfg.base_bin_s}"
         )
     t1, refs, t3 = (stream.channel_ticks(c) for c in (CHANNEL_I1, CHANNEL_S2, CHANNEL_I2))
+    n_refs = len(refs)
     f = cfg.merge_factor
     # symmetric fine window whose merged image stays inside the merged grid;
     # the negative edge bin gives up its single outermost tick for symmetry
@@ -164,11 +167,13 @@ def build_threefold_histogram(stream: TimeTagStream, cfg: BinningConfig) -> Coin
     w = n_half_fine
     side = 2 * w + 1
 
-    win = refs - w  # each reference's window start
-    start1 = np.searchsorted(t1, win, "left")
-    count1 = np.searchsorted(t1, refs + w, "right") - start1
-    start3 = np.searchsorted(t3, win, "left")
+    start3 = np.searchsorted(t3, refs - w, "left")
     count3 = np.searchsorted(t3, refs + w, "right") - start3
+    kept = np.flatnonzero(count3)  # channel 1 is searched only where channel 3 has a tag
+    win, start3, count3 = refs[kept] - w, start3[kept], count3[kept]  # win: window start
+    del refs, kept
+    start1 = np.searchsorted(t1, win, "left")
+    count1 = np.searchsorted(t1, win + 2 * w, "right") - start1
     # one entry per channel-3 tag in the window of a reference with a channel-1 tag there
     # too; pair k (over all entries) of entry e is channel-1 tag base[e] + k and delay off[e]
     count3[count1 == 0] = 0
@@ -200,10 +205,13 @@ def build_threefold_histogram(stream: TimeTagStream, cfg: BinningConfig) -> Coin
     del t1, n1, pairs_before, base, win, off  # before the sort
     keys.sort()
     # a run starts where the key changes, and at the first key if there is one
-    starts = np.flatnonzero(np.concatenate(([len(keys) > 0], keys[1:] != keys[:-1])))
+    head = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    counts = np.flatnonzero(head)  # the run starts, turned into run lengths in place
+    np.subtract(counts[1:], counts[:-1], out=counts[:-1])
+    counts[-1:] = len(keys) - counts[-1:]
     return Coincidence2DHistogram(
-        cfg.base_bin_s, n_half_fine, keys[starts], np.diff(starts, append=len(keys)),
-        total_reference_events=len(refs),
+        cfg.base_bin_s, n_half_fine, keys[head], counts, total_reference_events=n_refs
     )
 
 
@@ -213,7 +221,8 @@ def merge_bins(h: Coincidence2DHistogram, factor: int) -> Coincidence2DHistogram
     Merged bin k collects the factor fine bins centered on k * factor, so the
     zero bin stays centered on zero delay.  The merged grid is extended to
     cover every fine bin, which conserves total counts exactly for any factor
-    (ragged edges are padded with implicit zero bins).
+    (ragged edges are padded with implicit zero bins).  The sums are exact
+    int64, accumulated over chunks of at most _BIN_CHUNK fine bins.
     """
     if factor < 1:
         raise ValueError("factor must be >= 1")
@@ -224,14 +233,18 @@ def merge_bins(h: Coincidence2DHistogram, factor: int) -> Coincidence2DHistogram
     side = 2 * n_half_m + 1
     # fine offset index u = i + n_half falls in merged offset index (u + shift) // factor
     shift = n_half_m * factor + half - h.n_half
-    i, j = np.divmod(h.keys, h.n_axis_bins)
-    i = (i + shift) // factor * side + (j + shift) // factor  # the merged key
-    # float64 sums of integer counts are exact below 2**53
-    sums = np.bincount(i, weights=h.values, minlength=side * side)
+    sums = np.zeros(side * side, dtype=np.int64)
+    for a in range(0, len(h.keys), _BIN_CHUNK):
+        i, j = np.divmod(h.keys[a : a + _BIN_CHUNK], h.n_axis_bins)
+        for u in (i, j):  # in place, to the merged offset index
+            u += shift
+            u //= factor
+        i *= side
+        i += j  # the merged key
+        np.add.at(sums, i, h.values[a : a + _BIN_CHUNK])
     nonempty = np.flatnonzero(sums)
     return Coincidence2DHistogram(
-        h.bin_width_s * factor, n_half_m, nonempty, sums[nonempty].astype(np.int64),
-        h.total_reference_events,
+        h.bin_width_s * factor, n_half_m, nonempty, sums[nonempty], h.total_reference_events
     )
 
 
@@ -317,7 +330,7 @@ class CarEstimate:
     is_lower_bound: bool = False
 
 
-def car(central: int, accidental: float, n_accidental_bins: int = 41) -> CarEstimate:
+def car(central: int, accidental: float, n_accidental_bins: int) -> CarEstimate:
     """central / accidental with error CAR sqrt(1/central + 1/(n_bins accidental)).
 
     A zero accidental mean leaves the ratio undefined; the estimate then

@@ -33,7 +33,7 @@ _HEADER = struct.Struct("<4sHQQ")
 _RECORD_DTYPE = np.dtype([("channel", "<u1"), ("timestamp", "<u8")])
 RECORD_SIZE = _RECORD_DTYPE.itemsize  # 9 bytes
 # Records per read; the file passes through one such buffer, never held whole.
-_READ_CHUNK = 1 << 20
+_READ_CHUNK = 1 << 16
 
 
 def atomic_write(path, *chunks) -> None:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -289,6 +290,26 @@ class TestMergeBins:
         assert m.bin_width_s == pytest.approx(TICK * factor, rel=1e-12)
         assert m.total_reference_events == 3
 
+    @pytest.mark.parametrize("chunk", [7, 1 << 16])
+    @pytest.mark.parametrize("factor", [1, 2, 5, 16])
+    def test_exact_on_hand_built_counts(self, monkeypatch, factor, chunk):
+        # fine bins holding 0, 1 and more counts, one of them 2**53 + 1, which a
+        # float64 sum rounds; a bin holding 0 must add 0 to its merged bin; a
+        # chunk of 7 fine bins makes merged bins collect over many chunks
+        monkeypatch.setattr(analysis, "_BIN_CHUNK", chunk)
+        rng = np.random.default_rng(70 + factor)
+        n_half = 40
+        keys = np.sort(rng.choice((2 * n_half + 1) ** 2, 2000, replace=False)).astype(np.int32)
+        values = rng.choice([0, 0, 1, 1, 1, 2, 3, 70], len(keys)).astype(np.int64)
+        values[1000] = 2**53 + 1
+        h = Coincidence2DHistogram(TICK, n_half, keys, values, 5)
+        m = merge_bins(h, factor)
+        n_half_m, expected = block_sum_oracle(h, factor)
+        assert m.n_half == n_half_m
+        assert {k: c for k, c in as_dict(m).items() if c} == expected
+        assert m.total_counts == h.total_counts == sum(expected.values())
+        assert m.total_reference_events == 5
+
     def test_bad_factor(self):
         rng = np.random.default_rng(2)
         h = build_threefold_histogram(random_stream(rng, 50, 500), SMALL)
@@ -330,6 +351,68 @@ class TestCentralPeak:
         merged_w = 16 * TICK
         assert abs(peak.delay_i_s - cfg.peak_offset_s) <= merged_w
         assert abs(peak.delay_j_s - cfg.peak_offset_s) <= merged_w
+
+
+class TestMemoryBound:
+    def test_histogram_and_merge_peaks_follow_the_kept_arrays(self):
+        """Traced peaks of build_threefold_histogram and merge_bins on a W3-shaped stream.
+
+        NumPy reports its data buffers to tracemalloc, so the traced peak is the
+        sum of the arrays alive at once.  With P pairs, B non-empty fine bins
+        (int32 keys on the default grid), N1 and N3 tags on channels 1 and 3, K
+        references with a channel-3 tag in their window, E (reference, channel-3
+        tag) entries and 2**16-element chunks:
+
+        histogram, the larger of two stages plus a chunk's temporaries (at most
+        three int64 arrays, 24 B x 2**16):
+        - the sort and run count hold the P keys (4 B) and the run-head mask
+          (1 B per pair), then per bin the run starts, turned into the int64
+          counts in place (8 B), and the unique keys (4 B): 5 P + 12 B;
+        - before the keys are filled, the channel-1 and channel-3 copies (8 B
+          per tag), the per-reference starts and counts with the temporaries
+          of the entry index (56 B per K), the keys (4 P) and the entry table
+          with the temporaries of its delay gather (56 B per E).
+
+        merge: the fine histogram (12 B per bin) stays; the merged grid G of
+        int64 sums (8 B x 457**2, 1.67 MB), a chunk's divmod outputs with an
+        intp copy of the merged key (16 B x 2**16) and the non-empty merged
+        keys and sums (at most 2 G): 12 B + 3 G + 16 B x 2**16.
+        """
+        rng = np.random.default_rng(2024)
+        cfg = BinningConfig()
+        span = 2**31  # 2e6 / 3e5 / 4e5 tags, W3's density and a little denser
+        ticks = np.concatenate([rng.integers(0, span, n) for n in (2_000_000, 300_000, 400_000)])
+        channels = np.repeat(np.arange(1, 4, dtype=np.uint8), (2_000_000, 300_000, 400_000))
+        order = np.argsort(ticks, kind="stable")
+        stream = TimeTagStream(TICK, channels[order], ticks[order])
+        del ticks, channels, order
+
+        w = fine_half_window(cfg)
+        t1, refs, t3 = (stream.channel_ticks(c) for c in (1, 2, 3))
+        count1, count3 = (
+            np.searchsorted(t, refs + w, "right") - np.searchsorted(t, refs - w, "left")
+            for t in (t1, t3)
+        )
+        kept, entries = np.count_nonzero(count3), int(count3[count1 > 0].sum())
+        table_stage = 8 * (len(t1) + len(t3)) + 56 * kept + 56 * entries
+        del t1, refs, t3, count1, count3
+
+        tracemalloc.start()
+        try:
+            h = build_threefold_histogram(stream, cfg)
+            hist_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            m = merge_bins(h, cfg.merge_factor)
+            merge_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+        pairs, bins = h.total_counts, len(h.keys)
+        assert pairs >= 2**21 and h.keys.dtype == np.int32 and m.total_counts == pairs
+        stages = max(5 * pairs + 12 * bins, table_stage + 4 * pairs)
+        assert hist_peak / pairs <= (stages + 24 * 2**16) / pairs
+        grid = 8 * (2 * cfg.n_half_merged + 1) ** 2
+        assert merge_peak / bins <= (12 * bins + 3 * grid + 16 * 2**16) / bins
 
 
 def lattice_histogram(cfg, peak_count, lattice_value, n_half=None):
@@ -385,10 +468,10 @@ class TestCar:
         assert abs(est.error - 1.9) <= 0.2 * 1.9
 
     def test_unity(self):
-        assert car(7, 7.0).value == pytest.approx(1.0)
+        assert car(7, 7.0, n_accidental_bins=48).value == pytest.approx(1.0)
 
     def test_zero_central(self):
-        est = car(0, 2.0)
+        est = car(0, 2.0, n_accidental_bins=48)
         assert est.value == 0.0
         assert est.error == 0.0
 
