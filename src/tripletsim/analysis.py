@@ -141,24 +141,74 @@ class Coincidence2DHistogram:
 
 # Pairs expanded at once.  Each costs about 16 bytes of transient arrays on top of
 # the 4 or 8 bytes of its key, so a chunk's temporaries (about 1 MB) stay cache-sized.
+# Also the stream records read at once for channel 1 (about 26 bytes each).
 _PAIR_CHUNK = 1 << 16
 # Fine bins merged at once, for the same reason.
 _BIN_CHUNK = 1 << 16
+# Channel 1 is read from the stream inside the kept windows when they are expected to
+# hold less than this share of its records; otherwise channel 1 is copied and searched.
+# In-process, reading costs about 40 ns per record inside the windows (W3-dense, every
+# window read); copying channel 1 costs about 4 ns per stream record (W2-boosted), 5 to
+# 15 ns with the window searches on the copy (W2-boosted, W3-dense).  So reading is the
+# cheaper below a share of at least 4 / 40.  W2-boosted's kept windows are expected to
+# hold 4e-4 of its records, W3-dense's 0.64.
+_STREAM_MAX_SHARE = 0.1
+
+
+def _chunks(before):
+    """(a, b) item ranges holding at most _PAIR_CHUNK units (or one item) each.
+
+    before[k] is the number of units ahead of item k, with the total appended.
+    """
+    a = 0
+    while a < len(before) - 1:
+        b = int(np.searchsorted(before, before[a] + _PAIR_CHUNK, "right")) - 1
+        b = max(b, a + 1)
+        yield a, b
+        a = b
+
+
+def _channel1_in_windows(stream: TimeTagStream, win: np.ndarray, width: int):
+    """Channel-1 ticks of each window [win, win + width], packed one block per window.
+
+    Returns (t1, start1, count1) as a search of the channel-1 ticks would, from the
+    stream's records without a copy of channel 1: the windows' record ranges come
+    from two binary searches, and only those records are read.
+    """
+    ts = stream.timestamps
+    lo = np.searchsorted(ts, win, "left")
+    n = np.searchsorted(ts, win + width, "right") - lo
+    before = np.concatenate(([0], np.cumsum(n)))
+    count1 = np.empty(len(win), dtype=np.int64)
+    blocks = [ts[:0]]
+    for a, b in _chunks(before):
+        r = np.repeat(lo[a:b] - before[a:b], n[a:b])
+        r += np.arange(before[a], before[b])
+        is1 = stream.channels[r] == CHANNEL_I1
+        # every kept window holds its own reference, so no segment is empty
+        count1[a:b] = np.add.reduceat(is1, before[a:b] - before[a], dtype=np.int64)
+        blocks.append(ts[r[is1]])
+    start1 = np.cumsum(count1) - count1
+    return np.concatenate(blocks), start1, count1
 
 
 def build_threefold_histogram(stream: TimeTagStream, cfg: BinningConfig) -> Coincidence2DHistogram:
     """Fine (one bin per tick) 2-D histogram around the channel-2 references.
 
-    Windows come from one binary search per channel; the pairs' flat bin keys
-    are expanded in chunks of at most _PAIR_CHUNK pairs (or one channel-3 tag's)
-    into one array, sorted once in place: each run of equal keys is one bin.
+    Channel-3 windows come from one binary search per window edge; references
+    with a channel-3 tag in theirs are kept.  Channel 1 is read straight from the
+    stream inside the kept windows when they are expected to hold less than
+    _STREAM_MAX_SHARE of it, and is otherwise copied and binary-searched the same
+    way as channel 3.  The pairs' flat bin keys are expanded in chunks
+    of at most _PAIR_CHUNK pairs (or one channel-3 tag's) into one array, sorted
+    once in place: each run of equal keys is one bin.
     """
     if abs(stream.resolution_s - cfg.base_bin_s) > 1e-4 * cfg.base_bin_s:
         raise ValueError(
             f"stream resolution {stream.resolution_s} does not match the analysis "
             f"base bin {cfg.base_bin_s}"
         )
-    t1, refs, t3 = (stream.channel_ticks(c) for c in (CHANNEL_I1, CHANNEL_S2, CHANNEL_I2))
+    refs, t3 = (stream.channel_ticks(c) for c in (CHANNEL_S2, CHANNEL_I2))
     n_refs = len(refs)
     f = cfg.merge_factor
     # symmetric fine window whose merged image stays inside the merged grid;
@@ -169,21 +219,31 @@ def build_threefold_histogram(stream: TimeTagStream, cfg: BinningConfig) -> Coin
 
     start3 = np.searchsorted(t3, refs - w, "left")
     count3 = np.searchsorted(t3, refs + w, "right") - start3
-    kept = np.flatnonzero(count3)  # channel 1 is searched only where channel 3 has a tag
+    kept = np.flatnonzero(count3)  # channel 1 is looked up only where channel 3 has a tag
     win, start3, count3 = refs[kept] - w, start3[kept], count3[kept]  # win: window start
     del refs, kept
-    start1 = np.searchsorted(t1, win, "left")
-    count1 = np.searchsorted(t1, win + 2 * w, "right") - start1
+    ts = stream.timestamps
+    span = int(ts[-1]) - int(ts[0]) + 1 if len(ts) else 1
+    if len(win) * side / span < _STREAM_MAX_SHARE:  # the kept windows' share of the records
+        t1, start1, count1 = _channel1_in_windows(stream, win, 2 * w)
+    else:
+        t1 = stream.channel_ticks(CHANNEL_I1)
+        start1 = np.searchsorted(t1, win, "left")
+        count1 = np.searchsorted(t1, win + 2 * w, "right") - start1
     # one entry per channel-3 tag in the window of a reference with a channel-1 tag there
     # too; pair k (over all entries) of entry e is channel-1 tag base[e] + k and delay off[e]
     count3[count1 == 0] = 0
     n1 = np.repeat(count1, count3)
     pairs_before = np.concatenate(([0], np.cumsum(n1)))
     keys = np.empty(pairs_before[-1], dtype=np.int32 if side * side < 2**31 else np.int64)
-    base = np.repeat(start1, count3) - pairs_before[:-1]
+    base = np.repeat(start1, count3)
+    base -= pairs_before[:-1]
     win = np.repeat(win, count3)
-    off = t3[np.arange(len(win)) + np.repeat(start3 - np.cumsum(count3) + count3, count3)]
-    off = (off - win).astype(keys.dtype)
+    off = np.repeat(start3 - np.cumsum(count3) + count3, count3)
+    off += np.arange(len(off))
+    off = t3[off]
+    off -= win
+    off = off.astype(keys.dtype, copy=False)
     del start1, count1, start3, count3, t3
 
     def fill_keys(a, b):
@@ -196,12 +256,8 @@ def build_threefold_histogram(stream: TimeTagStream, cfg: BinningConfig) -> Coin
         np.multiply(p, side, out=chunk, casting="unsafe")  # below side**2, so fits the keys
         chunk += np.repeat(off[a:b], n)
 
-    a = 0
-    while a < len(n1):
-        b = int(np.searchsorted(pairs_before, pairs_before[a] + _PAIR_CHUNK, "right")) - 1
-        b = max(b, a + 1)
+    for a, b in _chunks(pairs_before):
         fill_keys(a, b)
-        a = b
     del t1, n1, pairs_before, base, win, off  # before the sort
     keys.sort()
     # a run starts where the key changes, and at the first key if there is one

@@ -80,6 +80,35 @@ def brute_force_histogram(stream, cfg):
     return counts
 
 
+def build_both_ways(stream, cfg):
+    """The histogram built from each channel-1 source, checked identical.
+
+    The cut-off is forced so that channel 1 is once copied and searched and once
+    read from the stream inside the kept windows; which source ran is checked by
+    whether channel 1's ticks were copied.
+    """
+    built = []
+    for share, copies_channel_1 in ((0.0, True), (math.inf, False)):
+        asked = []
+
+        def channel_ticks(self, channel, original=TimeTagStream.channel_ticks):
+            asked.append(channel)
+            return original(self, channel)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(analysis, "_STREAM_MAX_SHARE", share)
+            m.setattr(TimeTagStream, "channel_ticks", channel_ticks)
+            built.append(build_threefold_histogram(stream, cfg))
+        assert (1 in asked) == copies_channel_1
+    copied, read = built
+    assert read.keys.dtype == copied.keys.dtype and np.array_equal(read.keys, copied.keys)
+    assert read.values.dtype == copied.values.dtype
+    assert np.array_equal(read.values, copied.values)
+    assert read.n_half == copied.n_half
+    assert read.total_reference_events == copied.total_reference_events
+    return copied
+
+
 def as_dict(h):
     """{(i, j): count}, once the keys are checked strictly ascending and on the grid."""
     assert np.all(h.keys[1:] > h.keys[:-1])
@@ -130,7 +159,7 @@ class TestHistogramOracle:
         for trial in range(20):
             n = int(rng.integers(10, 1001))
             stream = random_stream(rng, n, 2000)
-            h = build_threefold_histogram(stream, SMALL)
+            h = build_both_ways(stream, SMALL)
             assert as_dict(h) == brute_force_histogram(stream, SMALL), trial
 
     @pytest.mark.parametrize("budget", [1, 7, 60])
@@ -144,7 +173,7 @@ class TestHistogramOracle:
             # the later trials hold references that see channel 3 but no channel 1, and the reverse
             make = random_stream if trial < 5 else one_sided_stream
             stream = make(rng, int(rng.integers(200, 800)), 1500)
-            h = build_threefold_histogram(stream, SMALL)
+            h = build_both_ways(stream, SMALL)
             assert h.total_counts > 3 * budget, trial
             assert as_dict(h) == brute_force_histogram(stream, SMALL), trial
             if make is one_sided_stream:
@@ -161,7 +190,7 @@ class TestHistogramOracle:
         rng = np.random.default_rng(808)
         stream = random_stream(rng, 600, 40 * fine_half_window(cfg))
         shifted = TimeTagStream(TICK, stream.channels, stream.timestamps + (2**62 - 2**40))
-        h, g = (build_threefold_histogram(s, cfg) for s in (stream, shifted))
+        h, g = (build_both_ways(s, cfg) for s in (stream, shifted))
         assert h.total_counts > 100
         assert np.array_equal(g.i_idx, h.i_idx) and np.array_equal(g.j_idx, h.j_idx)
         assert np.array_equal(g.values, h.values)
@@ -172,7 +201,7 @@ class TestHistogramOracle:
         t0 = 1000
         edges = [t0 - w - 1, t0 - w, t0 + w, t0 + w + 1]
         stream = stream_from_ticks(ch1=edges, ch2=[t0], ch3=edges)
-        h = build_threefold_histogram(stream, SMALL)
+        h = build_both_ways(stream, SMALL)
         assert as_dict(h) == {(a, b): 1 for a in (-w, w) for b in (-w, w)}
         assert as_dict(h) == brute_force_histogram(stream, SMALL)
 
@@ -181,7 +210,7 @@ class TestHistogramOracle:
         ticks = {1: [90, 100, 110], 2: [100, 105], 3: [95, 100]}
         ticks[missing] = []
         stream = stream_from_ticks(ch1=ticks[1], ch2=ticks[2], ch3=ticks[3])
-        h = build_threefold_histogram(stream, SMALL)
+        h = build_both_ways(stream, SMALL)
         assert h.total_counts == 0
         assert len(h.values) == 0
         assert h.total_reference_events == 2
@@ -191,11 +220,30 @@ class TestHistogramOracle:
         monkeypatch.setattr(analysis, "_PAIR_CHUNK", 1)
         w = fine_half_window(SMALL)
         stream = stream_from_ticks(ch1=[1000, 1001], ch2=[1000, 1000 + 4 * w], ch3=[1000 + 4 * w])
-        h = build_threefold_histogram(stream, SMALL)
+        h = build_both_ways(stream, SMALL)
         assert h.total_counts == 0 and len(h.values) == len(h.i_idx) == len(h.j_idx) == 0
         assert h.total_reference_events == 2
         m = merge_bins(h, SMALL.merge_factor)
         assert len(m.values) == 0 and m.total_reference_events == 2
+
+    def test_overlapping_windows_and_equal_ticks_on_a_window_edge(self, monkeypatch):
+        # three references closer than a window, so their kept windows overlap and
+        # share records; a tag of each channel on one tick, the first window's right
+        # edge; channel-1 tags on and one tick past other window edges
+        monkeypatch.setattr(analysis, "_PAIR_CHUNK", 3)
+        w = fine_half_window(SMALL)
+        t0, near = 1000, 1000 + w // 2
+        edge = t0 + w
+        stream = stream_from_ticks(
+            ch1=[t0 - w - 1, t0 - w, t0, edge, near + w, near + w + 1],
+            ch2=[t0, near, edge],
+            ch3=[t0 - w, edge],
+        )
+        h = build_both_ways(stream, SMALL)
+        expected = brute_force_histogram(stream, SMALL)
+        assert as_dict(h) == expected
+        assert expected[(0, w)] == expected[(w, w)] == expected[(0, 0)] == 1
+        assert h.total_counts == 13
 
     def test_wide_grid_int64_keys_match_brute_force(self):
         # a 1 ps tick gives a fine grid of more than 2**31 bins, past int32 keys
@@ -208,7 +256,7 @@ class TestHistogramOracle:
         stream = TimeTagStream(
             1e-12, rng.integers(1, 4, 300).astype(np.uint8), np.sort(rng.integers(0, 400_000, 300))
         )
-        h = build_threefold_histogram(stream, cfg)
+        h = build_both_ways(stream, cfg)
         expected = brute_force_histogram(stream, cfg)
         assert h.total_counts > 1000
         assert as_dict(h) == expected
@@ -237,13 +285,13 @@ class TestHistogramOracle:
 
     def test_single_triple_at_zero_delay(self):
         stream = stream_from_ticks(ch1=[100], ch2=[100], ch3=[100])
-        h = build_threefold_histogram(stream, SMALL)
+        h = build_both_ways(stream, SMALL)
         assert as_dict(h) == {(0, 0): 1}
         assert h.total_reference_events == 1
 
     def test_reference_only_stream_is_empty(self):
         stream = stream_from_ticks(ch2=[5, 10, 20])
-        h = build_threefold_histogram(stream, SMALL)
+        h = build_both_ways(stream, SMALL)
         assert h.total_counts == 0
         assert h.total_reference_events == 3
 
@@ -371,7 +419,12 @@ class TestMemoryBound:
         - before the keys are filled, the channel-1 and channel-3 copies (8 B
           per tag), the per-reference starts and counts with the temporaries
           of the entry index (56 B per K), the keys (4 P) and the entry table
-          with the temporaries of its delay gather (56 B per E).
+          (n1, pair offsets, base, window start: 32 B per E) with the index
+          of its delay gather, built in place, and the gathered ticks (16 B
+          per E).
+
+        The kept windows hold most of the stream, so channel 1 is copied and
+        searched.
 
         merge: the fine histogram (12 B per bin) stays; the merged grid G of
         int64 sums (8 B x 457**2, 1.67 MB), a chunk's divmod outputs with an
@@ -394,7 +447,8 @@ class TestMemoryBound:
             for t in (t1, t3)
         )
         kept, entries = np.count_nonzero(count3), int(count3[count1 > 0].sum())
-        table_stage = 8 * (len(t1) + len(t3)) + 56 * kept + 56 * entries
+        table_stage = 8 * (len(t1) + len(t3)) + 56 * kept + 48 * entries
+        assert kept * (2 * w + 1) / (int(stream.timestamps[-1]) + 1) > analysis._STREAM_MAX_SHARE
         del t1, refs, t3, count1, count3
 
         tracemalloc.start()
@@ -413,6 +467,40 @@ class TestMemoryBound:
         assert hist_peak / pairs <= (stages + 24 * 2**16) / pairs
         grid = 8 * (2 * cfg.n_half_merged + 1) ** 2
         assert merge_peak / bins <= (12 * bins + 3 * grid + 16 * 2**16) / bins
+
+    def test_sparse_windows_leave_channel_one_uncopied(self):
+        """Traced peak of build_threefold_histogram on a physical-shaped stream.
+
+        2e6 channel-1 singles, 3e4 references and 3e4 channel-3 tags spread at
+        the density of a 1e9-pulse baseline run, plus 20 planted triples: the
+        kept windows hold a few hundred records, so channel 1 is read from the
+        stream inside them.  The peak stays below the 8 B per channel-1 tag that
+        a copy of channel 1 alone would take.
+        """
+        rng = np.random.default_rng(2025)
+        span = 135 * 10**9
+        n = (2_000_000, 30_000, 30_000)
+        planted = rng.integers(0, span, 20)
+        ticks = np.concatenate([rng.integers(0, span, k) for k in n] + [planted] * 3)
+        channels = np.repeat(np.tile(np.arange(1, 4, dtype=np.uint8), 2), n + (20,) * 3)
+        order = np.lexsort((channels, ticks))
+        stream = TimeTagStream(TICK, channels[order], ticks[order])
+        del ticks, channels, order
+        cfg = BinningConfig()
+
+        tracemalloc.start()
+        try:
+            h = build_threefold_histogram(stream, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+        assert h.total_counts >= 20 and h.count_at(0, 0) >= 20
+        with pytest.MonkeyPatch.context() as m:  # the same histogram from the copy
+            m.setattr(analysis, "_STREAM_MAX_SHARE", 0.0)
+            copied = build_threefold_histogram(stream, cfg)
+        assert np.array_equal(h.keys, copied.keys) and np.array_equal(h.values, copied.values)
+        assert peak < 8 * n[0]
 
 
 def lattice_histogram(cfg, peak_count, lattice_value, n_half=None):
