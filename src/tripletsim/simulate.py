@@ -14,15 +14,17 @@ that produce a given detection pattern over (i1, s2, i2) number an
 independent Poisson variable, spread uniformly over the block's pulses.  A
 block therefore draws, in this order: the totals of the seven
 detection-bearing pair patterns and of the s2 and i2 leakage photons
-(_EVENT_CHANNELS), the pulse of every such event, the jitter of channels 1,
-2 and 3, then the dark counts of channels 1, 2 and 3.  The cost follows the
-number of detections, not of pulses.  The worker that samples a block also
-sorts its ticks per channel, so the main thread only merges sorted runs: per
-channel by a stable sort, which merges presorted runs in linear time and
-stays correct where jitter makes neighbouring blocks overlap, then across
-channels after dead time.  Output is an ordered stream of (channel, tick)
-records, bit-reproducible for a fixed seed and RNG_SCHEME independent of the
-worker count.
+(_EVENT_CHANNELS), the pulse of every such event, grouped by kind in table
+order, so that a channel's events are the ranges of its kinds, then the
+jitter of channels 1, 2 and 3, then the dark counts of channels 1, 2 and 3.
+The cost follows the number of detections, not of pulses.  The worker that
+samples a block also sorts its ticks per channel, so the main thread only
+merges sorted runs: per channel by a stable sort, which merges presorted runs
+in linear time and stays correct where jitter makes neighbouring blocks
+overlap, then, after dead time, across channels by one stable sort of the
+keys tick << 2 | channel, which puts equal ticks in channel order.  Output is
+an ordered stream of (channel, tick) records, bit-reproducible for a fixed
+seed and RNG_SCHEME independent of the worker count.
 
 The statistical oracle, expected_rates, reads the same event table: singles
 are the table's column sums weighted by the kinds' means, the dead-time-free
@@ -83,6 +85,9 @@ _EVENT_CHANNELS = np.array(
     [[(p >> 2) & 1, (p >> 1) & 1, p & 1] for p in range(1, 8)] + [[0, 1, 0], [0, 0, 1]],
     dtype=bool,
 )
+_CHANNELS = (CHANNEL_I1, CHANNEL_S2, CHANNEL_I2)
+# the kinds (rows of _EVENT_CHANNELS) that hit each channel, in table order
+_CHANNEL_KINDS = tuple(np.flatnonzero(column).tolist() for column in _EVENT_CHANNELS.T)
 
 
 @dataclass(frozen=True)
@@ -153,9 +158,11 @@ class TimeTagStream:
 
     def channel_ticks(self, channel: int) -> np.ndarray:
         """Sorted timestamps (ticks) of one channel."""
-        out = np.empty(np.count_nonzero(self.channels == channel), dtype=self.timestamps.dtype)
-        k, step = 0, 1 << 16  # by slices, so only one slice's index of kept ticks is held
-        for a in range(0, len(self), step):
+        step = 1 << 16  # by slices, so only one slice's mask and index of kept ticks are held
+        slices = range(0, len(self), step)
+        size = sum(np.count_nonzero(self.channels[a : a + step] == channel) for a in slices)
+        out, k = np.empty(size, dtype=self.timestamps.dtype), 0
+        for a in slices:
             i = np.flatnonzero(self.channels[a : a + step] == channel)
             # the indices are in range; "clip" lets take write to out without a buffer
             np.take(self.timestamps[a : a + step], i, out=out[k : k + len(i)], mode="clip")
@@ -192,8 +199,10 @@ class SimConfig:
                 "rep_period_s must equal 1 / source.rep_rate_hz; "
                 f"got {self.rep_period_s} vs {1.0 / self.source.rep_rate_hz}"
             )
-        span_ticks = self.n_pulses * self.rep_period_s / self.resolution_s
-        if span_ticks >= 2**62:
+        # merge keys tick << 2 | channel are int64; jitter never reaches 40 sigma (p < 1e-300)
+        jitter = max(arm.detector.jitter_sigma_s for arm in self.arms)
+        last_s = self.n_pulses * self.rep_period_s + abs(self.peak_offset_s) + 40.0 * jitter
+        if last_s / self.resolution_s >= 2**61:
             raise ValueError("run span overflows the tick range; reduce n_pulses or coarsen ticks")
 
     @property
@@ -240,55 +249,48 @@ def _event_means_per_pulse(config: SimConfig) -> np.ndarray:
     return np.array(means)
 
 
-def _simulate_block(config: SimConfig, block_index: int, p_start: int, p_stop: int):
+def _simulate_block(config: SimConfig, means: np.ndarray, block_index: int, p_start: int, p_stop: int):
     """Sorted, pre-dead-time tick arrays per channel for one pulse block.
 
-    Draw order is fixed: the nine block totals of _EVENT_CHANNELS in table
-    order (one Poisson draw), the pulse of every event (one uniform integer
-    draw over the block, events grouped by kind in table order), per-channel
-    jitter, then dark counts.
+    means is _event_means_per_pulse(config).  Draw order is fixed: the nine
+    block totals of _EVENT_CHANNELS in table order (one Poisson draw), the
+    pulse of every event (one uniform integer draw over the block, events
+    grouped by kind in table order, so a channel's events are the ranges of
+    its _CHANNEL_KINDS), per-channel jitter, then dark counts.
     """
     rng = _block_rng(config.rng_seed, block_index)
     n = p_stop - p_start
     rep = config.rep_period_s
     res = config.resolution_s
-    arm1, arm2, arm3 = config.arms
 
-    totals = rng.poisson(n * _event_means_per_pulse(config))
-    pulses = rng.integers(0, n, int(totals.sum())) + p_start
-    hits = np.repeat(_EVENT_CHANNELS, totals, axis=0)
+    totals = rng.poisson(n * means)
+    pulses = rng.integers(p_start, p_stop, int(totals.sum()))  # the same draws as integers(0, n) + p_start
+    edges = [0, *np.cumsum(totals).tolist()]
 
     out = {}
-    per_channel = (
-        (CHANNEL_I1, config.peak_offset_s, arm1.detector),
-        (CHANNEL_S2, 0.0, arm2.detector),
-        (CHANNEL_I2, config.peak_offset_s, arm3.detector),
-    )
-    for column, (channel, delay, det) in enumerate(per_channel):
-        t = pulses[hits[:, column]] * rep + delay
-        total = len(t)
-        if det.jitter_sigma_s > 0 and total:
-            t = t + rng.normal(0.0, det.jitter_sigma_s, total)
-        ticks = np.rint(t / res).astype(np.int64)
-        out[channel] = ticks[ticks >= 0]
+    delays = (config.peak_offset_s, 0.0, config.peak_offset_s)
+    for channel, kinds, delay, arm in zip(_CHANNELS, _CHANNEL_KINDS, delays, config.arms):
+        t = np.concatenate([pulses[edges[k] : edges[k + 1]] for k in kinds], dtype=np.float64)
+        t *= rep
+        t += delay
+        if arm.detector.jitter_sigma_s > 0 and len(t):
+            t += rng.normal(0.0, arm.detector.jitter_sigma_s, len(t))
+        out[channel] = t
 
     block_t0 = p_start * rep
     block_span = n * rep
-    for channel, det in (
-        (CHANNEL_I1, arm1.detector),
-        (CHANNEL_S2, arm2.detector),
-        (CHANNEL_I2, arm3.detector),
-    ):
-        if det.dark_rate_hz > 0:
-            n_dark = rng.poisson(det.dark_rate_hz * block_span)
+    for channel, arm in zip(_CHANNELS, config.arms):
+        if arm.detector.dark_rate_hz > 0:
+            n_dark = rng.poisson(arm.detector.dark_rate_hz * block_span)
             if n_dark:
-                t = block_t0 + rng.random(n_dark) * block_span
-                ticks = np.rint(t / res).astype(np.int64)
-                out[channel] = np.concatenate([out[channel], ticks])
-    for ticks in out.values():
-        # a value sort: its bytes do not depend on the algorithm, and NumPy
-        # releases the interpreter lock while it runs
+                out[channel] = np.concatenate([out[channel], block_t0 + rng.random(n_dark) * block_span])
+    for channel, t in out.items():
+        t /= res
+        ticks = np.rint(t, out=t).astype(np.int64)
+        # a value sort (same bytes for any algorithm; NumPy releases the interpreter
+        # lock); ticks below 0, from jitter only, lead the sorted run and are cut
         ticks.sort()
+        out[channel] = ticks[np.searchsorted(ticks, 0) :]
     return out
 
 
@@ -344,35 +346,33 @@ def simulate_run(config: SimConfig, n_threads: int = 1, progress: bool = False) 
         for b in range(n_blocks)
     ]
 
+    means = _event_means_per_pulse(config)
     results = []
     report_every = max(1, n_blocks // 10)
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        blocks = pool.map(lambda a: _simulate_block(config, *a), bounds)
+        blocks = pool.map(lambda a: _simulate_block(config, means, *a), bounds)
         for (b, _, p1), block in zip(bounds, blocks):
             results.append(block)
             if progress and ((b + 1) % report_every == 0 or b + 1 == n_blocks):
                 print(f"simulate: {p1}/{config.n_pulses} pulses", file=sys.stderr)
 
-    # block arrays are dropped once merged, and the channel-ordered copy once
-    # reordered, to keep peak memory low
-    channels_out = []
-    ticks_out = []
-    for channel, arm in zip((CHANNEL_I1, CHANNEL_S2, CHANNEL_I2), config.arms):
+    # block arrays are dropped once merged; each channel's kept ticks become
+    # the keys tick << 2 | channel in place (SimConfig keeps ticks below 2**61)
+    keys = []
+    for channel, arm in zip(_CHANNELS, config.arms):
         ticks = np.concatenate([r.pop(channel) for r in results])
         ticks.sort(kind="stable")  # merges the per-block sorted runs
         dead_ticks = math.ceil(arm.detector.dead_time_s / config.resolution_s - 1e-12)
         ticks = _apply_dead_time(ticks, dead_ticks)
-        channels_out.append(np.full(len(ticks), channel, dtype=np.uint8))
-        ticks_out.append(ticks)
-
-    channels = np.concatenate(channels_out)
-    ticks = np.concatenate(ticks_out)
-    del channels_out, ticks_out
-    # stable over the channel-ordered runs: equal ticks stay in channel order
-    order = np.argsort(ticks, kind="stable")
-    channels, ticks = channels[order], ticks[order]
-    del order
-    return TimeTagStream(resolution_s=config.resolution_s, channels=channels, timestamps=ticks)
+        ticks <<= 2
+        ticks |= channel
+        keys.append(ticks)
+    keys = np.concatenate(keys)
+    # merges the channels' sorted runs: by tick, equal ticks in channel order
+    keys.sort(kind="stable")
+    channels = np.bitwise_and(keys, 3, out=np.empty(len(keys), np.uint8), casting="unsafe")
+    keys >>= 2  # the ticks, in place
+    return TimeTagStream(resolution_s=config.resolution_s, channels=channels, timestamps=keys)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ For fixed inputs, output_digests.json holds the sha256 digests of the TTAG
 file, report.json, histogram.csv and occupancy.csv, and the simulate
 manifest.  The inputs are the shipped baseline config with
 pdc2_pairs_per_pump_photon 0.05 at 2e6 pulses, seed 11, simulated at one and
-at two threads, and a small synthetic dense stream (uniform tags plus planted
-triplets) that is analyzed directly.
+at two threads; the same with leakage photons on s2 and i2 (the event kinds
+the baseline never draws), at two threads; and a small synthetic dense stream
+(uniform tags plus planted triplets) that is analyzed directly.
 
 The bytes may change only together with simulate.RNG_SCHEME.  NumPy may also
 change what a Generator draws from one release to the next, so a digest
@@ -32,7 +33,7 @@ from tripletsim.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
 PINNED_PATH = Path(__file__).with_name("output_digests.json")
-CASES = ("boosted_threads1", "boosted_threads2", "dense")
+CASES = ("boosted_threads1", "boosted_threads2", "leakage_threads2", "dense")
 OUTPUTS = ("report.json", "histogram.csv", "occupancy.csv")
 
 
@@ -76,9 +77,12 @@ def run_case(case: str, workdir: Path):
         tree["simulate"]["source"]["pdc2_pairs_per_pump_photon"] = 0.05
         tree["simulate"]["n_pulses"] = 2_000_000
         tree["simulate"]["rng_seed"] = 11
+        if case.startswith("leakage"):
+            for arm in ("s2", "i2"):
+                tree["simulate"]["arms"][arm]["leakage_rate_per_pulse"] = 0.01
     config.write_text(json.dumps(tree, indent=2), encoding="utf-8")
     if case != "dense":
-        threads = case.removeprefix("boosted_threads")
+        threads = case.rpartition("_threads")[2]
         argv = ["simulate", "--config", str(config), "--output", str(ttag), "--threads", threads]
         assert main(argv) == 0
     assert main(["analyze", str(ttag), "--config", str(config), "--output", str(workdir / "out")]) == 0

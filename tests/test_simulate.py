@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import itertools
@@ -51,6 +52,24 @@ class TestStreamType:
         )
         assert list(s.channel_ticks(1)) == [1, 5]
         assert len(s) == 4
+
+    def test_channel_ticks_holds_one_slice_beside_its_output(self):
+        # a physical-shaped stream: channel 2 holds 1.5% of 2e6 records; the
+        # traced peak is the output plus one 2**16-record slice's mask (1 B per
+        # record) and index of kept ticks (8 B per kept record), not a
+        # stream-sized mask
+        rng = np.random.default_rng(19)
+        n = 2_000_000
+        channels = np.where(rng.random(n) < 0.015, 2, 1).astype(np.uint8)
+        stream = TimeTagStream(82.3125e-12, channels, np.arange(n, dtype=np.int64))
+        tracemalloc.start()
+        try:
+            out = stream.channel_ticks(2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out, np.flatnonzero(channels == 2))
+        assert peak <= out.nbytes + 9 * 2**16 + 4096
 
 
 class TestSimulateRun:
@@ -115,6 +134,33 @@ class TestSimulateRun:
                 n_pulses=2**62,
                 rng_seed=0,
             )
+
+    def test_tags_jittered_before_the_run_are_dropped(self):
+        # 1 us jitter on 100 ns pulses: about half the tags of the first
+        # pulses fall before tick 0; the stream starts at tick 0
+        cfg = SimConfig(
+            source=baseline_source(pdc2=0.27, pump_w=460e-6),
+            arms=make_arms(transmission=1.0, efficiencies=(0.9, 0.9, 0.9), jitter=(1e-6,) * 3),
+            n_pulses=2_000,
+            rng_seed=8,
+        )
+        stream = simulate_run(cfg)
+        assert 0 <= stream.timestamps[0] < round(1e-6 / cfg.resolution_s)
+
+    def test_tick_range_leaves_room_for_the_channel_bits(self):
+        # merge keys hold tick << 2 | channel in an int64: a span of 1.5 * 2**61
+        # ticks fits an int64 but its keys would wrap
+        n = int(1.5 * 2**61 * 82.3125e-12 / 100e-9)
+        with pytest.raises(ValueError, match="tick range"):
+            SimConfig(source=baseline_source(), arms=make_arms(), n_pulses=n, rng_seed=0)
+
+    def test_tick_range_counts_the_jitter_margin(self):
+        # a span 2**45 ticks (2.9e3 s) short of 2**61 is accepted, unless 40
+        # sigma of jitter would cross 2**61
+        n = int((2**61 - 2**45) * 82.3125e-12 / 100e-9)
+        SimConfig(source=baseline_source(), arms=make_arms(jitter=(0.0, 50.0, 0.0)), n_pulses=n)
+        with pytest.raises(ValueError, match="tick range"):
+            SimConfig(source=baseline_source(), arms=make_arms(jitter=(0.0, 100.0, 0.0)), n_pulses=n)
 
     def test_primary_arm_leakage_rejected(self):
         with pytest.raises(ValueError, match="leakage"):
@@ -385,8 +431,9 @@ class TestSortedRunMerge:
         """Global stable sort of all blocks, dead time, then lexsort by (tick, channel)."""
         block = simulate.BLOCK_PULSES
         n_blocks = -(-cfg.n_pulses // block)
+        means = simulate._event_means_per_pulse(cfg)
         raw = [
-            _simulate_block(cfg, b, b * block, min((b + 1) * block, cfg.n_pulses))
+            _simulate_block(cfg, means, b, b * block, min((b + 1) * block, cfg.n_pulses))
             for b in range(n_blocks)
         ]
         channels, ticks = [], []
@@ -436,6 +483,19 @@ class TestSortedRunMerge:
         # some block's latest ch1 tick lies after the next block's earliest
         assert any(a[1].max() > b[1].min() for a, b in zip(raw, raw[1:]))
         stream = simulate_run(cfg, n_threads=n_threads)
+        assert np.array_equal(stream.timestamps, ticks)
+        assert np.array_equal(stream.channels, channels)
+
+    def test_equal_ticks_just_below_the_key_limit(self, monkeypatch):
+        # ticks up to just below 2**61, the largest whose merge key
+        # tick << 2 | channel fits an int64
+        monkeypatch.setattr(simulate, "BLOCK_PULSES", self.BLOCK)
+        cfg = self.tied_config()
+        cfg = replace(cfg, resolution_s=cfg.n_pulses * cfg.rep_period_s / (2**61 - 2**40))
+        _, channels, ticks = self.reference_run(cfg)
+        assert 2**61 - 2**47 < ticks.max() < 2**61
+        assert np.count_nonzero((ticks[1:] == ticks[:-1]) & (channels[1:] != channels[:-1])) > 1000
+        stream = simulate_run(cfg, n_threads=2)
         assert np.array_equal(stream.timestamps, ticks)
         assert np.array_equal(stream.channels, channels)
 
