@@ -16,14 +16,7 @@ from .analysis import (
     success_probability_estimate,
 )
 from .dispersion import SellmeierDispersion, ToyDispersion, lithium_niobate_e
-from .pairstats import (
-    ArmEfficiencies,
-    SourceParams,
-    genuine_triplet_fraction,
-    mean_pairs_from_pump,
-    poisson_pair_probability,
-    triplet_success_probability,
-)
+from .pairstats import SourceParams, mean_pairs_from_pump, poisson_pair_probability
 from .phasematch import (
     QpmGrating,
     idler_partner,

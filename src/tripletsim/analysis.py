@@ -422,11 +422,11 @@ class PoissonFit:
     excluded_counts: list[int]
 
 
-def poisson_fit(
-    occupancy: dict[int, int],
-    exclude_sigma: float = 10.0,
-    max_iterations: int = 10,
-) -> PoissonFit:
+# Outlier-exclusion rounds of poisson_fit at most
+_FIT_MAX_ITERATIONS = 10
+
+
+def poisson_fit(occupancy: dict[int, int], exclude_sigma: float = 10.0) -> PoissonFit:
     """Maximum-likelihood Poisson mean of the per-bin occupancy.
 
     The ML estimate of a Poisson mean is the weighted sample mean.  Count
@@ -445,7 +445,7 @@ def poisson_fit(
 
     included = np.ones(len(values), dtype=bool)
     mean = 0.0
-    for _ in range(max_iterations):
+    for _ in range(_FIT_MAX_ITERATIONS):
         n = freqs[included].sum()
         if n == 0:
             raise FitError("all occupancy bins excluded by the outlier threshold")

@@ -29,8 +29,6 @@ from .config import (
 from .errors import ConfigError, FitError, NoRootError, TripletSimError, TtagFormatError
 from .simulate import RNG_SCHEME, expected_rates, simulate_run
 
-THREADS_ENV = "TRIPLETSIM_THREADS"
-
 
 def _csv_text(rows) -> str:
     buf = io.StringIO()
@@ -41,15 +39,13 @@ def _csv_text(rows) -> str:
 
 
 def _thread_count(text: str) -> int:
-    """argparse type of --threads; also checks the TRIPLETSIM_THREADS default."""
+    """argparse type of --threads."""
     try:
         n = int(text)
     except ValueError:
         n = 0
     if n < 1:
-        raise argparse.ArgumentTypeError(
-            f"thread count from --threads or {THREADS_ENV} must be an integer >= 1, got {text!r}"
-        )
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return n
 
 
@@ -303,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--output", required=True, help="output .ttag path")
     p_sim.add_argument("--seed", type=int, default=None, help="override the config rng_seed")
-    p_sim.add_argument("--threads", type=_thread_count, default=os.environ.get(THREADS_ENV, "1"))
+    p_sim.add_argument("--threads", type=_thread_count, default=1)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_an = sub.add_parser("analyze", help="coincidence analysis of a TTAG file")

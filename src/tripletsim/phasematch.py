@@ -288,6 +288,12 @@ def shg_peak_wavelength(
     return roots[0]
 
 
+# Points of pdc_signal_response's coarse scan, and the sinc lobes on each side
+# of the phase-matching peak that its integration window keeps
+_COARSE_POINTS = 512
+_LOBE_SPAN = 4.0
+
+
 def pdc_signal_response(
     lambda_p_m: float,
     grating: QpmGrating,
@@ -295,13 +301,11 @@ def pdc_signal_response(
     dispersion,
     length_m: float,
     n_points: int = 1000,
-    lobe_span: float = 4.0,
-    coarse_points: int = 512,
 ) -> float:
     """Signal-wavelength-integrated sinc^2 response of the stage at one pump.
 
     A coarse scan over the near-degenerate band locates the region where the
-    sinc argument stays within lobe_span lobes; the response is then
+    sinc argument stays within _LOBE_SPAN lobes; the response is then
     integrated on an n_points grid over that region.  The window selection is
     independent of n_points, so refining the grid only refines the quadrature.
     """
@@ -316,14 +320,14 @@ def pdc_signal_response(
         dk = _mismatch_vs_signal(lambda_s_m, lambda_p_m, k_g, temperature_c, dispersion)
         return dk * (length_m / 2.0)
 
-    coarse = np.linspace(lo, hi, coarse_points)
+    coarse = np.linspace(lo, hi, _COARSE_POINTS)
     x = half_phase(coarse)
-    inside = np.abs(x) <= lobe_span * math.pi
+    inside = np.abs(x) <= _LOBE_SPAN * math.pi
     if np.any(inside):
         idx = np.nonzero(inside)[0]
-        pad = max(1, coarse_points // 100)
+        pad = max(1, _COARSE_POINTS // 100)
         a = coarse[max(0, idx[0] - pad)]
-        b = coarse[min(coarse_points - 1, idx[-1] + pad)]
+        b = coarse[min(_COARSE_POINTS - 1, idx[-1] + pad)]
     else:
         # fully mismatched pump: integrate around the least-mismatched point
         k = int(np.argmin(np.abs(x)))

@@ -44,7 +44,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import DEFAULT_TICK_S
-from .pairstats import ArmEfficiencies, SourceParams, mean_pairs_from_pump, triplet_success_probability
+from .pairstats import SourceParams, mean_pairs_from_pump
 
 __all__ = [
     "Arm",
@@ -208,14 +208,7 @@ class SimConfig:
     @property
     def mean_pairs(self) -> float:
         """Mean primary pairs per pulse behind the injected pump."""
-        return mean_pairs_from_pump(self.source, include_injection=True)
-
-    def arm_efficiencies(self) -> ArmEfficiencies:
-        return ArmEfficiencies(
-            eta_i1=self.arms[0].detection_prob,
-            eta_s2=self.arms[1].detection_prob,
-            eta_i2=self.arms[2].detection_prob,
-        )
+        return mean_pairs_from_pump(self.source)
 
     def with_seed(self, seed: int) -> "SimConfig":
         return replace(self, rng_seed=seed)
@@ -384,11 +377,17 @@ def simulate_run(config: SimConfig, n_threads: int = 1, progress: bool = False) 
 class ExpectedRates:
     """Analytic expectations for a SimConfig.
 
-    triplet_probability_per_pulse is the separable cascade formula (one pair
-    producing all three detections).  expected_central_count additionally
-    includes same-pulse higher-order combinations and leakage, which the
-    coincidence analyzer cannot distinguish from genuine triplets, and is the
-    quantity to compare against the measured central-bin count.
+    triplet_probability_per_pulse is the mean of the one event kind that hits
+    all three channels: one pair producing all three detections.  It is the
+    separable cascade formula
+
+        eta_i1 eta_s2 eta_i2 * P_pdc1 P_pdc2 * P_pump eta_in lambda_p / (h c R_rep)
+
+    with each arm's eta its transmission times its detector efficiency.
+    expected_central_count additionally includes same-pulse higher-order
+    combinations and leakage, which the coincidence analyzer cannot
+    distinguish from genuine triplets, and is the quantity to compare against
+    the measured central-bin count.
     """
 
     mean_pairs_per_pulse: float
@@ -483,17 +482,19 @@ def expected_rates(config: SimConfig, merged_bin_s: float | None = None) -> Expe
         # for 0 < tau < rep only click-dark overlaps are lost, O(dark * tau)
         rates.append(rate)
 
+    # the joint cumulant of a set of channels is the mean number of events
+    # hitting all of them
+    def kappa(*channels):
+        return float(means @ _EVENT_CHANNELS[:, channels].all(axis=1))
+
+    p_triple = kappa(0, 1, 2)
     central = None
     if merged_bin_s is not None:
         if not any(dead):
-            # E[n1 n2 n3]; the joint cumulant of a set of channels is the mean
-            # number of events hitting all of them
-            def kappa(*channels):
-                return float(means @ _EVENT_CHANNELS[:, channels].all(axis=1))
-
+            # E[n1 n2 n3] from the joint cumulants
             k1, k2, k3 = kappa(0), kappa(1), kappa(2)
             per_pulse_central = (
-                kappa(0, 1, 2) + kappa(0, 1) * k3 + kappa(0, 2) * k2 + kappa(1, 2) * k1 + k1 * k2 * k3
+                p_triple + kappa(0, 1) * k3 + kappa(0, 2) * k2 + kappa(1, 2) * k1 + k1 * k2 * k3
             )
         else:
             # one row per set of kinds that occur in the pulse
@@ -507,7 +508,6 @@ def expected_rates(config: SimConfig, merged_bin_s: float | None = None) -> Expe
                     per_pulse_central /= 1.0 + rate * tau
         central = per_pulse_central * config.n_pulses * _central_bin_containment(config, merged_bin_s)
 
-    p_triple = triplet_success_probability(config.source, config.arm_efficiencies())
     return ExpectedRates(
         mean_pairs_per_pulse=config.mean_pairs,
         singles_rates_hz=tuple(rates),

@@ -6,6 +6,7 @@ configurations with frozen seeds so the suite is deterministic.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,13 +22,7 @@ from tripletsim.analysis import (
     snr,
 )
 from tripletsim.dispersion import lithium_niobate_e
-from tripletsim.pairstats import (
-    ArmEfficiencies,
-    SourceParams,
-    mean_pairs_from_pump,
-    poisson_pair_probability,
-    triplet_success_probability,
-)
+from tripletsim.pairstats import SourceParams, mean_pairs_from_pump, poisson_pair_probability
 from tripletsim.simulate import SimConfig, expected_rates, simulate_run
 from tripletsim.ttag import write_ttag
 from conftest import baseline_source, boosted_config, make_arms
@@ -40,16 +35,16 @@ def report(line):
 
 
 def test_criterion_01_success_probability_formula():
-    t = (2.17e-3 / (0.6 * 0.25 * 0.7)) ** (1.0 / 3.0)
-    arms = ArmEfficiencies(0.6 * t, 0.25 * t, 0.7 * t)
-    assert arms.product == pytest.approx(2.17e-3, rel=1e-9)
-    p = triplet_success_probability(baseline_source(), arms)
+    # arm detection probabilities 0.6t / 0.25t / 0.7t
+    cfg = SimConfig(source=baseline_source(), arms=make_arms())
+    assert math.prod(arm.detection_prob for arm in cfg.arms) == pytest.approx(2.17e-3, rel=1e-9)
+    p = expected_rates(cfg).triplet_probability_per_pulse
     assert abs(p - 6.35e-11) / 6.35e-11 < 0.01
     report(f"triplet success probability {p:.4g} within 1% of 6.35e-11")
 
 
 def test_criterion_02_mean_pair_number():
-    mean = mean_pairs_from_pump(baseline_source(), include_injection=False)
+    mean = mean_pairs_from_pump(replace(baseline_source(), injection_efficiency=1.0))
     assert round(mean, 3) == 0.217
     assert abs(mean - 0.215) <= 0.02
     report(f"mean pair number {mean:.5f} = 0.217 inside 0.215 +/- 0.02")
@@ -103,7 +98,7 @@ def test_criterion_06_closed_loop_statistics():
 
 def test_criterion_07_car_monotonicity():
     bincfg = BinningConfig()
-    mu_reference = mean_pairs_from_pump(baseline_source(), include_injection=True)
+    mu_reference = mean_pairs_from_pump(baseline_source())
     all_cars = {}
     for seed in (11, 12, 13):
         cars = []

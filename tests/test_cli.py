@@ -1,7 +1,11 @@
+import ast
 import csv
+import importlib
 import io
 import json
+import math
 import os
+import pkgutil
 import stat
 import subprocess
 import sys
@@ -31,6 +35,28 @@ TICK = 82.3125e-12
 def write_json(path, tree):
     path.write_text(json.dumps(tree, indent=2))
     return str(path)
+
+
+def export_problems(package) -> list[str]:
+    """Stale exports of the package: __all__ names a module lacks, package imports __all__ lacks.
+
+    Reads the package's __init__.py, so it checks an installed package as well as src/.
+    """
+    imported = {}
+    for node in ast.parse(Path(package.__file__).read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported.setdefault(node.module, []).extend(alias.name for alias in node.names)
+    problems = []
+    for info in pkgutil.iter_modules(package.__path__):
+        module = importlib.import_module(f"{package.__name__}.{info.name}")
+        listed = getattr(module, "__all__", [])
+        problems += [f"{info.name}.__all__ names missing {n}" for n in listed if not hasattr(module, n)]
+        problems += [
+            f"the package imports {info.name}.{n}, which {info.name}.__all__ lacks"
+            for n in imported.get(info.name, [])
+            if n not in listed
+        ]
+    return problems
 
 
 def csv_writer_histogram(h) -> bytes:
@@ -215,28 +241,15 @@ class TestSimulateCommand:
         cfg = write_json(tmp_path / "cfg.json", tree)
         assert main(["simulate", "--config", cfg, "--output", str(tmp_path / "x.ttag")]) == 2
 
-    def test_thread_env_default(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("flag", ["abc", "-4", "0", "two"])
+    def test_bad_thread_count_rejected(self, capsys, flag):
         from tripletsim.cli import build_parser
 
-        monkeypatch.setenv("TRIPLETSIM_THREADS", "3")
-        args = build_parser().parse_args(
-            ["simulate", "--config", "c.json", "--output", "o.ttag"]
-        )
-        assert args.threads == 3
-
-    @pytest.mark.parametrize(
-        "env, flag", [("abc", None), ("-4", None), ("2", "0"), ("2", "two")]
-    )
-    def test_bad_thread_count_rejected(self, monkeypatch, capsys, env, flag):
-        from tripletsim.cli import build_parser
-
-        monkeypatch.setenv("TRIPLETSIM_THREADS", env)
-        argv = ["simulate", "--config", "c.json", "--output", "o.ttag"]
+        argv = ["simulate", "--config", "c.json", "--output", "o.ttag", "--threads", flag]
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(argv + (["--threads", flag] if flag else []))
+            build_parser().parse_args(argv)
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "--threads" in err and "TRIPLETSIM_THREADS" in err
+        assert "--threads" in capsys.readouterr().err
 
 
 class TestAnalyzeCommand:
@@ -442,7 +455,7 @@ class TestShippedConfigs:
         from tripletsim.config import parse_analyze, parse_phasematch, parse_simulate
 
         sim = parse_simulate(tree["simulate"])
-        assert sim.arm_efficiencies().product == pytest.approx(2.17e-3, rel=1e-4)
+        assert math.prod(arm.detection_prob for arm in sim.arms) == pytest.approx(2.17e-3, rel=1e-4)
         parse_analyze(tree["analyze"])
         plan = parse_phasematch(tree["phasematch"])
         from tripletsim.phasematch import solve_phasematched_signal
@@ -755,3 +768,8 @@ class TestWithoutScipy:
         manifest = json.loads((tmp_path / "run.ttag.manifest.json").read_text())
         assert manifest["expected"]["expected_central_count"] > 1.0
         assert json.loads((out / "report.json").read_text())["central_count"] > 0
+
+
+class TestPackageExports:
+    def test_all_names_resolve_and_cover_package_imports(self):
+        assert export_problems(tripletsim) == []

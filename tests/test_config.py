@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -218,7 +219,7 @@ class TestBaselineProvenance:
 
     def test_predicted_rates(self):
         sim = parse_simulate(load_config(CONFIGS / "baseline.json")["simulate"])
-        assert sim.arm_efficiencies().product == pytest.approx(2.17e-3, rel=1e-5)
+        assert math.prod(arm.detection_prob for arm in sim.arms) == pytest.approx(2.17e-3, rel=1e-5)
         rates = expected_rates(sim)
         assert rates.triplet_probability_per_pulse == pytest.approx(6.35e-11, rel=1e-3)
 

@@ -1,19 +1,13 @@
 import math
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from tripletsim.pairstats import (
-    ArmEfficiencies,
-    SourceParams,
-    genuine_triplet_fraction,
-    log_poisson_pmf,
-    mean_pairs_from_pump,
-    poisson_pair_probability,
-    triplet_success_probability,
-)
-from conftest import baseline_source
+from tripletsim.pairstats import SourceParams, mean_pairs_from_pump, poisson_pair_probability
+from tripletsim.simulate import ChannelModel, DetectorModel, SimConfig, expected_rates
+from conftest import DETECTOR_EFFICIENCIES, baseline_source, make_arms
 
 
 class TestPoissonPairProbability:
@@ -45,7 +39,7 @@ class TestPoissonPairProbability:
     @given(st.floats(min_value=1e-12, max_value=10.0), st.integers(min_value=0, max_value=60))
     def test_matches_log_pmf(self, mean, m):
         p = poisson_pair_probability(mean, m)
-        lp = log_poisson_pmf(mean, m)
+        lp = m * math.log(mean) - mean - math.lgamma(m + 1)
         if p > 0:
             assert math.log(p) == pytest.approx(lp, abs=1e-10)
 
@@ -53,94 +47,55 @@ class TestPoissonPairProbability:
 class TestMeanPairsFromPump:
     def test_reference_point(self):
         # P lambda / (h c R) * pdc1 at 10 uW, 532 nm, 10 MHz, 8.1e-8
-        mean = mean_pairs_from_pump(baseline_source(), include_injection=False)
+        mean = mean_pairs_from_pump(replace(baseline_source(), injection_efficiency=1.0))
         assert mean == pytest.approx(0.21693015112855046, rel=1e-12)
         assert abs(mean - 0.215) <= 0.02
 
     def test_zero_pump(self):
         src = baseline_source(pump_w=0.0)
-        assert mean_pairs_from_pump(src, include_injection=False) == 0.0
+        assert mean_pairs_from_pump(src) == 0.0
 
     def test_linearity_in_pump_power(self):
-        m1 = mean_pairs_from_pump(baseline_source(pump_w=10e-6), include_injection=False)
-        m2 = mean_pairs_from_pump(baseline_source(pump_w=20e-6), include_injection=False)
+        m1 = mean_pairs_from_pump(baseline_source(pump_w=10e-6))
+        m2 = mean_pairs_from_pump(baseline_source(pump_w=20e-6))
         assert m2 == pytest.approx(2.0 * m1, rel=1e-12)
 
     def test_injection_flag(self):
-        on = mean_pairs_from_pump(baseline_source(), include_injection=True)
-        off = mean_pairs_from_pump(baseline_source(), include_injection=False)
+        # baseline_source injects half the pump
+        on = mean_pairs_from_pump(baseline_source())
+        off = mean_pairs_from_pump(replace(baseline_source(), injection_efficiency=1.0))
         assert on == pytest.approx(0.5 * off, rel=1e-12)
 
 
-class TestGenuineTripletFraction:
-    def test_limit_at_zero(self):
-        assert genuine_triplet_fraction(0.0) == 1.0
-        assert genuine_triplet_fraction(1e-12) == pytest.approx(1.0, abs=1e-9)
-
-    def test_reference_mean(self):
-        # rho_1 / (1 - rho_0) at 0.215, frozen from direct evaluation
-        assert genuine_triplet_fraction(0.215) == pytest.approx(0.8963491188866084, rel=1e-12)
-
-    def test_closed_form_at_one(self):
-        expected = math.exp(-1) / (1 - math.exp(-1))
-        assert genuine_triplet_fraction(1.0) == pytest.approx(expected, rel=1e-12)
-
-    def test_pair_weighted_mode(self):
-        assert genuine_triplet_fraction(0.215, mode="pair_weighted") == pytest.approx(
-            math.exp(-0.215), rel=1e-12
-        )
-        with pytest.raises(ValueError):
-            genuine_triplet_fraction(0.215, mode="nope")
-
-    @given(
-        st.floats(min_value=1e-6, max_value=20.0),
-        st.floats(min_value=1e-6, max_value=20.0),
-    )
-    @settings(max_examples=80)
-    def test_strictly_decreasing(self, a, b):
-        lo, hi = min(a, b), max(a, b)
-        if hi - lo < 1e-9 * hi:
-            # inputs this close are numerically indistinguishable
-            assert genuine_triplet_fraction(lo) >= genuine_triplet_fraction(hi)
-        else:
-            assert genuine_triplet_fraction(lo) > genuine_triplet_fraction(hi)
-
-
 class TestTripletSuccessProbability:
-    def reference_arms(self):
-        t = (2.17e-3 / (0.6 * 0.25 * 0.7)) ** (1 / 3)
-        return ArmEfficiencies(0.6 * t, 0.25 * t, 0.7 * t)
+    """The per-pulse triplet probability as expected_rates reads it from the event table."""
+
+    @staticmethod
+    def probability(source=None, efficiencies=DETECTOR_EFFICIENCIES):
+        source = source or baseline_source()
+        cfg = SimConfig(
+            source=source,
+            arms=make_arms(efficiencies=efficiencies),
+            rep_period_s=1.0 / source.rep_rate_hz,
+        )
+        return expected_rates(cfg).triplet_probability_per_pulse
 
     def test_reference_value(self):
-        p = triplet_success_probability(baseline_source(), self.reference_arms())
-        assert p == pytest.approx(6.35e-11, rel=0.01)
+        # arm detection probabilities 0.6t / 0.25t / 0.7t, product 2.17e-3
+        assert self.probability() == pytest.approx(6.35e-11, rel=0.01)
 
     def test_zero_arm_kills_it(self):
-        arms = ArmEfficiencies(0.0, 0.5, 0.5)
-        assert triplet_success_probability(baseline_source(), arms) == 0.0
+        assert self.probability(efficiencies=(0.0, 0.5, 0.5)) == 0.0
 
     def test_multiplicative_separability(self):
-        arms = self.reference_arms()
-        p0 = triplet_success_probability(baseline_source(), arms)
-        halved = ArmEfficiencies(arms.eta_i1 / 2, arms.eta_s2, arms.eta_i2)
-        assert triplet_success_probability(baseline_source(), halved) == pytest.approx(
-            p0 / 2, rel=1e-12
-        )
+        p0 = self.probability()
+        e1, e2, e3 = DETECTOR_EFFICIENCIES
+        assert self.probability(efficiencies=(e1 / 2, e2, e3)) == pytest.approx(p0 / 2, rel=1e-12)
 
     def test_pump_rep_rate_scaling_invariance(self):
         src = baseline_source()
-        scaled = SourceParams(
-            pump_power_w=src.pump_power_w * 6.2,
-            pump_wavelength_m=src.pump_wavelength_m,
-            rep_rate_hz=src.rep_rate_hz * 6.2,
-            injection_efficiency=src.injection_efficiency,
-            pdc1_efficiency=src.pdc1_efficiency,
-            pdc2_efficiency=src.pdc2_efficiency,
-        )
-        arms = self.reference_arms()
-        assert triplet_success_probability(scaled, arms) == pytest.approx(
-            triplet_success_probability(src, arms), rel=1e-12
-        )
+        scaled = replace(src, pump_power_w=6.2 * src.pump_power_w, rep_rate_hz=6.2 * src.rep_rate_hz)
+        assert self.probability(scaled) == pytest.approx(self.probability(src), rel=1e-12)
 
 
 class TestValidation:
@@ -153,5 +108,8 @@ class TestValidation:
             SourceParams(10e-6, 532e-9, 0.0, 0.5, 8.1e-8, 2.7e-7)
 
     def test_arm_efficiencies(self):
-        with pytest.raises(ValueError):
-            ArmEfficiencies(1.2, 0.5, 0.5)
+        # an arm's efficiency is its transmission times its detector efficiency
+        with pytest.raises(ValueError, match="transmission"):
+            ChannelModel(transmission=1.2)
+        with pytest.raises(ValueError, match="efficiency"):
+            DetectorModel(efficiency=1.2)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import tripletsim
 from tripletsim import simulate
 from tripletsim.config import load_config, parse_analyze, parse_simulate
-from tripletsim.pairstats import triplet_success_probability
+from tripletsim.constants import C_VAC_M_S, PLANCK_J_S
 from tripletsim.simulate import (
     ChannelModel,
     DetectorModel,
@@ -531,8 +531,14 @@ class TestExpectedRates:
     def test_triple_rate_equals_closed_form(self):
         cfg = boosted_config(1000, seed=0)
         rates = expected_rates(cfg)
-        direct = triplet_success_probability(cfg.source, cfg.arm_efficiencies())
-        assert rates.triplet_probability_per_pulse == direct
+        # the paper's formula,
+        # eta_i1 eta_s2 eta_i2 * P_pdc1 P_pdc2 * P_pump eta_in lambda_p / (h c R_rep)
+        src = cfg.source
+        etas = math.prod(arm.detection_prob for arm in cfg.arms)
+        pump = src.pump_power_w * src.injection_efficiency * src.pump_wavelength_m
+        direct = etas * src.pdc1_efficiency * src.pdc2_efficiency * pump
+        direct /= PLANCK_J_S * C_VAC_M_S * src.rep_rate_hz
+        assert rates.triplet_probability_per_pulse == pytest.approx(direct, rel=1e-15)
         assert rates.triplet_rate_hz == pytest.approx(direct * 10e6, rel=1e-12)
         assert rates.expected_triplets == pytest.approx(direct * 1000, rel=1e-12)
 
