@@ -26,7 +26,6 @@ from .phasematch import (
     pump_acceptance_bandwidth,
     shg_peak_wavelength,
     solve_phasematched_signal,
-    spectral_overlap,
     temperature_tuning_curve,
 )
 from .simulate import (

@@ -141,18 +141,9 @@ class Coincidence2DHistogram:
 
 # Pairs expanded at once.  Each costs about 16 bytes of transient arrays on top of
 # the 4 or 8 bytes of its key, so a chunk's temporaries (about 1 MB) stay cache-sized.
-# Also the stream records read at once for channel 1 (about 26 bytes each).
 _PAIR_CHUNK = 1 << 16
 # Fine bins merged at once, for the same reason.
 _BIN_CHUNK = 1 << 16
-# Channel 1 is read from the stream inside the kept windows when they are expected to
-# hold less than this share of its records; otherwise channel 1 is copied and searched.
-# In-process, reading costs about 40 ns per record inside the windows (W3-dense, every
-# window read); copying channel 1 costs about 4 ns per stream record (W2-boosted), 5 to
-# 15 ns with the window searches on the copy (W2-boosted, W3-dense).  So reading is the
-# cheaper below a share of at least 4 / 40.  W2-boosted's kept windows are expected to
-# hold 4e-4 of its records, W3-dense's 0.64.
-_STREAM_MAX_SHARE = 0.1
 
 
 def _chunks(before):
@@ -168,40 +159,19 @@ def _chunks(before):
         a = b
 
 
-def _channel1_in_windows(stream: TimeTagStream, win: np.ndarray, width: int):
-    """Channel-1 ticks of each window [win, win + width], packed one block per window.
-
-    Returns (t1, start1, count1) as a search of the channel-1 ticks would, from the
-    stream's records without a copy of channel 1: the windows' record ranges come
-    from two binary searches, and only those records are read.
-    """
-    ts = stream.timestamps
-    lo = np.searchsorted(ts, win, "left")
-    n = np.searchsorted(ts, win + width, "right") - lo
-    before = np.concatenate(([0], np.cumsum(n)))
-    count1 = np.empty(len(win), dtype=np.int64)
-    blocks = [ts[:0]]
-    for a, b in _chunks(before):
-        r = np.repeat(lo[a:b] - before[a:b], n[a:b])
-        r += np.arange(before[a], before[b])
-        is1 = stream.channels[r] == CHANNEL_I1
-        # every kept window holds its own reference, so no segment is empty
-        count1[a:b] = np.add.reduceat(is1, before[a:b] - before[a], dtype=np.int64)
-        blocks.append(ts[r[is1]])
-    start1 = np.cumsum(count1) - count1
-    return np.concatenate(blocks), start1, count1
-
-
 def build_threefold_histogram(stream: TimeTagStream, cfg: BinningConfig) -> Coincidence2DHistogram:
     """Fine (one bin per tick) 2-D histogram around the channel-2 references.
 
-    Channel-3 windows come from one binary search per window edge; references
-    with a channel-3 tag in theirs are kept.  Channel 1 is read straight from the
-    stream inside the kept windows when they are expected to hold less than
-    _STREAM_MAX_SHARE of it, and is otherwise copied and binary-searched the same
-    way as channel 3.  The pairs' flat bin keys are expanded in chunks
-    of at most _PAIR_CHUNK pairs (or one channel-3 tag's) into one array, sorted
-    once in place: each run of equal keys is one bin.
+    A binary search for each reference's first channel-3 tag from its window
+    start decides whether a channel-3 tag is inside; those references are kept,
+    and a second search counts their channel-3 tags.  total_reference_events
+    counts all references, kept or not.  Channel 1 is read from the stream's
+    records inside the union of the kept windows, each record once, in chunks
+    of at most _PAIR_CHUNK records (or one window's): a prefix count of channel
+    1 over those records gives every window its channel-1 tags.  The pairs'
+    flat bin keys are expanded in chunks of at most _PAIR_CHUNK pairs (or one
+    channel-3 tag's) into one array, sorted once in place: each run of equal
+    keys is one bin.
     """
     if abs(stream.resolution_s - cfg.base_bin_s) > 1e-4 * cfg.base_bin_s:
         raise ValueError(
@@ -217,19 +187,41 @@ def build_threefold_histogram(stream: TimeTagStream, cfg: BinningConfig) -> Coin
     w = n_half_fine
     side = 2 * w + 1
 
+    # kept: the references whose first channel-3 tag from their window start is inside
+    # it; channel 1 is looked up only in their windows
     start3 = np.searchsorted(t3, refs - w, "left")
-    count3 = np.searchsorted(t3, refs + w, "right") - start3
-    kept = np.flatnonzero(count3)  # channel 1 is looked up only where channel 3 has a tag
-    win, start3, count3 = refs[kept] - w, start3[kept], count3[kept]  # win: window start
+    kept = np.flatnonzero(start3 < len(t3))
+    kept = kept[t3[start3[kept]] <= refs[kept] + w]
+    win, start3 = refs[kept] - w, start3[kept]  # win: window start
+    count3 = np.searchsorted(t3, win + 2 * w, "right") - start3
     del refs, kept
+    # the kept windows' records [lo, hi); windows ascend, so window k adds to their union
+    # the n[k] records from new[k] on that no earlier window holds
     ts = stream.timestamps
-    span = int(ts[-1]) - int(ts[0]) + 1 if len(ts) else 1
-    if len(win) * side / span < _STREAM_MAX_SHARE:  # the kept windows' share of the records
-        t1, start1, count1 = _channel1_in_windows(stream, win, 2 * w)
-    else:
-        t1 = stream.channel_ticks(CHANNEL_I1)
-        start1 = np.searchsorted(t1, win, "left")
-        count1 = np.searchsorted(t1, win + 2 * w, "right") - start1
+    lo = np.searchsorted(ts, win, "left")
+    hi = np.searchsorted(ts, win + 2 * w, "right")
+    new = lo.copy()
+    np.maximum(new[1:], hi[:-1], out=new[1:])
+    n = hi - new
+    union_before = np.concatenate(([0], np.cumsum(n)))
+    # ones_before[g]: the channel-1 records among the union's first g
+    ones_before = np.zeros(union_before[-1] + 1, dtype=np.int64)
+
+    def read_union(a, b):
+        """Channel-1 ticks of the records windows a to b add; counts them into ones_before."""
+        r = np.repeat(new[a:b] - union_before[a:b], n[a:b])
+        r += np.arange(union_before[a], union_before[b])
+        is1 = np.take(stream.channels, r) == CHANNEL_I1
+        counted = ones_before[union_before[a] + 1 : union_before[b] + 1]
+        np.cumsum(is1, out=counted)
+        counted += ones_before[union_before[a]]
+        return np.take(ts, np.compress(is1, r))
+
+    t1 = np.concatenate([ts[:0]] + [read_union(a, b) for a, b in _chunks(union_before)])
+    # window k's first record sits new[k] - lo[k] places before the ones it adds
+    start1 = ones_before[union_before[:-1] - (new - lo)]
+    count1 = ones_before[union_before[1:]] - start1
+    del lo, hi, new, n, union_before, ones_before
     # one entry per channel-3 tag in the window of a reference with a channel-1 tag there
     # too; pair k (over all entries) of entry e is channel-1 tag base[e] + k and delay off[e]
     count3[count1 == 0] = 0

@@ -7,9 +7,8 @@ delta_k = k_p - k_s - k_i + K_G, written once in `phase_mismatch`; SHG is its
 degenerate case (pump lambda / 2, signal = idler = lambda).  One sign-change
 root scan serves the signal solver and the SHG peak, and one helper turns a
 bulk mismatch into the grating that closes it for both calibrations.  The
-module also traces temperature tuning curves, reads the pump acceptance
-bandwidth of a stage off its integrated response at half maximum, and
-quantifies the overlap of two Gaussian lineshapes.
+module also traces temperature tuning curves and reads the pump acceptance
+bandwidth of a stage off its integrated response at half maximum.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ __all__ = [
     "shg_peak_wavelength",
     "shg_response",
     "solve_phasematched_signal",
-    "spectral_overlap",
     "temperature_tuning_curve",
 ]
 
@@ -413,13 +411,3 @@ def pump_acceptance_bandwidth(
     left = float(np.interp(half, resp[[i - 1, i]], pumps[[i - 1, i]]))
     right = float(np.interp(half, resp[[j + 1, j]], pumps[[j + 1, j]]))
     return AcceptanceBandwidth(fwhm_m=right - left, peak_m=0.5 * (left + right))
-
-
-def spectral_overlap(fwhm_a_m: float, fwhm_b_m: float) -> float:
-    """Overlap of two unit-area Gaussians, normalized so equal widths give 1.
-
-    sqrt(2 w_a w_b / (w_a^2 + w_b^2)); symmetric and scale-free.
-    """
-    if fwhm_a_m <= 0 or fwhm_b_m <= 0:
-        raise ValueError("both widths must be > 0")
-    return math.sqrt(2.0 * fwhm_a_m * fwhm_b_m / (fwhm_a_m**2 + fwhm_b_m**2))

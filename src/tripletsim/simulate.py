@@ -462,9 +462,10 @@ def expected_rates(config: SimConfig, merged_bin_s: float | None = None) -> Expe
     dark counts (accurate while the per-bin noise floor is small against the
     peak): E[n1 n2 n3] per pulse from the joint cumulants when every dead time
     is zero (exact), else P(n1, n2, n3 > 0), a sum of positive terms over the
-    sets of kinds that occur and cover all three channels, times steady-state
-    non-paralyzable blocking by earlier pulses (an approximation, as is the
-    collapse of same-pulse pile-up to one click in the singles).
+    sets of kinds that occur and cover all three channels, times each channel's
+    steady-state non-paralyzable live fraction 1 - R tau against earlier pulses,
+    R its detected rate (an approximation, as is the collapse of same-pulse
+    pile-up to one click in the singles).
     """
     means = _event_means_per_pulse(config)
     rep = config.rep_period_s
@@ -502,10 +503,10 @@ def expected_rates(config: SimConfig, merged_bin_s: float | None = None) -> Expe
             covers = (occur @ _EVENT_CHANNELS).all(axis=1)
             terms = np.where(occur[covers], -np.expm1(-means), np.exp(-means)).prod(axis=1)
             per_pulse_central = float(terms.sum())
-            # cross-pulse blocking by earlier clicks on each channel
+            # live fraction against earlier clicks on each channel
             for rate, tau in zip(rates, dead):
                 if tau >= rep:
-                    per_pulse_central /= 1.0 + rate * tau
+                    per_pulse_central *= 1.0 - rate * tau
         central = per_pulse_central * config.n_pulses * _central_bin_containment(config, merged_bin_s)
 
     return ExpectedRates(

@@ -1,6 +1,8 @@
 import math
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from tripletsim.analysis import (
     snr,
     success_probability_estimate,
 )
+from tripletsim.config import load_config, parse_analyze, parse_simulate
 from tripletsim.errors import InsufficientStatisticsError, PeakNotFoundError
 from tripletsim.pairstats import poisson_pair_probability
 from tripletsim.simulate import TimeTagStream, expected_rates, simulate_run
@@ -80,35 +83,6 @@ def brute_force_histogram(stream, cfg):
     return counts
 
 
-def build_both_ways(stream, cfg):
-    """The histogram built from each channel-1 source, checked identical.
-
-    The cut-off is forced so that channel 1 is once copied and searched and once
-    read from the stream inside the kept windows; which source ran is checked by
-    whether channel 1's ticks were copied.
-    """
-    built = []
-    for share, copies_channel_1 in ((0.0, True), (math.inf, False)):
-        asked = []
-
-        def channel_ticks(self, channel, original=TimeTagStream.channel_ticks):
-            asked.append(channel)
-            return original(self, channel)
-
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(analysis, "_STREAM_MAX_SHARE", share)
-            m.setattr(TimeTagStream, "channel_ticks", channel_ticks)
-            built.append(build_threefold_histogram(stream, cfg))
-        assert (1 in asked) == copies_channel_1
-    copied, read = built
-    assert read.keys.dtype == copied.keys.dtype and np.array_equal(read.keys, copied.keys)
-    assert read.values.dtype == copied.values.dtype
-    assert np.array_equal(read.values, copied.values)
-    assert read.n_half == copied.n_half
-    assert read.total_reference_events == copied.total_reference_events
-    return copied
-
-
 def as_dict(h):
     """{(i, j): count}, once the keys are checked strictly ascending and on the grid."""
     assert np.all(h.keys[1:] > h.keys[:-1])
@@ -159,7 +133,7 @@ class TestHistogramOracle:
         for trial in range(20):
             n = int(rng.integers(10, 1001))
             stream = random_stream(rng, n, 2000)
-            h = build_both_ways(stream, SMALL)
+            h = build_threefold_histogram(stream, SMALL)
             assert as_dict(h) == brute_force_histogram(stream, SMALL), trial
 
     @pytest.mark.parametrize("budget", [1, 7, 60])
@@ -173,7 +147,7 @@ class TestHistogramOracle:
             # the later trials hold references that see channel 3 but no channel 1, and the reverse
             make = random_stream if trial < 5 else one_sided_stream
             stream = make(rng, int(rng.integers(200, 800)), 1500)
-            h = build_both_ways(stream, SMALL)
+            h = build_threefold_histogram(stream, SMALL)
             assert h.total_counts > 3 * budget, trial
             assert as_dict(h) == brute_force_histogram(stream, SMALL), trial
             if make is one_sided_stream:
@@ -190,7 +164,7 @@ class TestHistogramOracle:
         rng = np.random.default_rng(808)
         stream = random_stream(rng, 600, 40 * fine_half_window(cfg))
         shifted = TimeTagStream(TICK, stream.channels, stream.timestamps + (2**62 - 2**40))
-        h, g = (build_both_ways(s, cfg) for s in (stream, shifted))
+        h, g = (build_threefold_histogram(s, cfg) for s in (stream, shifted))
         assert h.total_counts > 100
         assert np.array_equal(g.i_idx, h.i_idx) and np.array_equal(g.j_idx, h.j_idx)
         assert np.array_equal(g.values, h.values)
@@ -201,7 +175,7 @@ class TestHistogramOracle:
         t0 = 1000
         edges = [t0 - w - 1, t0 - w, t0 + w, t0 + w + 1]
         stream = stream_from_ticks(ch1=edges, ch2=[t0], ch3=edges)
-        h = build_both_ways(stream, SMALL)
+        h = build_threefold_histogram(stream, SMALL)
         assert as_dict(h) == {(a, b): 1 for a in (-w, w) for b in (-w, w)}
         assert as_dict(h) == brute_force_histogram(stream, SMALL)
 
@@ -210,7 +184,7 @@ class TestHistogramOracle:
         ticks = {1: [90, 100, 110], 2: [100, 105], 3: [95, 100]}
         ticks[missing] = []
         stream = stream_from_ticks(ch1=ticks[1], ch2=ticks[2], ch3=ticks[3])
-        h = build_both_ways(stream, SMALL)
+        h = build_threefold_histogram(stream, SMALL)
         assert h.total_counts == 0
         assert len(h.values) == 0
         assert h.total_reference_events == 2
@@ -220,7 +194,7 @@ class TestHistogramOracle:
         monkeypatch.setattr(analysis, "_PAIR_CHUNK", 1)
         w = fine_half_window(SMALL)
         stream = stream_from_ticks(ch1=[1000, 1001], ch2=[1000, 1000 + 4 * w], ch3=[1000 + 4 * w])
-        h = build_both_ways(stream, SMALL)
+        h = build_threefold_histogram(stream, SMALL)
         assert h.total_counts == 0 and len(h.values) == len(h.i_idx) == len(h.j_idx) == 0
         assert h.total_reference_events == 2
         m = merge_bins(h, SMALL.merge_factor)
@@ -239,11 +213,54 @@ class TestHistogramOracle:
             ch2=[t0, near, edge],
             ch3=[t0 - w, edge],
         )
-        h = build_both_ways(stream, SMALL)
+        h = build_threefold_histogram(stream, SMALL)
         expected = brute_force_histogram(stream, SMALL)
         assert as_dict(h) == expected
         assert expected[(0, w)] == expected[(w, w)] == expected[(0, 0)] == 1
         assert h.total_counts == 13
+
+    @staticmethod
+    def union_case(case, w):
+        """(ch1, ch2, ch3) ticks that put records where the kept windows join or end."""
+        side = 2 * w + 1
+        if case == "chain":  # each window overlaps the next: the union is one long run
+            refs = [1000 + k * w for k in range(20)]
+            return range(900, 1000 + 21 * w, 5), refs, [t + 5 for t in refs]
+        if case == "touching":  # each window starts one tick past the last: no gap record
+            refs = [1000 + k * side for k in range(3)]
+            return [t + d for t in refs for d in (-w, w)], refs, refs
+        if case == "equal_edge_ticks":  # equal ticks on both sides of two touching windows
+            edge = 1000 + w
+            return [edge] * 3 + [edge + 1] * 2, [1000, 1000 + side], [edge, edge, edge + 1]
+        if case == "stream_ends":  # the first and the last record are inside windows
+            return [0, 40, 2 * w + 100], [20, 2 * w + 90], [20, 2 * w + 90]
+        # "none_kept": no reference has a channel-3 tag in its window
+        return [1000, 5000], [1000, 5000], [1000 + w + 1, 5000 - w - 1]
+
+    @pytest.mark.parametrize("chunk", [2, 1 << 16])
+    @pytest.mark.parametrize(
+        "case", ["chain", "touching", "equal_edge_ticks", "stream_ends", "none_kept"]
+    )
+    def test_union_of_kept_windows_matches_brute_force(self, monkeypatch, case, chunk):
+        # channel 1 is read once from the union of the kept windows, in chunks of
+        # windows; a chunk of 2 splits the union between and inside runs
+        monkeypatch.setattr(analysis, "_PAIR_CHUNK", chunk)
+        w = fine_half_window(SMALL)
+        ch1, ch2, ch3 = self.union_case(case, w)
+        stream = stream_from_ticks(ch1=ch1, ch2=ch2, ch3=ch3)
+        ts, refs = stream.timestamps, np.asarray(ch2)
+        if case == "chain":
+            assert np.all(np.diff(refs) <= 2 * w)
+        if case in ("touching", "equal_edge_ticks"):
+            lo, hi = np.searchsorted(ts, refs - w, "left"), np.searchsorted(ts, refs + w, "right")
+            assert np.array_equal(lo[1:], hi[:-1])
+        if case == "stream_ends":
+            assert stream.channels[0] == stream.channels[-1] == 1
+        h = build_threefold_histogram(stream, SMALL)
+        expected = brute_force_histogram(stream, SMALL)
+        assert as_dict(h) == expected
+        assert (h.total_counts == 0) == (case == "none_kept")
+        assert h.total_reference_events == len(refs)
 
     def test_wide_grid_int64_keys_match_brute_force(self):
         # a 1 ps tick gives a fine grid of more than 2**31 bins, past int32 keys
@@ -256,7 +273,7 @@ class TestHistogramOracle:
         stream = TimeTagStream(
             1e-12, rng.integers(1, 4, 300).astype(np.uint8), np.sort(rng.integers(0, 400_000, 300))
         )
-        h = build_both_ways(stream, cfg)
+        h = build_threefold_histogram(stream, cfg)
         expected = brute_force_histogram(stream, cfg)
         assert h.total_counts > 1000
         assert as_dict(h) == expected
@@ -285,13 +302,13 @@ class TestHistogramOracle:
 
     def test_single_triple_at_zero_delay(self):
         stream = stream_from_ticks(ch1=[100], ch2=[100], ch3=[100])
-        h = build_both_ways(stream, SMALL)
+        h = build_threefold_histogram(stream, SMALL)
         assert as_dict(h) == {(0, 0): 1}
         assert h.total_reference_events == 1
 
     def test_reference_only_stream_is_empty(self):
         stream = stream_from_ticks(ch2=[5, 10, 20])
-        h = build_both_ways(stream, SMALL)
+        h = build_threefold_histogram(stream, SMALL)
         assert h.total_counts == 0
         assert h.total_reference_events == 3
 
@@ -411,20 +428,23 @@ class TestMemoryBound:
         references with a channel-3 tag in their window, E (reference, channel-3
         tag) entries and 2**16-element chunks:
 
-        histogram, the larger of two stages plus a chunk's temporaries (at most
-        three int64 arrays, 24 B x 2**16):
+        histogram, the largest of three stages plus a chunk's temporaries (at
+        most three int64 arrays, 24 B x 2**16), with U records in the union of
+        the kept windows, U1 of them on channel 1:
         - the sort and run count hold the P keys (4 B) and the run-head mask
           (1 B per pair), then per bin the run starts, turned into the int64
           counts in place (8 B), and the unique keys (4 B): 5 P + 12 B;
-        - before the keys are filled, the channel-1 and channel-3 copies (8 B
-          per tag), the per-reference starts and counts with the temporaries
-          of the entry index (56 B per K), the keys (4 P) and the entry table
-          (n1, pair offsets, base, window start: 32 B per E) with the index
-          of its delay gather, built in place, and the gathered ticks (16 B
-          per E).
-
-        The kept windows hold most of the stream, so channel 1 is copied and
-        searched.
+        - the union read holds the channel-3 copy (8 B per tag), the
+          per-reference window starts, record ranges, starts and counts with
+          their temporaries (96 B per K), the channel-1 prefix count (8 B per
+          U) and the union's channel-1 ticks, joined from their chunks (16 B
+          per U1);
+        - before the keys are filled, the union's channel-1 ticks and the
+          channel-3 copy (8 B per tag), the per-reference starts and counts
+          with the temporaries of the entry index (56 B per K), the keys (4 P)
+          and the entry table (n1, pair offsets, base, window start: 32 B per
+          E) with the index of its delay gather, built in place, and the
+          gathered ticks (16 B per E).
 
         merge: the fine histogram (12 B per bin) stays; the merged grid G of
         int64 sums (8 B x 457**2, 1.67 MB), a chunk's divmod outputs with an
@@ -447,9 +467,17 @@ class TestMemoryBound:
             for t in (t1, t3)
         )
         kept, entries = np.count_nonzero(count3), int(count3[count1 > 0].sum())
-        table_stage = 8 * (len(t1) + len(t3)) + 56 * kept + 48 * entries
-        assert kept * (2 * w + 1) / (int(stream.timestamps[-1]) + 1) > analysis._STREAM_MAX_SHARE
-        del t1, refs, t3, count1, count3
+        # the union of the kept windows, marked record by record
+        win = refs[count3 > 0] - w
+        cover = np.zeros(len(stream) + 1, dtype=np.int64)
+        np.add.at(cover, np.searchsorted(stream.timestamps, win, "left"), 1)
+        np.add.at(cover, np.searchsorted(stream.timestamps, win + 2 * w, "right"), -1)
+        inside = np.cumsum(cover[:-1]) > 0
+        union, union1 = np.count_nonzero(inside), np.count_nonzero(inside & (stream.channels == 1))
+        assert 0.3 * len(stream) < union < len(stream) and union1 < len(t1)
+        gate_stage = 8 * len(t3) + 96 * kept + 8 * union + 16 * union1
+        table_stage = 8 * (union1 + len(t3)) + 56 * kept + 48 * entries
+        del t1, refs, t3, count1, count3, win, cover, inside
 
         tracemalloc.start()
         try:
@@ -463,7 +491,7 @@ class TestMemoryBound:
 
         pairs, bins = h.total_counts, len(h.keys)
         assert pairs >= 2**21 and h.keys.dtype == np.int32 and m.total_counts == pairs
-        stages = max(5 * pairs + 12 * bins, table_stage + 4 * pairs)
+        stages = max(5 * pairs + 12 * bins, gate_stage, table_stage + 4 * pairs)
         assert hist_peak / pairs <= (stages + 24 * 2**16) / pairs
         grid = 8 * (2 * cfg.n_half_merged + 1) ** 2
         assert merge_peak / bins <= (12 * bins + 3 * grid + 16 * 2**16) / bins
@@ -473,9 +501,9 @@ class TestMemoryBound:
 
         2e6 channel-1 singles, 3e4 references and 3e4 channel-3 tags spread at
         the density of a 1e9-pulse baseline run, plus 20 planted triples: the
-        kept windows hold a few hundred records, so channel 1 is read from the
-        stream inside them.  The peak stays below the 8 B per channel-1 tag that
-        a copy of channel 1 alone would take.
+        union of the kept windows holds a few hundred records, and channel 1 is
+        read from those only.  The peak stays below the 8 B per channel-1 tag
+        that a copy of channel 1 alone would take.
         """
         rng = np.random.default_rng(2025)
         span = 135 * 10**9
@@ -496,10 +524,6 @@ class TestMemoryBound:
             tracemalloc.stop()
 
         assert h.total_counts >= 20 and h.count_at(0, 0) >= 20
-        with pytest.MonkeyPatch.context() as m:  # the same histogram from the copy
-            m.setattr(analysis, "_STREAM_MAX_SHARE", 0.0)
-            copied = build_threefold_histogram(stream, cfg)
-        assert np.array_equal(h.keys, copied.keys) and np.array_equal(h.values, copied.values)
         assert peak < 8 * n[0]
 
 
@@ -732,6 +756,27 @@ class TestAnalyzeStream:
         report = analyze_stream(stream, bincfg, n_pulses=cfg.n_pulses)
         sigma = math.sqrt(rates.expected_central_count)
         assert abs(report.central_count - rates.expected_central_count) < 4 * sigma
+
+    def test_closed_loop_at_unit_dead_time_load(self):
+        # the W2-boosted source with a 1e5 Hz dark rate on channel 2, so that its
+        # incident rate times its dead time is about 1: the live fraction 1 - R tau of
+        # the detected rate R predicts the mean central count (1 / (1 + R tau) gives
+        # 16.8, a third too high); the mean of 100 seeds has about a tenth of the
+        # Poisson error of one
+        tree = load_config(Path(__file__).resolve().parent.parent / "configs" / "baseline.json")
+        tree["simulate"]["source"]["pdc2_pairs_per_pump_photon"] = 0.05
+        tree["simulate"]["n_pulses"] = 2_000_000
+        tree["simulate"]["arms"]["s2"]["detector"]["dark_rate_hz"] = 1e5
+        cfg = parse_simulate(tree["simulate"])
+        bincfg = parse_analyze(tree["analyze"]).binning
+        expected = expected_rates(cfg, merged_bin_s=bincfg.merged_bin_s).expected_central_count
+        central = [
+            analyze_stream(
+                simulate_run(replace(cfg, rng_seed=seed)), bincfg, n_pulses=cfg.n_pulses
+            ).central_count
+            for seed in range(100)
+        ]
+        assert abs(np.mean(central) - expected) <= 4 * math.sqrt(expected / len(central))
 
     def test_car_decreases_with_mean_pair_number(self):
         # higher-order emission grows accidentals faster than the peak

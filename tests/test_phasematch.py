@@ -298,27 +298,6 @@ class TestAcceptanceBandwidth:
         assert r500 == pytest.approx(r2000, rel=0.01)
 
 
-class TestSpectralOverlap:
-    def test_equal_widths(self):
-        assert pm.spectral_overlap(0.7e-9, 0.7e-9) == pytest.approx(1.0, rel=1e-12)
-
-    def test_symmetry(self):
-        assert pm.spectral_overlap(1.3e-9, 0.5e-9) == pm.spectral_overlap(0.5e-9, 1.3e-9)
-
-    def test_back_solved_reference(self):
-        # the source width that limits the overlap against a 0.749 nm
-        # acceptance to 0.88 (back-solved; the source width is not measured)
-        target = 0.88
-        ratio = (1.0 + math.sqrt(1.0 - target**4)) / target**2
-        source_fwhm = 0.749e-9 * ratio
-        assert source_fwhm == pytest.approx(1.579e-9, abs=0.001e-9)
-        assert pm.spectral_overlap(source_fwhm, 0.749e-9) == pytest.approx(0.88, abs=1e-9)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            pm.spectral_overlap(0.0, 1e-9)
-
-
 class TestDispersionModels:
     def test_index_above_one_and_monotone(self):
         lams = np.linspace(0.5e-6, 1.7e-6, 400)

@@ -594,7 +594,7 @@ class TestExpectedRates:
 
         The moment polynomial E[n1 n2 n3] without dead time; otherwise the
         inclusion-exclusion over Poisson PGFs for P(n1, n2, n3 > 0) times the
-        cross-pulse blocking of each channel whose dead time spans a pulse.
+        live fraction 1 - R tau of each channel whose dead time spans a pulse.
         """
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(50):
@@ -629,7 +629,7 @@ class TestExpectedRates:
                 if tau >= rep:
                     rate = -mpmath.expm1(-per_pulse) / rep + f(arm.detector.dark_rate_hz)
                     rate = rate / (1 + rate * tau)
-                    central /= 1 + rate * tau
+                    central *= 1 - rate * tau
             return central
 
     @pytest.mark.parametrize("leakage", [0.0, 1e-3])
