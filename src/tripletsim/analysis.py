@@ -36,7 +36,6 @@ __all__ = [
     "analyze_stream",
     "build_threefold_histogram",
     "car",
-    "derive_n_pulses",
     "locate_central_peak",
     "merge_bins",
     "occupancy_histogram",
@@ -130,13 +129,6 @@ class Coincidence2DHistogram:
     @property
     def total_counts(self) -> int:
         return int(self.values.sum())
-
-    def count_at(self, i: int, j: int) -> int:
-        key = (i + self.n_half) * self.n_axis_bins + (j + self.n_half)
-        pos = np.searchsorted(self.keys, key)
-        if pos < len(self.keys) and self.keys[pos] == key:
-            return int(self.values[pos])
-        return 0
 
 
 # Pairs expanded at once.  Each costs about 16 bytes of transient arrays on top of
@@ -353,15 +345,16 @@ def accidental_mean(
         raise ValueError("histogram is not on the merged grid of this config")
     r = cfg.rep_period_bins
     kmax = (h.n_half + max(abs(peak.i), abs(peak.j))) // r + 1
-    counts = []
-    for a in range(-kmax, kmax + 1):
-        for b in range(-kmax, kmax + 1):
-            if a == 0 and b == 0:
-                continue
-            i = peak.i + a * r
-            j = peak.j + b * r
-            if abs(i) <= h.n_half and abs(j) <= h.n_half:
-                counts.append(h.count_at(i, j))
+    # displacements (a, b) in row-major order, (0, 0) left out
+    a, b = np.indices((2 * kmax + 1, 2 * kmax + 1)).reshape(2, -1) - kmax
+    i, j = peak.i + a * r, peak.j + b * r
+    inside = (np.abs(i) <= h.n_half) & (np.abs(j) <= h.n_half) & ((a != 0) | (b != 0))
+    keys = (i[inside] + h.n_half) * h.n_axis_bins + (j[inside] + h.n_half)
+    pos = np.searchsorted(h.keys, keys)
+    hit = pos < len(h.keys)
+    hit[hit] = h.keys[pos[hit]] == keys[hit]
+    counts = np.zeros(len(keys), np.int64)
+    counts[hit] = h.values[pos[hit]]
     if len(counts) < min_bins:
         raise InsufficientStatisticsError(
             f"only {len(counts)} neighbor-pulse bins inside the window (need {min_bins})"
@@ -545,26 +538,17 @@ def _json_value(value):
     return value
 
 
-def derive_n_pulses(stream: TimeTagStream, cfg: BinningConfig) -> int:
-    """Pulse count estimated from the stream extent (last tag rounds up)."""
-    if len(stream):
-        span = (int(stream.timestamps[-1]) + 1) * stream.resolution_s
-        return max(1, math.ceil(span / cfg.rep_period_s))
-    return 1
-
-
 def analyze_stream(
     stream: TimeTagStream,
     cfg: BinningConfig,
     peak_search_radius: int = 3,
     fit_exclude_sigma: float = 10.0,
-    n_pulses: int | None = None,
+    *,
+    n_pulses: int,
 ) -> TripletReport:
     """Run the full pipeline: histogram, merge, peak, accidentals, statistics."""
     fine = build_threefold_histogram(stream, cfg)
     merged = merge_bins(fine, cfg.merge_factor)
-    if n_pulses is None:
-        n_pulses = derive_n_pulses(stream, cfg)
     return analyze_merged(
         merged,
         cfg,

@@ -110,16 +110,17 @@ def _json_object(path, what: str) -> dict:
     return tree
 
 
-def _manifest_pulses(ttag_path) -> int | None:
+def _manifest_pulses(ttag_path) -> int:
     """Pulse count from the simulation manifest next to the file.
 
-    None when there is no manifest; a manifest that is present but
-    unreadable, not a JSON object or without a positive integer n_pulses
-    raises TripletSimError naming its path.
+    Without a manifest, ConfigError names analyze.n_pulses, the config key
+    that gives the count instead; a manifest that is present but unreadable,
+    not a JSON object or without a positive integer n_pulses raises
+    TripletSimError naming its path.
     """
     manifest_path = os.fspath(ttag_path) + ".manifest.json"
     if not os.path.exists(manifest_path):
-        return None
+        raise ConfigError(f"analyze.n_pulses: required, since there is no manifest at {manifest_path}")
     n = _json_object(manifest_path, "manifest").get("n_pulses")
     if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
         raise TripletSimError(f"{manifest_path}: n_pulses must be a positive integer, got {n!r}")
@@ -139,17 +140,12 @@ def cmd_analyze(args) -> int:
     )
 
     os.makedirs(args.output, exist_ok=True)
-    report_dict = report.to_dict()
-    if args.format == "csv":
-        rows = [["key", "value"]] + [
-            [k, json.dumps(v)] for k, v in report_dict.items() if k != "occupancy"
-        ]
-        files = {"report.csv": _csv_text(rows)}
-    else:
-        files = {"report.json": json.dumps(report_dict, indent=2, sort_keys=True) + "\n"}
-    files["histogram.csv"] = _histogram_csv(report.histogram)
     occupancy = sorted(report.occupancy.items())
-    files["occupancy.csv"] = _csv_text([["threefolds_per_bin", "absolute_frequency"], *occupancy])
+    files = {
+        "report.json": json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
+        "histogram.csv": _histogram_csv(report.histogram),
+        "occupancy.csv": _csv_text([["threefolds_per_bin", "absolute_frequency"], *occupancy]),
+    }
     for name, data in files.items():
         ttag.atomic_write(os.path.join(args.output, name), data)
     print(
@@ -306,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("ttag", help="input .ttag path")
     p_an.add_argument("--config", required=True)
     p_an.add_argument("--output", required=True, help="output directory for report and CSVs")
-    p_an.add_argument("--format", choices=("json", "csv"), default="json")
     p_an.set_defaults(func=cmd_analyze)
 
     p_pm = sub.add_parser("phasematch", help="quasi-phase-matching design calculations")

@@ -523,7 +523,8 @@ class TestMemoryBound:
         finally:
             tracemalloc.stop()
 
-        assert h.total_counts >= 20 and h.count_at(0, 0) >= 20
+        center = h.values[h.keys == h.n_half * h.n_axis_bins + h.n_half]
+        assert h.total_counts >= 20 and center.sum() >= 20
         assert peak < 8 * n[0]
 
 
@@ -569,6 +570,34 @@ class TestAccidentals:
         assert est.n_bins == 8
         with pytest.raises(InsufficientStatisticsError):
             accidental_mean(h, peak, cfg, min_bins=20)
+
+    @pytest.mark.parametrize("peak_ij", [(0, 0), (5, -7), (-40, 3), (228, -228)])
+    @pytest.mark.parametrize("n_entries", [0, 3000])
+    def test_matches_double_loop_reference(self, peak_ij, n_entries):
+        # the per-bin loop the lattice lookup replaced; the same counts in the
+        # same order give the same mean, bit for bit
+        cfg = BinningConfig()
+        n_half, r = cfg.n_half_merged, cfg.rep_period_bins
+        rng = np.random.default_rng(61)
+        # entries spread over the grid, plus a few on the lattice around the peak,
+        # so that some lattice bins are filled and others are empty
+        a, b = rng.integers(-4, 5, (2, n_entries // 100))
+        i = np.concatenate([peak_ij[0] + a * r, rng.integers(-n_half, n_half + 1, n_entries)])
+        j = np.concatenate([peak_ij[1] + b * r, rng.integers(-n_half, n_half + 1, n_entries)])
+        on_grid = (np.abs(i) <= n_half) & (np.abs(j) <= n_half)
+        h = Coincidence2DHistogram.from_entries(cfg.merged_bin_s, n_half, i[on_grid], j[on_grid], 1)
+        counts = dict(zip(zip(h.i_idx.tolist(), h.j_idx.tolist()), h.values.tolist()))
+        kmax = (n_half + max(map(abs, peak_ij))) // r + 1
+        expected = []
+        for a in range(-kmax, kmax + 1):
+            for b in range(-kmax, kmax + 1):
+                i, j = peak_ij[0] + a * r, peak_ij[1] + b * r
+                if (a, b) != (0, 0) and abs(i) <= n_half and abs(j) <= n_half:
+                    expected.append(counts.get((i, j), 0))
+        est = accidental_mean(h, PeakLocation(*peak_ij, 0, 0.0, 0.0), cfg)
+        assert est.n_bins == len(expected)
+        assert est.mean == float(np.mean(expected))
+        assert n_entries == 0 or est.mean > 0
 
 
 class TestCar:
@@ -684,7 +713,7 @@ class TestScalarStatistics:
 class TestAnalyzeStream:
     def test_empty_stream_report(self):
         stream = TimeTagStream(TICK, np.empty(0, np.uint8), np.empty(0, np.int64))
-        report = analyze_stream(stream, BinningConfig())
+        report = analyze_stream(stream, BinningConfig(), n_pulses=1000)
         assert report.central_count == 0
         assert report.car_is_lower_bound
         assert report.success_probability == 0.0

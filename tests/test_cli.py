@@ -103,6 +103,13 @@ def small_sim_config(n_pulses=100_000, seed=1, pdc2=2.7e-1, dark=0.0, dead=0.0):
     return tree
 
 
+def analyze_config(tmp_path, n_pulses=100_000):
+    """small_sim_config with analyze.n_pulses set, for TTAGs written without a manifest."""
+    tree = small_sim_config()
+    tree["analyze"]["n_pulses"] = n_pulses
+    return write_json(tmp_path / "cfg.json", tree)
+
+
 class TestWriteConfig:
     def test_default_config_validates(self, tmp_path):
         out = tmp_path / "base.json"
@@ -257,7 +264,7 @@ class TestAnalyzeCommand:
         stream = TimeTagStream(TICK, np.empty(0, np.uint8), np.empty(0, np.int64))
         ttag_path = tmp_path / "empty.ttag"
         write_ttag(ttag_path, stream)
-        cfg = write_json(tmp_path / "cfg.json", small_sim_config())
+        cfg = analyze_config(tmp_path)
         out = tmp_path / "out"
         assert main(["analyze", str(ttag_path), "--config", cfg, "--output", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
@@ -273,7 +280,7 @@ class TestAnalyzeCommand:
         )
         ttag_path = tmp_path / "tiny.ttag"
         write_ttag(ttag_path, stream)
-        cfg = write_json(tmp_path / "cfg.json", small_sim_config())
+        cfg = analyze_config(tmp_path)
         out = tmp_path / "out"
         assert main(["analyze", str(ttag_path), "--config", cfg, "--output", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
@@ -285,24 +292,6 @@ class TestAnalyzeCommand:
         assert histogram_csv[0] == "tau1_minus_tau2_ns,tau3_minus_tau2_ns,count"
         assert histogram_csv[1] == "0.000000,0.000000,1"
 
-    def test_csv_report_format(self, tmp_path):
-        stream = TimeTagStream(
-            TICK,
-            np.array([1, 2, 3], dtype=np.uint8),
-            np.array([100, 100, 100], dtype=np.int64),
-        )
-        ttag_path = tmp_path / "tiny.ttag"
-        write_ttag(ttag_path, stream)
-        cfg = write_json(tmp_path / "cfg.json", small_sim_config())
-        out = tmp_path / "out"
-        rc = main(
-            ["analyze", str(ttag_path), "--config", cfg, "--output", str(out), "--format", "csv"]
-        )
-        assert rc == 0
-        rows = (out / "report.csv").read_text().splitlines()
-        assert rows[0] == "key,value"
-        assert any(row.startswith("central_count,1") for row in rows)
-
     def test_histogram_csv_matches_row_by_row_formatter(self, tmp_path):
         rng = np.random.default_rng(31)
         n = {1: 1500, 2: 500, 3: 1500}
@@ -313,6 +302,7 @@ class TestAnalyzeCommand:
         ttag_path = tmp_path / "dense.ttag"
         write_ttag(ttag_path, stream)
         tree = small_sim_config()
+        tree["analyze"]["n_pulses"] = 100_000
         cfg = write_json(tmp_path / "cfg.json", tree)
         out = tmp_path / "out"
         assert main(["analyze", str(ttag_path), "--config", cfg, "--output", str(out)]) == 0
@@ -378,7 +368,7 @@ class TestAnalyzeCommand:
         )
         ttag_path = tmp_path / "tiny.ttag"
         write_ttag(ttag_path, stream)
-        cfg = write_json(tmp_path / "cfg.json", small_sim_config())
+        cfg = analyze_config(tmp_path)
         out = tmp_path / "out"
         main(["analyze", str(ttag_path), "--config", cfg, "--output", str(out)])
         capsys.readouterr()
@@ -390,7 +380,7 @@ class TestAnalyzeCommand:
         stream = TimeTagStream(TICK, np.empty(0, np.uint8), np.empty(0, np.int64))
         ttag_path, out = tmp_path / "empty.ttag", tmp_path / "out"
         write_ttag(ttag_path, stream)
-        cfg = write_json(tmp_path / "cfg.json", small_sim_config())
+        cfg = analyze_config(tmp_path)
         assert main(["analyze", str(ttag_path), "--config", cfg, "--output", str(out)]) == 0
         assert json.loads((out / "report.json").read_text())["peak_delay_ns"] is None
         capsys.readouterr()
@@ -419,7 +409,7 @@ class TestAnalyzeCommand:
         stream = TimeTagStream(TICK, np.array([1, 2, 3], dtype=np.uint8), np.full(3, 100))
         ttag_path, out = tmp_path / "tiny.ttag", tmp_path / "out"
         write_ttag(ttag_path, stream)
-        cfg = write_json(tmp_path / "cfg.json", small_sim_config())
+        cfg = analyze_config(tmp_path)
         assert main(["analyze", str(ttag_path), "--config", cfg, "--output", str(out)]) == 0
         rep = json.loads((out / "report.json").read_text())
         rep["central_error"] = None
@@ -487,17 +477,21 @@ class TestManifestPulseCount:
         report = json.loads((out / "report.json").read_text())
         assert report["n_pulses"] == 150_000
 
-    def test_missing_manifest_derives_count_from_stream(self, tmp_path):
-        from tripletsim.analysis import BinningConfig, derive_n_pulses
-        from tripletsim.ttag import read_ttag
+    def test_config_count_wins_over_manifest(self, tmp_path):
+        _, ttag_path, _ = self.simulate(tmp_path)
+        cfg, out = analyze_config(tmp_path, n_pulses=123_456), tmp_path / "out"
+        assert main(["analyze", str(ttag_path), "--config", cfg, "--output", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["n_pulses"] == 123_456
 
+    def test_missing_manifest_and_count_refused(self, tmp_path, capsys):
         cfg, ttag_path, manifest = self.simulate(tmp_path)
         manifest.unlink()
+        capsys.readouterr()
         out = tmp_path / "out"
-        assert main(["analyze", str(ttag_path), "--config", cfg, "--output", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
-        derived = derive_n_pulses(read_ttag(ttag_path), BinningConfig())
-        assert report["n_pulses"] == derived != 150_000
+        assert main(["analyze", str(ttag_path), "--config", cfg, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: analyze.n_pulses: ") and str(manifest) in err
+        assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize(
         "text, cause",
