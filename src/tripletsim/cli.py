@@ -90,10 +90,17 @@ def _histogram_csv(h) -> bytes:
     # plain numbers need no CSV quoting; a row joins the labels of i and j (each with
     # its comma) and the count's digits, NUL-padded to fixed widths, and drops the NULs
     scale = h.bin_width_s * 1e9
-    labels = np.array([f"{k * scale:.6f},".encode() for k in range(-h.n_half, h.n_half + 1)])
+    i, j = np.divmod(h.keys, h.n_axis_bins)  # axis positions, i_idx and j_idx + n_half
+    used = np.zeros(h.n_axis_bins, dtype=bool)
+    used[i] = True
+    used[j] = True
+    texts = [b""] * h.n_axis_bins  # only the labels the rows use are formatted
+    for k in np.flatnonzero(used).tolist():
+        texts[k] = f"{(k - h.n_half) * scale:.6f},".encode()
+    labels = np.array(texts)
     counts, which = np.unique(h.values, return_inverse=True)
     digits = np.array([f"{v}\n".encode() for v in counts.tolist()], dtype=bytes)
-    columns = labels.take(h.i_idx + h.n_half), labels.take(h.j_idx + h.n_half), digits.take(which)
+    columns = labels.take(i), labels.take(j), digits.take(which)
     rows = np.rec.fromarrays(columns).view(np.uint8, np.ndarray)
     return b"tau1_minus_tau2_ns,tau3_minus_tau2_ns,count\n" + rows[rows != 0].tobytes()
 
@@ -130,13 +137,14 @@ def _manifest_pulses(ttag_path) -> int:
 def cmd_analyze(args) -> int:
     tree = load_config(args.config)
     opts = parse_analyze(tree.get("analyze", {}))
-    stream = ttag.read_ttag(args.ttag)
+    # a refused pulse count costs no read of the file
+    n_pulses = opts.n_pulses if opts.n_pulses is not None else _manifest_pulses(args.ttag)
     report = analysis.analyze_stream(
-        stream,
+        ttag.read_ttag(args.ttag),
         opts.binning,
         peak_search_radius=opts.peak_search_radius,
         fit_exclude_sigma=opts.fit_exclude_sigma,
-        n_pulses=opts.n_pulses if opts.n_pulses is not None else _manifest_pulses(args.ttag),
+        n_pulses=n_pulses,
     )
 
     os.makedirs(args.output, exist_ok=True)

@@ -139,19 +139,33 @@ class Arm:
 
 @dataclass(frozen=True)
 class TimeTagStream:
-    """Ordered (channel, timestamp) records at a fixed tick resolution."""
+    """Ordered (channel, timestamp) records at a fixed tick resolution.
+
+    The constructor owns the record invariants: every channel is 1 (i1),
+    2 (s2) or 3 (i2), and the ticks are non-decreasing from a first tick
+    >= 0, so that every tick is >= 0.
+    """
 
     resolution_s: float
     channels: np.ndarray  # uint8, values 1..3
-    timestamps: np.ndarray  # int64 ticks, non-decreasing
+    timestamps: np.ndarray  # int64 ticks >= 0, non-decreasing
 
     def __post_init__(self):
         if not self.resolution_s > 0:
             raise ValueError(f"resolution_s must be > 0, got {self.resolution_s}")
         if self.channels.shape != self.timestamps.shape:
             raise ValueError("channels and timestamps must have equal length")
+        channels = self.channels
+        if len(channels) and not CHANNEL_I1 <= channels.min() <= channels.max() <= CHANNEL_I2:
+            k = int(np.argmax((channels < CHANNEL_I1) | (channels > CHANNEL_I2)))
+            raise ValueError(
+                f"channel {int(channels[k])} at record {k} must be 1 (i1), 2 (s2) or 3 (i2)"
+            )
         if np.any(self.timestamps[1:] < self.timestamps[:-1]):
             raise ValueError("timestamps must be non-decreasing")
+        # with the order checked, the first tick bounds them all
+        if len(self.timestamps) and self.timestamps[0] < 0:
+            raise ValueError(f"timestamps must be >= 0, got {int(self.timestamps[0])} at record 0")
 
     def __len__(self) -> int:
         return len(self.timestamps)

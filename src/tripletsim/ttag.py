@@ -58,22 +58,38 @@ def atomic_write(path, *chunks) -> None:
         raise
 
 
-def _first_bad_channel(channels) -> int:
-    """Index of the first channel outside 1 (i1), 2 (s2), 3 (i2); -1 if none."""
-    if len(channels) == 0 or CHANNEL_I1 <= channels.min() <= channels.max() <= CHANNEL_I2:
-        return -1
-    return int(np.argmax((channels < CHANNEL_I1) | (channels > CHANNEL_I2)))
+def _first(mask) -> int:
+    """Index of the first True in a boolean array; -1 if none."""
+    bad = np.flatnonzero(mask)
+    return int(bad[0]) if bad.size else -1
+
+
+def _first_fault(channels, timestamps) -> TtagFormatError | None:
+    """The error naming the first bad record, None if there is none.
+
+    A channel outside 1 (i1), 2 (s2), 3 (i2) comes first, then a u64 tick
+    >= 2**63 (a negative int64), then a decrease, wherever each lies.
+    """
+    k = _first((channels < CHANNEL_I1) | (channels > CHANNEL_I2))
+    if k >= 0:
+        what = f"channel {int(channels[k])} at record {k} is not 1 (i1), 2 (s2) or 3 (i2)"
+    elif (k := _first(timestamps < 0)) >= 0:
+        what = f"timestamp {int(timestamps[k]) + 2**64} at record {k} exceeds the int64 range"
+    elif (k := _first(timestamps[1:] < timestamps[:-1])) >= 0:
+        k += 1
+        what = f"timestamps decrease at record {k}"
+    else:
+        return None
+    offset = _HEADER.size + k * RECORD_SIZE
+    return TtagFormatError(f"{what} (byte offset {offset})", byte_offset=offset)
 
 
 def write_ttag(path, stream: TimeTagStream) -> None:
-    """Serialize a stream; atomic (see `atomic_write`) and byte-deterministic."""
-    if len(stream.timestamps) and int(stream.timestamps.min()) < 0:
-        raise ValueError("timestamps must be >= 0 for serialization")
-    k = _first_bad_channel(stream.channels)
-    if k >= 0:
-        raise ValueError(
-            f"channel {int(stream.channels[k])} at record {k} must be 1 (i1), 2 (s2) or 3 (i2)"
-        )
+    """Serialize a stream; atomic (see `atomic_write`) and byte-deterministic.
+
+    The stream's constructor has checked its records; only the resolution,
+    which the header stores in whole femtoseconds, is checked here.
+    """
     resolution_fs = int(round(stream.resolution_s * 1e15))
     if resolution_fs <= 0:
         raise ValueError("resolution below 1 fs cannot be stored")
@@ -123,30 +139,11 @@ def read_ttag(path) -> TimeTagStream:
             channels[a : a + n] = chunk["channel"][:n]
             timestamps[a : a + n] = chunk["timestamp"][:n]
         del chunk
-    k = _first_bad_channel(channels)
-    if k >= 0:
-        raise TtagFormatError(
-            f"channel {int(channels[k])} at record {k} is not 1 (i1), 2 (s2) or 3 (i2) "
-            f"(byte offset {_HEADER.size + k * RECORD_SIZE})",
-            byte_offset=_HEADER.size + k * RECORD_SIZE,
-        )
-    # u64 ticks >= 2**63 wrap to negative int64 values
-    if len(timestamps) and timestamps.min() < 0:
-        k = int(np.argmax(timestamps < 0))
-        raise TtagFormatError(
-            f"timestamp {int(timestamps[k]) + 2**64} at record {k} exceeds the int64 range "
-            f"(byte offset {_HEADER.size + k * RECORD_SIZE})",
-            byte_offset=_HEADER.size + k * RECORD_SIZE,
-        )
     try:
         return TimeTagStream(resolution_fs * 1e-15, channels, timestamps)
     except ValueError:
-        # the stream checks the order; the first decrease is located only when that fails
-        bad = np.flatnonzero(timestamps[1:] < timestamps[:-1])
-        if not bad.size:
+        # the stream checks the records; the first fault is located only when that fails
+        error = _first_fault(channels, timestamps)
+        if error is None:
             raise
-    k = int(bad[0]) + 1
-    raise TtagFormatError(
-        f"timestamps decrease at record {k} (byte offset {_HEADER.size + k * RECORD_SIZE})",
-        byte_offset=_HEADER.size + k * RECORD_SIZE,
-    )
+    raise error

@@ -375,6 +375,23 @@ class TestMergeBins:
         assert m.total_counts == h.total_counts == sum(expected.values())
         assert m.total_reference_events == 5
 
+    @pytest.mark.parametrize("n_bins", [0, 1, 300, 3000])
+    def test_few_and_many_fine_bins_merge_alike(self, n_bins):
+        # the merged grid holds 51**2 bins: up to 325 fine bins are summed per merged
+        # key they reach, more on the whole grid; either way the keys are int64 and a
+        # merged bin whose fine bins all hold 0 is dropped
+        rng = np.random.default_rng(n_bins)
+        n_half, factor = 100, 4
+        keys = np.sort(rng.choice((2 * n_half + 1) ** 2, n_bins, replace=False)).astype(np.int32)
+        values = rng.choice([0, 0, 1, 2, 70], n_bins).astype(np.int64)
+        values[::7] = 2**53 + 1  # a float64 sum would round it
+        h = Coincidence2DHistogram(TICK, n_half, keys, values, 5)
+        m = merge_bins(h, factor)
+        n_half_m, expected = block_sum_oracle(h, factor)
+        assert m.n_half == n_half_m == 25
+        assert as_dict(m) == expected
+        assert m.keys.dtype == np.int64 and m.values.dtype == np.int64
+
     def test_bad_factor(self):
         rng = np.random.default_rng(2)
         h = build_threefold_histogram(random_stream(rng, 50, 500), SMALL)

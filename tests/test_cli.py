@@ -356,9 +356,17 @@ class TestAnalyzeCommand:
     def test_corrupt_file_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ttag"
         bad.write_bytes(b"NOPE" + b"\x00" * 30)
-        cfg = write_json(tmp_path / "cfg.json", small_sim_config())
+        cfg = analyze_config(tmp_path)
         rc = main(["analyze", str(bad), "--config", cfg, "--output", str(tmp_path / "out")])
         assert rc == 3
+
+    def test_pulse_count_refused_before_the_file_is_read(self, tmp_path, capsys):
+        # without a pulse count the command stops before it opens the (missing) file
+        cfg = write_json(tmp_path / "cfg.json", small_sim_config())
+        missing = tmp_path / "missing.ttag"
+        rc = main(["analyze", str(missing), "--config", cfg, "--output", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: analyze.n_pulses: ")
 
     def test_report_command(self, tmp_path, capsys):
         stream = TimeTagStream(

@@ -44,6 +44,11 @@ class TestStreamType:
                 np.array([10, 5], dtype=np.int64),
             )
 
+    def test_negative_first_tick_rejected(self):
+        # with the order checked, the first tick bounds every tick
+        with pytest.raises(ValueError, match="timestamps must be >= 0"):
+            TimeTagStream(82.3125e-12, np.array([1, 2], np.uint8), np.array([-3, 5], np.int64))
+
     def test_channel_views(self):
         s = TimeTagStream(
             82.3125e-12,

@@ -19,6 +19,30 @@ def sample_stream(n=100, seed=0):
     return TimeTagStream(TICK, channels, ticks)
 
 
+def raw_file(path, records):
+    """A TTAG file of (channel, tick) records written byte by byte, faults included."""
+    header = struct.pack("<4sHQQ", TTAG_MAGIC, 1, 82312, len(records))
+    path.write_bytes(header + b"".join(struct.pack("<BQ", c, t) for c, t in records))
+    return path
+
+
+def fault(path):
+    with pytest.raises(TtagFormatError) as err:
+        read_ttag(path)
+    return str(err.value), err.value.byte_offset
+
+
+def twelve_records(changes=None):
+    """Records 0..11 on channels 1, 2, 3, 1, ... at ticks 0, 10, 20, ...
+
+    changes[k] replaces record k.
+    """
+    records = [(k % 3 + 1, 10 * k) for k in range(12)]
+    for k, record in (changes or {}).items():
+        records[k] = record
+    return records
+
+
 class TestRoundTrip:
     def test_records_preserved_exactly(self, tmp_path):
         stream = sample_stream(1000)
@@ -112,17 +136,16 @@ class TestFormatErrors:
             read_ttag(path)
         assert err.value.byte_offset == 22 + bad_record * RECORD_SIZE
 
-    @pytest.mark.parametrize("channel", [0, 7])
+    @pytest.mark.parametrize("channel", [0, 4, 7])
     @pytest.mark.parametrize("side", ["write", "read"])
     def test_channel_outside_one_to_three_rejected(self, tmp_path, side, channel):
         # records 0, 1 and 3 are valid; record 2 carries the bad channel byte
         channels = [1, 3, channel, 2]
         path = tmp_path / "bad_channel.ttag"
         if side == "write":
-            stream = TimeTagStream(TICK, np.array(channels, dtype=np.uint8), np.arange(4))
+            # the stream's constructor owns the check, so no such stream reaches the writer
             with pytest.raises(ValueError, match=f"channel {channel} at record 2"):
-                write_ttag(path, stream)
-            assert not path.exists()
+                TimeTagStream(TICK, np.array(channels, dtype=np.uint8), np.arange(4))
             return
         header = struct.pack("<4sHQQ", TTAG_MAGIC, 1, 82312, len(channels))
         records = b"".join(struct.pack("<BQ", c, t) for t, c in enumerate(channels))
@@ -131,36 +154,28 @@ class TestFormatErrors:
             read_ttag(path)
         assert err.value.byte_offset == 22 + 2 * RECORD_SIZE
 
+    @pytest.mark.parametrize(
+        "records, bad_record, what",
+        [
+            # a bad channel outranks an earlier beyond-int64 tick and an earlier decrease
+            (twelve_records({2: (3, 2**63), 5: (3, 3), 8: (4, 80)}), 8, "channel 4 at record 8"),
+            # a beyond-int64 tick outranks an earlier decrease
+            (twelve_records({3: (1, 5), 7: (2, 2**63 + 7)}), 7, "timestamp 9223372036854775815"),
+            # ticks that all lie beyond int64 are non-decreasing as int64; record 0 is named
+            ([(1, 2**63 + 10 * k) for k in range(12)], 0, "timestamp 9223372036854775808"),
+        ],
+    )
+    def test_several_faults_name_the_first_by_precedence(self, tmp_path, records, bad_record, what):
+        message, offset = fault(raw_file(tmp_path / "bad.ttag", records))
+        assert what in message
+        assert offset == 22 + bad_record * RECORD_SIZE
+
     def test_zero_resolution_rejected(self, tmp_path):
         path = tmp_path / "zero_res.ttag"
         path.write_bytes(struct.pack("<4sHQQ", TTAG_MAGIC, 1, 0, 0))
         with pytest.raises(TtagFormatError) as err:
             read_ttag(path)
         assert err.value.byte_offset == 6
-
-
-def raw_file(path, records):
-    """A TTAG file of (channel, tick) records written byte by byte, faults included."""
-    header = struct.pack("<4sHQQ", TTAG_MAGIC, 1, 82312, len(records))
-    path.write_bytes(header + b"".join(struct.pack("<BQ", c, t) for c, t in records))
-    return path
-
-
-def fault(path):
-    with pytest.raises(TtagFormatError) as err:
-        read_ttag(path)
-    return str(err.value), err.value.byte_offset
-
-
-def twelve_records(changes=None):
-    """Records 0..11 on channels 1, 2, 3, 1, ... at ticks 0, 10, 20, ...
-
-    changes[k] replaces record k.
-    """
-    records = [(k % 3 + 1, 10 * k) for k in range(12)]
-    for k, record in (changes or {}).items():
-        records[k] = record
-    return records
 
 
 class TestChunkedReader:
