@@ -13,7 +13,6 @@ from .analysis import (
     occupancy_histogram,
     poisson_fit,
     snr,
-    success_probability_estimate,
 )
 from .dispersion import SellmeierDispersion, ToyDispersion, lithium_niobate_e
 from .pairstats import SourceParams, mean_pairs_from_pump, poisson_pair_probability

@@ -20,7 +20,7 @@ import numpy as np
 from .constants import DEFAULT_TICK_S
 from .errors import InsufficientStatisticsError, PeakNotFoundError, FitError
 from .pairstats import poisson_pair_probability
-from .simulate import CHANNEL_I1, CHANNEL_I2, CHANNEL_S2, TimeTagStream
+from .simulate import CHANNEL_I1, CHANNEL_I2, CHANNEL_S2, TimeTagStream, _gate
 
 __all__ = [
     "AccidentalEstimate",
@@ -29,7 +29,6 @@ __all__ = [
     "Coincidence2DHistogram",
     "PeakLocation",
     "PoissonFit",
-    "RateEstimate",
     "TripletReport",
     "accidental_mean",
     "analyze_merged",
@@ -41,7 +40,6 @@ __all__ = [
     "occupancy_histogram",
     "poisson_fit",
     "snr",
-    "success_probability_estimate",
 ]
 
 
@@ -154,9 +152,8 @@ def _chunks(before):
 def build_threefold_histogram(stream: TimeTagStream, cfg: BinningConfig) -> Coincidence2DHistogram:
     """Fine (one bin per tick) 2-D histogram around the channel-2 references.
 
-    A binary search for each reference's first channel-3 tag from its window
-    start decides whether a channel-3 tag is inside; those references are kept,
-    and a second search counts their channel-3 tags.  total_reference_events
+    simulate._gate keeps the references with a channel-3 tag in their window,
+    and a second search counts those tags.  total_reference_events
     counts all references, kept or not.  Channel 1 is read from the stream's
     records inside the union of the kept windows, each record once, in chunks
     of at most _PAIR_CHUNK records (or one window's): a prefix count of channel
@@ -179,12 +176,9 @@ def build_threefold_histogram(stream: TimeTagStream, cfg: BinningConfig) -> Coin
     w = n_half_fine
     side = 2 * w + 1
 
-    # kept: the references whose first channel-3 tag from their window start is inside
-    # it; channel 1 is looked up only in their windows
-    start3 = np.searchsorted(t3, refs - w, "left")
-    kept = np.flatnonzero(start3 < len(t3))
-    kept = kept[t3[start3[kept]] <= refs[kept] + w]
-    win, start3 = refs[kept] - w, start3[kept]  # win: window start
+    # channel 1 is looked up only in the kept references' windows
+    kept, start3 = _gate(refs, t3, w)
+    win = refs[kept] - w  # window start
     count3 = np.searchsorted(t3, win + 2 * w, "right") - start3
     del refs, kept
     # the kept windows' records [lo, hi); windows ascend, so window k adds to their union
@@ -488,27 +482,6 @@ def snr(central: int, noise_mean: float, n_bins: int | None = None) -> float:
 
 
 @dataclass(frozen=True)
-class RateEstimate:
-    value: float
-    error: float
-
-
-def success_probability_estimate(central: int, n_pulses: int) -> RateEstimate:
-    """Raw per-pulse triplet detection probability, central / n_pulses.
-
-    The error is the Poisson counting uncertainty sqrt(central) / n_pulses.
-    No dead-time or duty-cycle correction is applied.
-    """
-    if n_pulses <= 0:
-        raise ValueError("n_pulses must be > 0")
-    if central < 0:
-        raise ValueError("central must be >= 0")
-    return RateEstimate(
-        value=central / n_pulses, error=math.sqrt(central) / n_pulses
-    )
-
-
-@dataclass(frozen=True)
 class TripletReport:
     """Aggregate result of the full coincidence analysis of one stream."""
 
@@ -580,7 +553,14 @@ def analyze_merged(
     peak_search_radius: int = 3,
     fit_exclude_sigma: float = 10.0,
 ) -> TripletReport:
-    """Statistics of an already merged histogram."""
+    """Statistics of an already merged histogram.
+
+    success_probability is the raw central_count / n_pulses, with the Poisson
+    error sqrt(central_count) / n_pulses and no dead-time or duty-cycle
+    correction.
+    """
+    if n_pulses <= 0:
+        raise ValueError("n_pulses must be > 0")
     try:
         peak = locate_central_peak(merged, peak_search_radius)
         central = peak.count
@@ -597,8 +577,6 @@ def analyze_merged(
 
     occupancy = occupancy_histogram(merged)
     fit = poisson_fit(occupancy, exclude_sigma=fit_exclude_sigma)
-
-    success = success_probability_estimate(central, n_pulses)
 
     return TripletReport(
         central_count=central,
@@ -617,8 +595,8 @@ def analyze_merged(
         snr=snr(central, fit.mean, n_bins=merged.n_bins_total),
         snr_is_lower_bound=not fit.mean > 0,
         noise_tail_probability=poisson_pair_probability(fit.mean, central),
-        success_probability=success.value,
-        success_error=success.error,
+        success_probability=central / n_pulses,
+        success_error=math.sqrt(central) / n_pulses,
         n_pulses=n_pulses,
         n_bins_total=merged.n_bins_total,
         occupancy=occupancy,

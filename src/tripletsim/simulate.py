@@ -332,6 +332,21 @@ def _apply_dead_time(ticks_sorted: np.ndarray, dead_ticks: int) -> np.ndarray:
     return ticks_sorted[keep]
 
 
+def _gate(t2: np.ndarray, t3: np.ndarray, half_width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ch2 tags with a ch3 tag within half_width ticks: the keep rule.
+
+    kept holds the indices into t2 of the tags whose first ch3 tick at or
+    after t2 - half_width is at most t2 + half_width, and start3 that tick's
+    index into t3, one per kept tag.  A stream cut down to the records within
+    half_width of the kept tags has the same kept tags, with the same
+    records in their windows.
+    """
+    start3 = np.searchsorted(t3, t2 - half_width, "left")
+    kept = np.flatnonzero(start3 < len(t3))
+    kept = kept[t3[start3[kept]] <= t2[kept] + half_width]
+    return kept, start3[kept]
+
+
 def simulate_run(config: SimConfig, n_threads: int = 1, progress: bool = False) -> TimeTagStream:
     """Simulate the full run and return the merged, dead-time-filtered stream.
 

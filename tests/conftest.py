@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 
 from tripletsim.pairstats import SourceParams
-from tripletsim.simulate import Arm, ChannelModel, DetectorModel, SimConfig
+from tripletsim.simulate import Arm, ChannelModel, DetectorModel, SimConfig, TimeTagStream
 
 # property tests draw the same examples on every run
 settings.register_profile("deterministic", derandomize=True)
@@ -54,6 +54,29 @@ def boosted_config(n_pulses, seed, jitter_s=30e-12, dark_hz=0.0, pdc2=2.7e-1):
         n_pulses=n_pulses,
         rng_seed=seed,
     )
+
+
+def fine_half_window(cfg):
+    """Half width, in ticks, of the fine window the histogram of a BinningConfig reads."""
+    f = cfg.merge_factor
+    return cfg.n_half_merged * f + (f // 2) - 1 if f > 1 else cfg.n_half_merged
+
+
+def gate_stream(stream, w):
+    """The records within w ticks of a ch2 tag that has a ch3 tag within w ticks of it.
+
+    An oracle for the keep rule: each ch2 tag's ch3 tags are counted between
+    two binary searches, and the union of the kept windows is marked record by
+    record with a running count of the windows open at each record.
+    """
+    ts = stream.timestamps
+    t2, t3 = stream.channel_ticks(2), stream.channel_ticks(3)
+    refs = t2[np.searchsorted(t3, t2 + w, "right") > np.searchsorted(t3, t2 - w, "left")]
+    cover = np.zeros(len(ts) + 1, dtype=np.int64)
+    np.add.at(cover, np.searchsorted(ts, refs - w, "left"), 1)
+    np.add.at(cover, np.searchsorted(ts, refs + w, "right"), -1)
+    inside = np.cumsum(cover[:-1]) > 0
+    return TimeTagStream(stream.resolution_s, stream.channels[inside], ts[inside])
 
 
 @pytest.fixture(scope="session")

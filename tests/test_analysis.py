@@ -13,6 +13,7 @@ from tripletsim.analysis import (
     Coincidence2DHistogram,
     PeakLocation,
     accidental_mean,
+    analyze_merged,
     analyze_stream,
     build_threefold_histogram,
     car,
@@ -21,13 +22,12 @@ from tripletsim.analysis import (
     occupancy_histogram,
     poisson_fit,
     snr,
-    success_probability_estimate,
 )
 from tripletsim.config import load_config, parse_analyze, parse_simulate
 from tripletsim.errors import InsufficientStatisticsError, PeakNotFoundError
 from tripletsim.pairstats import poisson_pair_probability
-from tripletsim.simulate import TimeTagStream, expected_rates, simulate_run
-from conftest import boosted_config
+from tripletsim.simulate import TimeTagStream, _gate, expected_rates, simulate_run
+from conftest import boosted_config, fine_half_window, gate_stream
 
 TICK = 82.3125e-12
 
@@ -65,8 +65,7 @@ def one_sided_stream(rng, n_events, span_ticks):
 
 def brute_force_histogram(stream, cfg):
     """Independent oracle: full pairwise masks and dict accumulation."""
-    f = cfg.merge_factor
-    w = cfg.n_half_merged * f + (f // 2) - 1 if f > 1 else cfg.n_half_merged
+    w = fine_half_window(cfg)
     t1 = stream.channel_ticks(1)
     t2 = stream.channel_ticks(2)
     t3 = stream.channel_ticks(3)
@@ -88,11 +87,6 @@ def as_dict(h):
     assert np.all(h.keys[1:] > h.keys[:-1])
     assert len(h.keys) == 0 or (h.keys[0] >= 0 and h.keys[-1] < h.n_axis_bins**2)
     return {(int(i), int(j)): int(v) for i, j, v in zip(h.i_idx, h.j_idx, h.values)}
-
-
-def fine_half_window(cfg):
-    f = cfg.merge_factor
-    return cfg.n_half_merged * f + (f // 2) - 1 if f > 1 else cfg.n_half_merged
 
 
 def block_sum_oracle(h, factor):
@@ -318,6 +312,93 @@ class TestHistogramOracle:
             build_threefold_histogram(stream, SMALL)
 
 
+def gate_loop(t2, t3, w):
+    """The keep rule reference by reference: (kept ch2 indices, first ch3 index of each)."""
+    kept, start3 = [], []
+    for i, t in enumerate(t2.tolist()):
+        j = next((j for j, u in enumerate(t3.tolist()) if u >= t - w), len(t3))
+        if j < len(t3) and t3[j] <= t + w:
+            kept.append(i)
+            start3.append(j)
+    return kept, start3
+
+
+class TestGate:
+    W = fine_half_window(SMALL)
+
+    @staticmethod
+    def gate_case(case, w):
+        """(ch1, ch2, ch3) ticks for one edge of the keep rule."""
+        t0 = 1000
+        if case in ("edge_inside", "edge_outside"):  # ch3 on or one tick past the window edges
+            d = w if case == "edge_inside" else w + 1
+            return [t0 - d, t0, t0 + d], [t0], [t0 - d, t0 + d]
+        if case in ("no_ch2", "no_ch3"):
+            ch2, ch3 = ([], [t0]) if case == "no_ch2" else ([t0], [])
+            return [t0], ch2, ch3
+        if case == "equal_ticks":  # equal ticks on every channel, and on the window edges
+            return [t0] * 2 + [t0 + w] * 2, [t0] * 3 + [t0 + 2 * w] * 2, [t0] * 2 + [t0 + w] * 2
+        if case in ("inner_ref_without_ch3", "inner_ref_with_ch3"):
+            # a ch2 tag inside the first window, whose own window misses the first ch3 tag
+            inner = t0 + w // 2
+            ch3 = [t0 - w] + ([inner + w] if case == "inner_ref_with_ch3" else [])
+            return [t0 - w, t0, inner, t0 + w, inner + w], [t0, inner], ch3
+        if case == "touching":  # each window starts one tick past the last
+            refs = [t0 + k * (2 * w + 1) for k in range(3)]
+            return [t + d for t in refs for d in (-w, 0, w)], refs, [t + w for t in refs]
+        # "stream_ends": the first and the last record are a kept ch2 tag and a ch3 tag
+        # in a kept window, and the first window reaches below tick 0
+        return [5, 3 * w], [0, 3 * w], [3, 4 * w]
+
+    # each case's kept ch2 indices
+    KEPT = {
+        "edge_inside": [0],
+        "edge_outside": [],
+        "no_ch2": [],
+        "no_ch3": [],
+        "equal_ticks": [0, 1, 2, 3, 4],
+        "inner_ref_without_ch3": [0],
+        "inner_ref_with_ch3": [0, 1],
+        "touching": [0, 1, 2],
+        "stream_ends": [0, 1],
+    }
+
+    @pytest.mark.parametrize("case", list(KEPT))
+    def test_edge_cases_match_the_loop(self, case):
+        w = self.W
+        stream = stream_from_ticks(*self.gate_case(case, w))
+        t2, t3 = stream.channel_ticks(2), stream.channel_ticks(3)
+        kept, start3 = _gate(t2, t3, w)
+        assert (kept.tolist(), start3.tolist()) == gate_loop(t2, t3, w)
+        assert kept.tolist() == self.KEPT[case]
+
+    @pytest.mark.parametrize("case", list(KEPT))
+    def test_gated_edge_cases_keep_the_histogram(self, case):
+        # the gated stream drops records, yet the histogram sees the same pairs
+        stream = stream_from_ticks(*self.gate_case(case, self.W))
+        gated = gate_stream(stream, self.W)
+        h, g = (build_threefold_histogram(s, SMALL) for s in (stream, gated))
+        assert as_dict(g) == as_dict(h) == brute_force_histogram(stream, SMALL)
+        if case == "inner_ref_without_ch3":  # its window's right part is outside the first
+            assert len(gated) < len(stream) and g.total_counts > 0
+        if case == "stream_ends":
+            assert len(gated) == len(stream)
+            assert gated.channels[0] == 2 and gated.channels[-1] == 3
+
+    def test_random_streams_match_the_loop(self):
+        rng = np.random.default_rng(606)
+        w = self.W
+        for trial in range(20):
+            # sparse to dense: few to most ch2 tags have a ch3 tag in their window
+            stream = random_stream(rng, int(rng.integers(0, 200)), int(rng.integers(1, 40)) * w)
+            t2, t3 = stream.channel_ticks(2), stream.channel_ticks(3)
+            kept, start3 = _gate(t2, t3, w)
+            assert (kept.tolist(), start3.tolist()) == gate_loop(t2, t3, w), trial
+            gated = gate_stream(stream, w)
+            h, g = (build_threefold_histogram(s, SMALL) for s in (stream, gated))
+            assert as_dict(g) == as_dict(h), trial
+
+
 class TestMergeBins:
     def test_identity(self):
         rng = np.random.default_rng(1)
@@ -484,17 +565,13 @@ class TestMemoryBound:
             for t in (t1, t3)
         )
         kept, entries = np.count_nonzero(count3), int(count3[count1 > 0].sum())
-        # the union of the kept windows, marked record by record
-        win = refs[count3 > 0] - w
-        cover = np.zeros(len(stream) + 1, dtype=np.int64)
-        np.add.at(cover, np.searchsorted(stream.timestamps, win, "left"), 1)
-        np.add.at(cover, np.searchsorted(stream.timestamps, win + 2 * w, "right"), -1)
-        inside = np.cumsum(cover[:-1]) > 0
-        union, union1 = np.count_nonzero(inside), np.count_nonzero(inside & (stream.channels == 1))
+        # the union of the kept windows
+        gated = gate_stream(stream, w)
+        union, union1 = len(gated), np.count_nonzero(gated.channels == 1)
         assert 0.3 * len(stream) < union < len(stream) and union1 < len(t1)
         gate_stage = 8 * len(t3) + 96 * kept + 8 * union + 16 * union1
         table_stage = 8 * (union1 + len(t3)) + 56 * kept + 48 * entries
-        del t1, refs, t3, count1, count3, win, cover, inside
+        del t1, refs, t3, count1, count3, gated
 
         tracemalloc.start()
         try:
@@ -718,13 +795,22 @@ class TestScalarStatistics:
         with pytest.raises(ValueError):
             snr(10, 0.0)
 
-    def test_success_probability(self):
-        n_pulses = int(11.5 * 3600 * 10e6)
-        est = success_probability_estimate(33, n_pulses)
-        assert est.value == pytest.approx(7.971e-11, rel=1e-3)
-        assert est.error == pytest.approx(math.sqrt(33) / n_pulses, rel=1e-12)
-        assert success_probability_estimate(0, 100).value == 0.0
-        assert success_probability_estimate(100, 100).value == 1.0
+    @pytest.mark.parametrize(
+        "central, n_pulses, value",
+        [(33, int(11.5 * 3600 * 10e6), 7.971e-11), (0, 100, 0.0), (100, 100, 1.0)],
+    )
+    def test_success_probability(self, central, n_pulses, value):
+        cfg = BinningConfig()
+        report = analyze_merged(lattice_histogram(cfg, central, 1), cfg, n_pulses)
+        assert report.central_count == central
+        assert report.success_probability == pytest.approx(value, rel=1e-3)
+        assert report.success_error == pytest.approx(math.sqrt(central) / n_pulses, rel=1e-12)
+
+    @pytest.mark.parametrize("n_pulses", [0, -1])
+    def test_pulse_count_must_be_positive(self, n_pulses):
+        cfg = BinningConfig()
+        with pytest.raises(ValueError, match="n_pulses"):
+            analyze_merged(lattice_histogram(cfg, 33, 1), cfg, n_pulses)
 
 
 class TestAnalyzeStream:

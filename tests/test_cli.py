@@ -28,6 +28,8 @@ from tripletsim.config import (
 )
 from tripletsim.simulate import TimeTagStream, expected_rates
 from tripletsim.ttag import write_ttag
+from conftest import fine_half_window, gate_stream
+from test_output_digests import _write_dense_stream
 
 TICK = 82.3125e-12
 
@@ -527,6 +529,41 @@ class TestManifestPulseCount:
         err = capsys.readouterr().err
         assert str(manifest) in err and cause in err
         assert not (out / "report.json").exists()
+
+
+class TestGatedStream:
+    @pytest.mark.parametrize("case", ["w2_boosted", "baseline_2e8", "dense"])
+    def test_gated_stream_analyzes_to_the_same_bytes(self, tmp_path, case):
+        # keeping only the records within the fine window of a kept reference
+        # changes total_reference_events alone, which no output holds
+        tree = default_config()
+        run, gated = tmp_path / "run.ttag", tmp_path / "gated.ttag"
+        if case == "dense":
+            tree["analyze"]["n_pulses"] = _write_dense_stream(run, tree)
+            del tree["simulate"]
+        else:
+            sim = tree["simulate"]
+            if case == "w2_boosted":
+                sim["source"]["pdc2_pairs_per_pump_photon"] = 0.05
+            sim["n_pulses"] = 20_000_000 if case == "w2_boosted" else 200_000_000
+            sim["rng_seed"] = 1
+        cfg = write_json(tmp_path / "cfg.json", tree)
+        if case != "dense":
+            assert main(["simulate", "--config", cfg, "--output", str(run)]) == 0
+            manifest = Path(str(run) + ".manifest.json").read_bytes()
+            Path(str(gated) + ".manifest.json").write_bytes(manifest)
+        stream = ttag.read_ttag(run)
+        kept = gate_stream(stream, fine_half_window(parse_analyze(tree["analyze"]).binning))
+        assert 0 < len(kept) < len(stream)
+        write_ttag(gated, kept)
+        del stream, kept
+
+        for path in (run, gated):
+            out = str(tmp_path / f"out_{path.stem}")
+            assert main(["analyze", str(path), "--config", cfg, "--output", out]) == 0
+        for name in ("report.json", "histogram.csv", "occupancy.csv"):
+            whole = (tmp_path / "out_run" / name).read_bytes()
+            assert (tmp_path / "out_gated" / name).read_bytes() == whole, name
 
 
 class TestConfigHash:
