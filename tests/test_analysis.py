@@ -803,6 +803,7 @@ class TestScalarStatistics:
         cfg = BinningConfig()
         report = analyze_merged(lattice_histogram(cfg, central, 1), cfg, n_pulses)
         assert report.central_count == central
+        assert report.success_probability == central / n_pulses
         assert report.success_probability == pytest.approx(value, rel=1e-3)
         assert report.success_error == pytest.approx(math.sqrt(central) / n_pulses, rel=1e-12)
 
