@@ -155,9 +155,9 @@ def build_threefold_histogram(stream: TimeTagStream, cfg: BinningConfig) -> Coin
     simulate._gate keeps the references with a channel-3 tag in their window,
     and a second search counts those tags.  total_reference_events
     counts all references, kept or not.  Channel 1 is read from the stream's
-    records inside the union of the kept windows, each record once, in chunks
-    of at most _PAIR_CHUNK records (or one window's): a prefix count of channel
-    1 over those records gives every window its channel-1 tags.  The pairs'
+    records window by window, a record once per kept window that holds it, in
+    chunks of at most _PAIR_CHUNK records (or one window's); each window's
+    channel-1 tags follow those of the window before.  The pairs'
     flat bin keys are expanded in chunks of at most _PAIR_CHUNK pairs (or one
     channel-3 tag's) into one array, sorted once in place: each run of equal
     keys is one bin.
@@ -181,33 +181,25 @@ def build_threefold_histogram(stream: TimeTagStream, cfg: BinningConfig) -> Coin
     win = refs[kept] - w  # window start
     count3 = np.searchsorted(t3, win + 2 * w, "right") - start3
     del refs, kept
-    # the kept windows' records [lo, hi); windows ascend, so window k adds to their union
-    # the n[k] records from new[k] on that no earlier window holds
+    # window k holds the n[k] records from lo[k] on, its own reference among them, so
+    # n[k] >= 1: reduceat gives an empty segment its first element, not 0
     ts = stream.timestamps
     lo = np.searchsorted(ts, win, "left")
-    hi = np.searchsorted(ts, win + 2 * w, "right")
-    new = lo.copy()
-    np.maximum(new[1:], hi[:-1], out=new[1:])
-    n = hi - new
-    union_before = np.concatenate(([0], np.cumsum(n)))
-    # ones_before[g]: the channel-1 records among the union's first g
-    ones_before = np.zeros(union_before[-1] + 1, dtype=np.int64)
+    n = np.searchsorted(ts, win + 2 * w, "right") - lo
+    before = np.concatenate(([0], np.cumsum(n)))
+    count1 = np.empty(len(n), dtype=np.int64)
 
-    def read_union(a, b):
-        """Channel-1 ticks of the records windows a to b add; counts them into ones_before."""
-        r = np.repeat(new[a:b] - union_before[a:b], n[a:b])
-        r += np.arange(union_before[a], union_before[b])
+    def read_windows(a, b):
+        """Channel-1 ticks of windows a to b, window by window; counts them into count1."""
+        r = np.repeat(lo[a:b] - before[a:b], n[a:b])
+        r += np.arange(before[a], before[b])
         is1 = np.take(stream.channels, r) == CHANNEL_I1
-        counted = ones_before[union_before[a] + 1 : union_before[b] + 1]
-        np.cumsum(is1, out=counted)
-        counted += ones_before[union_before[a]]
+        count1[a:b] = np.add.reduceat(is1, before[a:b] - before[a], dtype=np.int64)
         return np.take(ts, np.compress(is1, r))
 
-    t1 = np.concatenate([ts[:0]] + [read_union(a, b) for a, b in _chunks(union_before)])
-    # window k's first record sits new[k] - lo[k] places before the ones it adds
-    start1 = ones_before[union_before[:-1] - (new - lo)]
-    count1 = ones_before[union_before[1:]] - start1
-    del lo, hi, new, n, union_before, ones_before
+    t1 = np.concatenate([ts[:0]] + [read_windows(a, b) for a, b in _chunks(before)])
+    del lo, n, before
+    start1 = np.cumsum(count1) - count1
     # one entry per channel-3 tag in the window of a reference with a channel-1 tag there
     # too; pair k (over all entries) of entry e is channel-1 tag base[e] + k and delay off[e]
     count3[count1 == 0] = 0
@@ -535,6 +527,8 @@ def analyze_stream(
     n_pulses: int,
 ) -> TripletReport:
     """Run the full pipeline: histogram, merge, peak, accidentals, statistics."""
+    if n_pulses <= 0:
+        raise ValueError("n_pulses must be > 0")
     fine = build_threefold_histogram(stream, cfg)
     merged = merge_bins(fine, cfg.merge_factor)
     return analyze_merged(

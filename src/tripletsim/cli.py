@@ -217,11 +217,7 @@ def _acceptance(plan, fmt: str):
         plan.acceptance_points,
     )
     if fmt == "json":
-        acc = phasematch.pump_acceptance_bandwidth(*stage)
-        return {
-            "fwhm_m": acc.fwhm_m,
-            "peak_m": acc.peak_m,
-        }
+        return asdict(phasematch.pump_acceptance_bandwidth(*stage))
     pumps, resp = phasematch.pump_acceptance_response(*stage)
     return _pair_rows(["pump_lambda_m", "integrated_response"], pumps, resp)
 

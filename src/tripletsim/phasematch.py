@@ -164,10 +164,6 @@ class PhasematchSolution:
     residual_delta_k: float
     n_roots: int
 
-    @property
-    def multiple_roots(self) -> bool:
-        return self.n_roots > 1
-
 
 def solve_phasematched_signal(
     lambda_p_m: float,
@@ -181,7 +177,7 @@ def solve_phasematched_signal(
 
     The bracket is scanned for sign changes first; each is refined by
     bisection.  With several roots the one nearest the bracket center is
-    returned and the multiplicity is flagged on the result.
+    returned, and n_roots counts them all.
     """
     lo, hi = bracket
     if not (lambda_p_m < lo < hi):

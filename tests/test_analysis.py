@@ -214,10 +214,10 @@ class TestHistogramOracle:
         assert h.total_counts == 13
 
     @staticmethod
-    def union_case(case, w):
-        """(ch1, ch2, ch3) ticks that put records where the kept windows join or end."""
+    def per_window_case(case, w):
+        """(ch1, ch2, ch3) ticks that put records where the kept windows overlap, join or end."""
         side = 2 * w + 1
-        if case == "chain":  # each window overlaps the next: the union is one long run
+        if case == "chain":  # each window overlaps the next: inner records are read two or three times
             refs = [1000 + k * w for k in range(20)]
             return range(900, 1000 + 21 * w, 5), refs, [t + 5 for t in refs]
         if case == "touching":  # each window starts one tick past the last: no gap record
@@ -228,28 +228,35 @@ class TestHistogramOracle:
             return [edge] * 3 + [edge + 1] * 2, [1000, 1000 + side], [edge, edge, edge + 1]
         if case == "stream_ends":  # the first and the last record are inside windows
             return [0, 40, 2 * w + 100], [20, 2 * w + 90], [20, 2 * w + 90]
+        if case == "no_ch1_between":  # a window without channel 1 between windows with some
+            refs = [1000 + k * 2 * side for k in range(3)]
+            return [990, 1000, 1000 + 4 * side + 3], refs, [t + 1 for t in refs]
         # "none_kept": no reference has a channel-3 tag in its window
         return [1000, 5000], [1000, 5000], [1000 + w + 1, 5000 - w - 1]
 
     @pytest.mark.parametrize("chunk", [2, 1 << 16])
     @pytest.mark.parametrize(
-        "case", ["chain", "touching", "equal_edge_ticks", "stream_ends", "none_kept"]
+        "case",
+        ["chain", "touching", "equal_edge_ticks", "stream_ends", "none_kept", "no_ch1_between"],
     )
-    def test_union_of_kept_windows_matches_brute_force(self, monkeypatch, case, chunk):
-        # channel 1 is read once from the union of the kept windows, in chunks of
-        # windows; a chunk of 2 splits the union between and inside runs
+    def test_per_window_read_matches_brute_force(self, monkeypatch, case, chunk):
+        # channel 1 is read window by window, in chunks of windows; a chunk of 2
+        # records holds one window, and one chunk holds them all
         monkeypatch.setattr(analysis, "_PAIR_CHUNK", chunk)
         w = fine_half_window(SMALL)
-        ch1, ch2, ch3 = self.union_case(case, w)
+        ch1, ch2, ch3 = self.per_window_case(case, w)
         stream = stream_from_ticks(ch1=ch1, ch2=ch2, ch3=ch3)
         ts, refs = stream.timestamps, np.asarray(ch2)
+        lo, hi = np.searchsorted(ts, refs - w, "left"), np.searchsorted(ts, refs + w, "right")
         if case == "chain":
             assert np.all(np.diff(refs) <= 2 * w)
         if case in ("touching", "equal_edge_ticks"):
-            lo, hi = np.searchsorted(ts, refs - w, "left"), np.searchsorted(ts, refs + w, "right")
             assert np.array_equal(lo[1:], hi[:-1])
         if case == "stream_ends":
             assert stream.channels[0] == stream.channels[-1] == 1
+        if case == "no_ch1_between":
+            ones = [np.count_nonzero(stream.channels[a:b] == 1) for a, b in zip(lo, hi)]
+            assert ones == [2, 0, 1]
         h = build_threefold_histogram(stream, SMALL)
         expected = brute_force_histogram(stream, SMALL)
         assert as_dict(h) == expected
@@ -526,23 +533,26 @@ class TestMemoryBound:
         references with a channel-3 tag in their window, E (reference, channel-3
         tag) entries and 2**16-element chunks:
 
-        histogram, the largest of three stages plus a chunk's temporaries (at
-        most three int64 arrays, 24 B x 2**16), with U records in the union of
-        the kept windows, U1 of them on channel 1:
+        histogram, the largest of three stages, with S records summed over the
+        kept windows (a record two windows share counts twice), S1 of them on
+        channel 1:
         - the sort and run count hold the P keys (4 B) and the run-head mask
           (1 B per pair), then per bin the run starts, turned into the int64
           counts in place (8 B), and the unique keys (4 B): 5 P + 12 B;
-        - the union read holds the channel-3 copy (8 B per tag), the
-          per-reference window starts, record ranges, starts and counts with
-          their temporaries (96 B per K), the channel-1 prefix count (8 B per
-          U) and the union's channel-1 ticks, joined from their chunks (16 B
-          per U1);
-        - before the keys are filled, the union's channel-1 ticks and the
+        - the per-window read holds the channel-3 copy (8 B per tag), seven
+          int64 arrays per kept reference (window start, first channel-3 tag,
+          channel-3 count, first record, record count, its prefix sum and
+          channel-1 count: 56 B per K) and the channel-1 ticks read, in their
+          chunks and then joined (16 B per S1), plus a chunk's temporaries: per
+          record its int64 index and channel-1 mask (9 B) and per channel-1
+          record its index and tick (16 B), at most 25 B x 2**16;
+        - before the keys are filled, the channel-1 ticks read and the
           channel-3 copy (8 B per tag), the per-reference starts and counts
           with the temporaries of the entry index (56 B per K), the keys (4 P)
           and the entry table (n1, pair offsets, base, window start: 32 B per
           E) with the index of its delay gather, built in place, and the
-          gathered ticks (16 B per E).
+          gathered ticks (16 B per E); the key fill holds less than that plus
+          a chunk's temporaries (at most three int64 arrays, 24 B x 2**16).
 
         merge: the fine histogram (12 B per bin) stays; the merged grid G of
         int64 sums (8 B x 457**2, 1.67 MB), a chunk's divmod outputs with an
@@ -564,14 +574,19 @@ class TestMemoryBound:
             np.searchsorted(t, refs + w, "right") - np.searchsorted(t, refs - w, "left")
             for t in (t1, t3)
         )
-        kept, entries = np.count_nonzero(count3), int(count3[count1 > 0].sum())
-        # the union of the kept windows
-        gated = gate_stream(stream, w)
-        union, union1 = len(gated), np.count_nonzero(gated.channels == 1)
-        assert 0.3 * len(stream) < union < len(stream) and union1 < len(t1)
-        gate_stage = 8 * len(t3) + 96 * kept + 8 * union + 16 * union1
-        table_stage = 8 * (union1 + len(t3)) + 56 * kept + 48 * entries
-        del t1, refs, t3, count1, count3, gated
+        kept = count3 > 0
+        n_kept, entries = np.count_nonzero(kept), int(count3[count1 > 0].sum())
+        # the records and channel-1 ticks summed over the kept windows; the windows
+        # overlap, so they hold more records than their union
+        lo, hi = (
+            np.searchsorted(stream.timestamps, refs[kept] + d, side)
+            for d, side in ((-w, "left"), (w, "right"))
+        )
+        read, read1 = int((hi - lo).sum()), int(count1[kept].sum())
+        assert len(gate_stream(stream, w)) < read < len(stream) and read1 < len(t1)
+        read_stage = 8 * len(t3) + 56 * n_kept + 16 * read1 + 25 * 2**16
+        table_stage = 8 * (read1 + len(t3)) + 56 * n_kept + 48 * entries + 24 * 2**16
+        del t1, refs, t3, count1, count3, kept, lo, hi
 
         tracemalloc.start()
         try:
@@ -585,8 +600,8 @@ class TestMemoryBound:
 
         pairs, bins = h.total_counts, len(h.keys)
         assert pairs >= 2**21 and h.keys.dtype == np.int32 and m.total_counts == pairs
-        stages = max(5 * pairs + 12 * bins, gate_stage, table_stage + 4 * pairs)
-        assert hist_peak / pairs <= (stages + 24 * 2**16) / pairs
+        stages = max(5 * pairs + 12 * bins, read_stage, table_stage + 4 * pairs)
+        assert hist_peak / pairs <= stages / pairs
         grid = 8 * (2 * cfg.n_half_merged + 1) ** 2
         assert merge_peak / bins <= (12 * bins + 3 * grid + 16 * 2**16) / bins
 
@@ -815,6 +830,16 @@ class TestScalarStatistics:
 
 
 class TestAnalyzeStream:
+    @pytest.mark.parametrize("n_pulses", [0, -1])
+    def test_pulse_count_refused_before_the_histogram(self, monkeypatch, n_pulses):
+        def histogram(stream, cfg):
+            raise AssertionError("histogram built for a non-positive pulse count")
+
+        monkeypatch.setattr(analysis, "build_threefold_histogram", histogram)
+        stream = stream_from_ticks(ch1=[100], ch2=[100], ch3=[100])
+        with pytest.raises(ValueError, match="n_pulses"):
+            analyze_stream(stream, BinningConfig(), n_pulses=n_pulses)
+
     def test_empty_stream_report(self):
         stream = TimeTagStream(TICK, np.empty(0, np.uint8), np.empty(0, np.int64))
         report = analyze_stream(stream, BinningConfig(), n_pulses=1000)

@@ -151,7 +151,6 @@ class TestSolver:
         mirror = pm.idler_partner(532e-9, 800e-9)
         sol = pm.solve_phasematched_signal(532e-9, grating, 25.0, CURVED_TOY, (700e-9, 1700e-9))
         assert sol.n_roots == 2
-        assert sol.multiple_roots
         # nearest the bracket center wins
         center = 0.5 * (700e-9 + 1700e-9)
         assert abs(sol.lambda_s_m - center) <= abs(800e-9 - center) + 1e-12
