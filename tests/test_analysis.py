@@ -217,7 +217,7 @@ class TestHistogramOracle:
     def per_window_case(case, w):
         """(ch1, ch2, ch3) ticks that put records where the kept windows overlap, join or end."""
         side = 2 * w + 1
-        if case == "chain":  # each window overlaps the next: inner records are read two or three times
+        if case == "chain":  # each window overlaps the next: inner records are read 2 or 3 times
             refs = [1000 + k * w for k in range(20)]
             return range(900, 1000 + 21 * w, 5), refs, [t + 5 for t in refs]
         if case == "touching":  # each window starts one tick past the last: no gap record
