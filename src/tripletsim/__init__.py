@@ -1,6 +1,7 @@
 """Cascaded parametric down-conversion triplet source: simulation and analysis."""
 
 from .analysis import (
+    AnalyzeOptions,
     BinningConfig,
     Coincidence2DHistogram,
     TripletReport,

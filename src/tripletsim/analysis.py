@@ -24,6 +24,7 @@ from .simulate import CHANNEL_I1, CHANNEL_I2, CHANNEL_S2, TimeTagStream, _gate
 
 __all__ = [
     "AccidentalEstimate",
+    "AnalyzeOptions",
     "BinningConfig",
     "CarEstimate",
     "Coincidence2DHistogram",
@@ -55,8 +56,13 @@ class BinningConfig:
     def __post_init__(self):
         if self.merge_factor < 1:
             raise ValueError("merge_factor must be >= 1")
-        if self.base_bin_s <= 0 or self.window_half_span_s <= 0 or self.rep_period_s <= 0:
-            raise ValueError("all time scales must be > 0")
+        for name in ("base_bin_s", "window_half_span_s", "rep_period_s"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # also rejects NaN
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        for name in ("window_half_span_s", "rep_period_s"):  # each rounded to merged bins
+            if getattr(self, name) / self.merged_bin_s == math.inf:
+                raise ValueError(f"{name} spans more merged bins than a float can count")
         r = self.rep_period_bins
         if r < 1:
             raise ValueError("rep_period_s must exceed one merged bin")
@@ -80,6 +86,28 @@ class BinningConfig:
     @property
     def rep_period_bins(self) -> int:
         return round(self.rep_period_s / self.merged_bin_s)
+
+
+@dataclass(frozen=True)
+class AnalyzeOptions:
+    """Settings of one analysis: histogram geometry, peak search, noise fit and pulse count.
+
+    n_pulses divides the central count into the success probability; None
+    means not yet known, and the analysis refuses to run until it is.
+    """
+
+    binning: BinningConfig = BinningConfig()
+    peak_search_radius: int = 3
+    fit_exclude_sigma: float = 10.0
+    n_pulses: int | None = None
+
+    def __post_init__(self):
+        if self.peak_search_radius < 0:
+            raise ValueError(f"peak_search_radius must be >= 0, got {self.peak_search_radius}")
+        if not self.fit_exclude_sigma > 0:
+            raise ValueError(f"fit_exclude_sigma must be > 0, got {self.fit_exclude_sigma}")
+        if self.n_pulses is not None and self.n_pulses < 1:
+            raise ValueError(f"n_pulses must be >= 1, got {self.n_pulses}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,7 +326,7 @@ class PeakLocation:
     delay_j_s: float
 
 
-def locate_central_peak(h: Coincidence2DHistogram, search_radius: int = 3) -> PeakLocation:
+def locate_central_peak(h: Coincidence2DHistogram, search_radius: int) -> PeakLocation:
     """Highest bin inside the search square around zero delay.
 
     Ties resolve toward the smallest delay magnitude, then lexicographically.
@@ -329,38 +357,44 @@ class AccidentalEstimate:
     n_bins: int
 
 
+# Neighbor-pulse bins accidental_mean needs at least
+_MIN_ACCIDENTAL_BINS = 5
+
+
 def accidental_mean(
-    h: Coincidence2DHistogram,
-    peak: PeakLocation,
-    cfg: BinningConfig,
-    min_bins: int = 5,
+    h: Coincidence2DHistogram, peak: PeakLocation, cfg: BinningConfig
 ) -> AccidentalEstimate:
     """Mean count of the neighbor-pulse bins around the peak.
 
     Samples every in-grid bin displaced from the peak by nonzero integer
     multiples of the pulse period along either axis (axial, diagonal and
     mixed displacements), where accidental coincidences involving neighboring
-    pulses accumulate.
+    pulses accumulate.  The bins are counted in closed form, and only the
+    stored bins of the lattice rows are read, so the cost follows the rows
+    and their non-empty bins, not the lattice's area.
     """
     if abs(h.bin_width_s - cfg.merged_bin_s) > 1e-6 * cfg.merged_bin_s:
         raise ValueError("histogram is not on the merged grid of this config")
-    r = cfg.rep_period_bins
-    kmax = (h.n_half + max(abs(peak.i), abs(peak.j))) // r + 1
-    # displacements (a, b) in row-major order, (0, 0) left out
-    a, b = np.indices((2 * kmax + 1, 2 * kmax + 1)).reshape(2, -1) - kmax
-    i, j = peak.i + a * r, peak.j + b * r
-    inside = (np.abs(i) <= h.n_half) & (np.abs(j) <= h.n_half) & ((a != 0) | (b != 0))
-    keys = (i[inside] + h.n_half) * h.n_axis_bins + (j[inside] + h.n_half)
-    pos = np.searchsorted(h.keys, keys)
-    hit = pos < len(h.keys)
-    hit[hit] = h.keys[pos[hit]] == keys[hit]
-    counts = np.zeros(len(keys), np.int64)
-    counts[hit] = h.values[pos[hit]]
-    if len(counts) < min_bins:
+    n, r, side = h.n_half, cfg.rep_period_bins, h.n_axis_bins
+    if max(abs(peak.i), abs(peak.j)) > n:
+        raise ValueError(f"peak ({peak.i}, {peak.j}) lies outside the histogram grid")
+    # lattice rows i = peak.i + a r inside the grid, and the count of lattice columns there
+    rows = peak.i + r * np.arange(-((n + peak.i) // r), (n - peak.i) // r + 1)
+    n_bins = len(rows) * ((n - peak.j) // r + (n + peak.j) // r + 1) - 1  # less the peak
+    if n_bins < _MIN_ACCIDENTAL_BINS:
         raise InsufficientStatisticsError(
-            f"only {len(counts)} neighbor-pulse bins inside the window (need {min_bins})"
+            f"only {n_bins} neighbor-pulse bins inside the window (need {_MIN_ACCIDENTAL_BINS})"
         )
-    return AccidentalEstimate(mean=float(np.mean(counts)), n_bins=len(counts))
+    # the stored bins of the rows: row k holds the count[k] keys from lo[k] on
+    lo = np.searchsorted(h.keys, (rows + n) * side)
+    count = np.searchsorted(h.keys, (rows + n + 1) * side) - lo
+    pos = np.repeat(lo - (np.cumsum(count) - count), count)
+    pos += np.arange(len(pos))
+    keys = h.keys[pos]
+    on = (keys % side - n - peak.j) % r == 0  # column j on the lattice
+    on &= keys != (peak.i + n) * side + peak.j + n
+    # an exact integer sum, so the mean is the one over every lattice bin, zeros included
+    return AccidentalEstimate(mean=float(h.values[pos[on]].sum()) / n_bins, n_bins=n_bins)
 
 
 @dataclass(frozen=True)
@@ -412,7 +446,7 @@ class PoissonFit:
 _FIT_MAX_ITERATIONS = 10
 
 
-def poisson_fit(occupancy: dict[int, int], exclude_sigma: float = 10.0) -> PoissonFit:
+def poisson_fit(occupancy: dict[int, int], exclude_sigma: float) -> PoissonFit:
     """Maximum-likelihood Poisson mean of the per-bin occupancy.
 
     The ML estimate of a Poisson mean is the weighted sample mean.  Count
@@ -458,19 +492,16 @@ def poisson_fit(occupancy: dict[int, int], exclude_sigma: float = 10.0) -> Poiss
     )
 
 
-def snr(central: int, noise_mean: float, n_bins: int | None = None) -> float:
+def snr(central: int, noise_mean: float, n_bins: int) -> float:
     """Signal-to-noise ratio of the central count against the per-bin noise mean.
 
-    A vanishing noise mean makes the ratio infinite; with the bin total given
-    the resolvable lower bound central * n_bins is returned instead.
+    A vanishing noise mean makes the ratio infinite; the resolvable lower
+    bound central * n_bins, n_bins being the bins of the grid, is returned
+    instead.
     """
     if central < 0 or noise_mean < 0:
         raise ValueError("inputs must be >= 0")
-    if noise_mean > 0:
-        return central / noise_mean
-    if n_bins is None:
-        raise ValueError("noise_mean is 0; pass n_bins to report the lower bound")
-    return float(central * n_bins)
+    return central / noise_mean if noise_mean > 0 else float(central * n_bins)
 
 
 @dataclass(frozen=True)
@@ -518,45 +549,29 @@ def _json_value(value):
     return value
 
 
-def analyze_stream(
-    stream: TimeTagStream,
-    cfg: BinningConfig,
-    peak_search_radius: int = 3,
-    fit_exclude_sigma: float = 10.0,
-    *,
-    n_pulses: int,
-) -> TripletReport:
+def _pulse_count(opts: AnalyzeOptions) -> int:
+    if opts.n_pulses is None:
+        raise ValueError("n_pulses is required: the pulse count the success probability divides by")
+    return opts.n_pulses
+
+
+def analyze_stream(stream: TimeTagStream, opts: AnalyzeOptions) -> TripletReport:
     """Run the full pipeline: histogram, merge, peak, accidentals, statistics."""
-    if n_pulses <= 0:
-        raise ValueError("n_pulses must be > 0")
-    fine = build_threefold_histogram(stream, cfg)
-    merged = merge_bins(fine, cfg.merge_factor)
-    return analyze_merged(
-        merged,
-        cfg,
-        n_pulses=n_pulses,
-        peak_search_radius=peak_search_radius,
-        fit_exclude_sigma=fit_exclude_sigma,
-    )
+    _pulse_count(opts)  # a missing count costs no histogram
+    fine = build_threefold_histogram(stream, opts.binning)
+    return analyze_merged(merge_bins(fine, opts.binning.merge_factor), opts)
 
 
-def analyze_merged(
-    merged: Coincidence2DHistogram,
-    cfg: BinningConfig,
-    n_pulses: int,
-    peak_search_radius: int = 3,
-    fit_exclude_sigma: float = 10.0,
-) -> TripletReport:
+def analyze_merged(merged: Coincidence2DHistogram, opts: AnalyzeOptions) -> TripletReport:
     """Statistics of an already merged histogram.
 
     success_probability is the raw central_count / n_pulses, with the Poisson
     error sqrt(central_count) / n_pulses and no dead-time or duty-cycle
     correction.
     """
-    if n_pulses <= 0:
-        raise ValueError("n_pulses must be > 0")
+    n_pulses = _pulse_count(opts)
     try:
-        peak = locate_central_peak(merged, peak_search_radius)
+        peak = locate_central_peak(merged, opts.peak_search_radius)
         central = peak.count
         peak_bin = (peak.i, peak.j)
         peak_delay = (peak.delay_i_s * 1e9, peak.delay_j_s * 1e9)
@@ -566,11 +581,11 @@ def analyze_merged(
         peak_bin = None
         peak_delay = None
 
-    acc = accidental_mean(merged, peak, cfg)
+    acc = accidental_mean(merged, peak, opts.binning)
     car_est = car(central, acc.mean, n_accidental_bins=acc.n_bins)
 
     occupancy = occupancy_histogram(merged)
-    fit = poisson_fit(occupancy, exclude_sigma=fit_exclude_sigma)
+    fit = poisson_fit(occupancy, opts.fit_exclude_sigma)
 
     return TripletReport(
         central_count=central,

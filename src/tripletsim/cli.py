@@ -13,7 +13,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -138,14 +138,9 @@ def cmd_analyze(args) -> int:
     tree = load_config(args.config)
     opts = parse_analyze(tree.get("analyze", {}))
     # a refused pulse count costs no read of the file
-    n_pulses = opts.n_pulses if opts.n_pulses is not None else _manifest_pulses(args.ttag)
-    report = analysis.analyze_stream(
-        ttag.read_ttag(args.ttag),
-        opts.binning,
-        peak_search_radius=opts.peak_search_radius,
-        fit_exclude_sigma=opts.fit_exclude_sigma,
-        n_pulses=n_pulses,
-    )
+    if opts.n_pulses is None:
+        opts = replace(opts, n_pulses=_manifest_pulses(args.ttag))
+    report = analysis.analyze_stream(ttag.read_ttag(args.ttag), opts)
 
     os.makedirs(args.output, exist_ok=True)
     occupancy = sorted(report.occupancy.items())

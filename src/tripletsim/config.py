@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .constants import DEFAULT_TICK_S
-from .analysis import BinningConfig
+from .analysis import AnalyzeOptions, BinningConfig
 from .dispersion import SellmeierDispersion, ToyDispersion, lithium_niobate_e
 from .errors import ConfigError
 from .pairstats import SourceParams
@@ -125,29 +125,13 @@ def _arm(tree, path: str) -> Arm:
     return Arm(channel=_build(ChannelModel, path, **kw), detector=detector)
 
 
-def parse_simulate(tree: dict, path: str = "simulate") -> SimConfig:
-    kw = _fields(tree, path, _SIMULATE)
-    source_path, arms_path = f"{path}.source", f"{path}.arms"
-    source = _build(SourceParams, source_path, **_fields(kw.pop("source"), source_path, _SOURCE))
-    arm_trees = _fields(kw.pop("arms"), arms_path, _ARMS)
-    arms = tuple(_arm(arm_trees[name], f"{arms_path}.{name}") for name in _ARMS)
-    return _build(SimConfig, path, source=source, arms=arms, **kw)
-
-
-@dataclass(frozen=True)
-class AnalyzeOptions:
-    binning: BinningConfig
-    peak_search_radius: int
-    fit_exclude_sigma: float
-    n_pulses: int | None
-
-    def __post_init__(self):
-        if self.peak_search_radius < 0:
-            raise ValueError(f"peak_search_radius must be >= 0, got {self.peak_search_radius}")
-        if not self.fit_exclude_sigma > 0:
-            raise ValueError(f"fit_exclude_sigma must be > 0, got {self.fit_exclude_sigma}")
-        if self.n_pulses is not None and self.n_pulses < 1:
-            raise ValueError(f"n_pulses must be >= 1, got {self.n_pulses}")
+def parse_simulate(tree: dict) -> SimConfig:
+    kw = _fields(tree, "simulate", _SIMULATE)
+    source_kw = _fields(kw.pop("source"), "simulate.source", _SOURCE)
+    source = _build(SourceParams, "simulate.source", **source_kw)
+    arm_trees = _fields(kw.pop("arms"), "simulate.arms", _ARMS)
+    arms = tuple(_arm(arm_trees[name], f"simulate.arms.{name}") for name in _ARMS)
+    return _build(SimConfig, "simulate", source=source, arms=arms, **kw)
 
 
 _BINNING = {
@@ -159,16 +143,16 @@ _BINNING = {
 
 _ANALYZE = {
     **_BINNING,
-    "peak_search_radius_bins": ("peak_search_radius", int, 3, 1),
-    "fit_exclude_sigma": ("fit_exclude_sigma", float, 10.0, 1),
+    "peak_search_radius_bins": ("peak_search_radius", int, AnalyzeOptions.peak_search_radius, 1),
+    "fit_exclude_sigma": ("fit_exclude_sigma", float, AnalyzeOptions.fit_exclude_sigma, 1),
     "n_pulses": ("n_pulses", int, None, 1),
 }
 
 
-def parse_analyze(tree: dict, path: str = "analyze") -> AnalyzeOptions:
-    kw = _fields(tree, path, _ANALYZE)
-    binning = _build(BinningConfig, path, **{field: kw.pop(field) for field, *_ in _BINNING.values()})
-    return _build(AnalyzeOptions, path, binning=binning, **kw)
+def parse_analyze(tree: dict) -> AnalyzeOptions:
+    kw = _fields(tree, "analyze", _ANALYZE)
+    binning = _build(BinningConfig, "analyze", **{f: kw.pop(f) for f, *_ in _BINNING.values()})
+    return _build(AnalyzeOptions, "analyze", binning=binning, **kw)
 
 
 @dataclass(frozen=True)
@@ -279,21 +263,21 @@ def _calibrated_grating(tree: dict, path: str, temperature_c: float, dispersion)
     return _build(solve, path, dispersion=dispersion, **kw)
 
 
-def parse_phasematch(tree: dict, path: str = "phasematch") -> PhasematchPlan:
-    kw = _fields(tree, path, _PHASEMATCH)
+def parse_phasematch(tree: dict) -> PhasematchPlan:
+    kw = _fields(tree, "phasematch", _PHASEMATCH)
     if ("poling_period_um" in tree) == ("calibration" in tree):
-        raise ConfigError(f"{path}: give exactly one of poling_period_um and a calibration object")
+        raise ConfigError("phasematch: give exactly one of poling_period_um and a calibration object")
     if "grating_sign" in tree and "calibration" in tree:
-        raise ConfigError(f"{path}.grating_sign: only valid with poling_period_um")
-    dispersion = _dispersion(kw.pop("dispersion"), f"{path}.dispersion")
+        raise ConfigError("phasematch.grating_sign: only valid with poling_period_um")
+    dispersion = _dispersion(kw.pop("dispersion"), "phasematch.dispersion")
     period, sign, calibration = kw.pop("poling_period_m"), kw.pop("sign"), kw.pop("calibration")
     if calibration is None:
-        grating = _build(QpmGrating, path, poling_period_m=period, sign=sign)
+        grating = _build(QpmGrating, "phasematch", poling_period_m=period, sign=sign)
     else:
         grating = _calibrated_grating(
-            calibration, f"{path}.calibration", kw["temperature_c"], dispersion
+            calibration, "phasematch.calibration", kw["temperature_c"], dispersion
         )
-    return _build(PhasematchPlan, path, dispersion=dispersion, grating=grating, **kw)
+    return _build(PhasematchPlan, "phasematch", dispersion=dispersion, grating=grating, **kw)
 
 
 _CONFIG = {

@@ -92,10 +92,7 @@ class ToyDispersion:
         return n if np.ndim(n) else float(n)
 
 
-def lithium_niobate_e(
-    lambda_range_m: tuple[float, float] = (400e-9, 5.0e-6),
-    temp_range_c: tuple[float, float] = (20.0, 260.0),
-) -> SellmeierDispersion:
+def lithium_niobate_e(lambda_range_m: tuple[float, float] = (400e-9, 5.0e-6)) -> SellmeierDispersion:
     """Extraordinary index of congruent lithium niobate, temperature dependent.
 
     Valid from the visible through the telecom band at oven temperatures; the
@@ -105,6 +102,6 @@ def lithium_niobate_e(
         a=(5.35583, 0.100473, 0.20692, 100.0, 11.34927, 1.5334e-2),
         b=(4.629e-7, 3.862e-8, -0.89e-8, 2.657e-5),
         lambda_range_m=lambda_range_m,
-        temp_range_c=temp_range_c,
+        temp_range_c=(20.0, 260.0),
         name="congruent_linbo3_e",
     )

@@ -41,6 +41,11 @@ __all__ = [
 # Wavelength tolerance of the root finder.  Far below the nominal 1e-4 nm so
 # that the residual |delta_k| at a solution stays under 1e-3 per meter.
 ROOT_XTOL_M = 1e-18
+# Grid points of the signal solver's sign-change scan, of the SHG scans and of
+# the signal integral of pdc_signal_response
+_SCAN_POINTS = 128
+_SHG_POINTS = 801
+_SIGNAL_POINTS = 1000
 
 
 def idler_partner(lambda_p_m, lambda_s_m):
@@ -171,7 +176,6 @@ def solve_phasematched_signal(
     temperature_c: float,
     dispersion,
     bracket: tuple[float, float],
-    scan_points: int = 128,
 ) -> PhasematchSolution:
     """Signal wavelength with delta_k = 0 inside the bracket.
 
@@ -187,7 +191,7 @@ def solve_phasematched_signal(
     def mismatch(lambda_s_m):
         return _mismatch_vs_signal(lambda_s_m, lambda_p_m, k_g, temperature_c, dispersion)
 
-    roots = _sign_change_roots(mismatch, lo, hi, scan_points)
+    roots = _sign_change_roots(mismatch, lo, hi, _SCAN_POINTS)
     if not roots:
         raise NoRootError(
             f"delta_k does not change sign over {bracket}; no phase-matched signal"
@@ -249,10 +253,9 @@ def shg_response(
     dispersion,
     scan: tuple[float, float],
     length_m: float,
-    n_points: int = 801,
 ) -> tuple[np.ndarray, np.ndarray]:
     """sinc^2(delta_k L / 2) second-harmonic conversion curve over the scan."""
-    lams = np.linspace(scan[0], scan[1], n_points)
+    lams = np.linspace(scan[0], scan[1], _SHG_POINTS)
     dk = _shg_mismatch(lams, grating.grating_k, temperature_c, dispersion)
     return lams, sinc_sq(dk * length_m / 2.0)
 
@@ -262,7 +265,6 @@ def shg_peak_wavelength(
     temperature_c: float,
     dispersion,
     scan: tuple[float, float],
-    n_points: int = 801,
 ) -> float:
     """Fundamental wavelength maximizing the second-harmonic response.
 
@@ -275,7 +277,7 @@ def shg_peak_wavelength(
         lambda lam: _shg_mismatch(lam, grating.grating_k, temperature_c, dispersion),
         scan[0],
         scan[1],
-        n_points,
+        _SHG_POINTS,
     )
     if not roots:
         raise NoRootError(f"delta_k does not change sign over {scan}; no phase-matched SHG peak")
@@ -294,14 +296,13 @@ def pdc_signal_response(
     temperature_c: float,
     dispersion,
     length_m: float,
-    n_points: int = 1000,
 ) -> float:
     """Signal-wavelength-integrated sinc^2 response of the stage at one pump.
 
     A coarse scan over the near-degenerate band locates the region where the
     sinc argument stays within _LOBE_SPAN lobes; the response is then
-    integrated on an n_points grid over that region.  The window selection is
-    independent of n_points, so refining the grid only refines the quadrature.
+    integrated on a _SIGNAL_POINTS grid over that region.  The window selection
+    is independent of that grid, so refining it only refines the quadrature.
     """
     lo = max(1.05 * lambda_p_m, 2.0 * lambda_p_m / 1.5)
     hi = 2.0 * lambda_p_m * 1.5
@@ -328,7 +329,7 @@ def pdc_signal_response(
         half = (hi - lo) / 20.0
         a = max(lo, coarse[k] - half)
         b = min(hi, coarse[k] + half)
-    fine = np.linspace(a, b, n_points)
+    fine = np.linspace(a, b, _SIGNAL_POINTS)
     return float(np.trapezoid(sinc_sq(half_phase(fine)), fine))
 
 
@@ -344,20 +345,12 @@ def pump_acceptance_response(
     dispersion,
     length_m: float,
     pump_scan: tuple[float, float],
-    n_pump: int = 161,
-    n_signal: int = 1000,
+    n_pump: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Signal-integrated sinc^2 response of the stage on an n_pump grid over pump_scan."""
     pumps = np.linspace(pump_scan[0], pump_scan[1], n_pump)
-    response = np.array(
-        [
-            pdc_signal_response(
-                p, grating, temperature_c, dispersion, length_m, n_points=n_signal
-            )
-            for p in pumps
-        ]
-    )
-    return pumps, response
+    response = [pdc_signal_response(p, grating, temperature_c, dispersion, length_m) for p in pumps]
+    return pumps, np.array(response)
 
 
 def pump_acceptance_bandwidth(
@@ -366,8 +359,7 @@ def pump_acceptance_bandwidth(
     dispersion,
     length_m: float,
     pump_scan: tuple[float, float],
-    n_pump: int = 161,
-    n_signal: int = 1000,
+    n_pump: int,
 ) -> AcceptanceBandwidth:
     """Full width at half maximum of the integrated stage response versus pump wavelength.
 
@@ -378,7 +370,7 @@ def pump_acceptance_bandwidth(
     doubling the interaction length) halves the FWHM.
     """
     pumps, resp = pump_acceptance_response(
-        grating, temperature_c, dispersion, length_m, pump_scan, n_pump, n_signal
+        grating, temperature_c, dispersion, length_m, pump_scan, n_pump
     )
     peak_idx = int(np.argmax(resp))
     rmax = resp[peak_idx]

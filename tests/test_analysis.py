@@ -9,6 +9,7 @@ import pytest
 
 from tripletsim import analysis
 from tripletsim.analysis import (
+    AnalyzeOptions,
     BinningConfig,
     Coincidence2DHistogram,
     PeakLocation,
@@ -119,6 +120,33 @@ class TestBinningConfig:
     def test_rep_period_must_sit_on_grid(self):
         with pytest.raises(ValueError, match="integer number of merged bins"):
             BinningConfig(base_bin_s=TICK, merge_factor=4, rep_period_s=1e-9)
+
+    @pytest.mark.parametrize("field", ["base_bin_s", "window_half_span_s", "rep_period_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+    def test_time_scale_must_be_finite_and_positive(self, field, value):
+        # refused by name before any of them reaches an integer bin count
+        with pytest.raises(ValueError, match=f"^{field} must be finite and > 0"):
+            BinningConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["window_half_span_s", "rep_period_s"])
+    def test_bin_count_beyond_the_float_range_refused(self, field):
+        with pytest.raises(ValueError, match=f"^{field} spans more merged bins"):
+            BinningConfig(**{"base_bin_s": 1e-300, field: 1e10})
+
+
+class TestAnalyzeOptions:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("peak_search_radius", -1),
+            ("fit_exclude_sigma", 0.0),
+            ("fit_exclude_sigma", math.nan),
+            ("n_pulses", 0),
+        ],
+    )
+    def test_out_of_range_setting_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            AnalyzeOptions(**{field: value})
 
 
 class TestHistogramOracle:
@@ -517,7 +545,7 @@ class TestCentralPeak:
         stream = simulate_run(cfg)
         fine = build_threefold_histogram(stream, BinningConfig())
         merged = merge_bins(fine, 16)
-        peak = locate_central_peak(merged)
+        peak = locate_central_peak(merged, 3)
         merged_w = 16 * TICK
         assert abs(peak.delay_i_s - cfg.peak_offset_s) <= merged_w
         assert abs(peak.delay_j_s - cfg.peak_offset_s) <= merged_w
@@ -666,19 +694,47 @@ class TestAccidentals:
     def test_uniform_lattice_value(self):
         cfg = BinningConfig()
         h = lattice_histogram(cfg, peak_count=40, lattice_value=7)
-        peak = locate_central_peak(h)
+        peak = locate_central_peak(h, 3)
         est = accidental_mean(h, peak, cfg)
         assert est.mean == 7.0
         assert est.n_bins == 48
 
-    def test_insufficient_bins(self):
+    def test_insufficient_bins(self, monkeypatch):
         cfg = BinningConfig(window_half_span_s=100e-9)  # only one pulse period fits
         h = Coincidence2DHistogram.from_entries(cfg.merged_bin_s, cfg.n_half_merged, [0], [0], 1)
         peak = PeakLocation(0, 0, 1, 0.0, 0.0)
         est = accidental_mean(h, peak, cfg)
         assert est.n_bins == 8
+        monkeypatch.setattr(analysis, "_MIN_ACCIDENTAL_BINS", 20)
         with pytest.raises(InsufficientStatisticsError):
-            accidental_mean(h, peak, cfg, min_bins=20)
+            accidental_mean(h, peak, cfg)
+
+    def test_peak_outside_the_grid_refused(self):
+        cfg = BinningConfig()
+        h = Coincidence2DHistogram.from_entries(cfg.merged_bin_s, cfg.n_half_merged, [0], [0], 1)
+        with pytest.raises(ValueError, match="outside the histogram grid"):
+            accidental_mean(h, PeakLocation(cfg.n_half_merged + 1, 0, 1, 0.0, 0.0), cfg)
+
+    def test_wide_window_counts_the_lattice_without_building_it(self):
+        # a 1 ms window puts 19981 lattice rows and as many columns on the grid;
+        # a square of all displacements would take gigabytes, a few arrays of one
+        # int64 per row about a megabyte
+        cfg = BinningConfig(window_half_span_s=1e-3)
+        n, r = cfg.n_half_merged, cfg.rep_period_bins
+        # two lattice bins and one bin beside the lattice
+        h = Coincidence2DHistogram.from_entries(
+            cfg.merged_bin_s, n, [0, r, 5 * r, 1], [0, -r, 2 * r, 0], 1
+        )
+        tracemalloc.start()
+        try:
+            est = accidental_mean(h, PeakLocation(0, 0, 1, 0.0, 0.0), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = 2 * (n // r) + 1
+        assert rows == 19981 and est.n_bins == rows * rows - 1 == 399_240_360
+        assert est.mean == 2 / est.n_bins
+        assert peak < 100 * rows, peak
 
     @pytest.mark.parametrize("peak_ij", [(0, 0), (5, -7), (-40, 3), (228, -228)])
     @pytest.mark.parametrize("n_entries", [0, 3000])
@@ -754,17 +810,17 @@ class TestPoissonFit:
             sample = rng.poisson(mean, n_bins)
             values, freqs = np.unique(sample, return_counts=True)
             occ = dict(zip(values.tolist(), freqs.tolist()))
-            fit = poisson_fit(occ)
+            fit = poisson_fit(occ, 10.0)
             se = math.sqrt(mean / n_bins)
             assert abs(fit.mean - mean) < 3 * se
 
     def test_all_zero(self):
-        fit = poisson_fit({0: 100})
+        fit = poisson_fit({0: 100}, 10.0)
         assert fit.mean == 0.0
 
     def test_outlier_excluded(self):
         n = 208849
-        fit = poisson_fit({0: n - 1, 33: 1})
+        fit = poisson_fit({0: n - 1, 33: 1}, 10.0)
         assert fit.mean == pytest.approx(0.0, abs=1e-9)
         assert 33 in fit.excluded_counts
 
@@ -772,9 +828,9 @@ class TestPoissonFit:
         from tripletsim.errors import FitError
 
         with pytest.raises(FitError):
-            poisson_fit({})
+            poisson_fit({}, 10.0)
         with pytest.raises(FitError):
-            poisson_fit({3: 0})
+            poisson_fit({3: 0}, 10.0)
 
 
 class TestScalarStatistics:
@@ -798,51 +854,48 @@ class TestScalarStatistics:
             assert abs(a - b) / b < 1e-12
 
     def test_snr_reference(self):
-        assert snr(33, 0.048) == pytest.approx(687.5, rel=1e-12)
-        assert snr(33, 0.048) > 680
+        assert snr(33, 0.048, n_bins=208849) == pytest.approx(687.5, rel=1e-12)
+        assert snr(33, 0.048, n_bins=208849) > 680
 
     def test_snr_trivial(self):
-        assert snr(5, 5.0) == 1.0
-        assert snr(0, 0.3) == 0.0
+        assert snr(5, 5.0, n_bins=1) == 1.0
+        assert snr(0, 0.3, n_bins=1) == 0.0
 
     def test_snr_zero_noise(self):
         assert snr(10, 0.0, n_bins=208849) == 10 * 208849
-        with pytest.raises(ValueError):
-            snr(10, 0.0)
 
     @pytest.mark.parametrize(
         "central, n_pulses, value",
         [(33, int(11.5 * 3600 * 10e6), 7.971e-11), (0, 100, 0.0), (100, 100, 1.0)],
     )
     def test_success_probability(self, central, n_pulses, value):
-        cfg = BinningConfig()
-        report = analyze_merged(lattice_histogram(cfg, central, 1), cfg, n_pulses)
+        h = lattice_histogram(BinningConfig(), central, 1)
+        report = analyze_merged(h, AnalyzeOptions(n_pulses=n_pulses))
         assert report.central_count == central
         assert report.success_probability == central / n_pulses
         assert report.success_probability == pytest.approx(value, rel=1e-3)
         assert report.success_error == pytest.approx(math.sqrt(central) / n_pulses, rel=1e-12)
 
-    @pytest.mark.parametrize("n_pulses", [0, -1])
+    @pytest.mark.parametrize("n_pulses", [0, -1, None])
     def test_pulse_count_must_be_positive(self, n_pulses):
-        cfg = BinningConfig()
+        h = lattice_histogram(BinningConfig(), 33, 1)
         with pytest.raises(ValueError, match="n_pulses"):
-            analyze_merged(lattice_histogram(cfg, 33, 1), cfg, n_pulses)
+            analyze_merged(h, AnalyzeOptions(n_pulses=n_pulses))
 
 
 class TestAnalyzeStream:
-    @pytest.mark.parametrize("n_pulses", [0, -1])
-    def test_pulse_count_refused_before_the_histogram(self, monkeypatch, n_pulses):
+    def test_pulse_count_refused_before_the_histogram(self, monkeypatch):
         def histogram(stream, cfg):
-            raise AssertionError("histogram built for a non-positive pulse count")
+            raise AssertionError("histogram built without a pulse count")
 
         monkeypatch.setattr(analysis, "build_threefold_histogram", histogram)
         stream = stream_from_ticks(ch1=[100], ch2=[100], ch3=[100])
         with pytest.raises(ValueError, match="n_pulses"):
-            analyze_stream(stream, BinningConfig(), n_pulses=n_pulses)
+            analyze_stream(stream, AnalyzeOptions())
 
     def test_empty_stream_report(self):
         stream = TimeTagStream(TICK, np.empty(0, np.uint8), np.empty(0, np.int64))
-        report = analyze_stream(stream, BinningConfig(), n_pulses=1000)
+        report = analyze_stream(stream, AnalyzeOptions(n_pulses=1000))
         assert report.central_count == 0
         assert report.car_is_lower_bound
         assert report.success_probability == 0.0
@@ -861,7 +914,7 @@ class TestAnalyzeStream:
             stream = simulate_run(cfg, n_threads=2)
             rates = expected_rates(cfg, merged_bin_s=bincfg.merged_bin_s)
             assert rates.expected_central_count >= 100
-            report = analyze_stream(stream, bincfg, n_pulses=cfg.n_pulses)
+            report = analyze_stream(stream, AnalyzeOptions(bincfg, n_pulses=cfg.n_pulses))
             expected_p = rates.expected_central_count / cfg.n_pulses
             sigma_p = math.sqrt(rates.expected_central_count) / cfg.n_pulses
             assert abs(report.success_probability - expected_p) < 4 * sigma_p
@@ -881,7 +934,7 @@ class TestAnalyzeStream:
         )
         stream = simulate_run(cfg, n_threads=2)
         rates = expected_rates(cfg, merged_bin_s=bincfg.merged_bin_s)
-        report = analyze_stream(stream, bincfg, n_pulses=cfg.n_pulses)
+        report = analyze_stream(stream, AnalyzeOptions(bincfg, n_pulses=cfg.n_pulses))
         sigma = math.sqrt(rates.expected_central_count)
         assert abs(report.central_count - rates.expected_central_count) < 4 * sigma
         # the leakage terms are a ~30% effect here, so dropping them would
@@ -911,7 +964,7 @@ class TestAnalyzeStream:
         )
         stream = simulate_run(cfg, n_threads=2)
         rates = expected_rates(cfg, merged_bin_s=bincfg.merged_bin_s)
-        report = analyze_stream(stream, bincfg, n_pulses=cfg.n_pulses)
+        report = analyze_stream(stream, AnalyzeOptions(bincfg, n_pulses=cfg.n_pulses))
         sigma = math.sqrt(rates.expected_central_count)
         assert abs(report.central_count - rates.expected_central_count) < 4 * sigma
 
@@ -926,12 +979,10 @@ class TestAnalyzeStream:
         tree["simulate"]["n_pulses"] = 2_000_000
         tree["simulate"]["arms"]["s2"]["detector"]["dark_rate_hz"] = 1e5
         cfg = parse_simulate(tree["simulate"])
-        bincfg = parse_analyze(tree["analyze"]).binning
-        expected = expected_rates(cfg, merged_bin_s=bincfg.merged_bin_s).expected_central_count
+        opts = replace(parse_analyze(tree["analyze"]), n_pulses=cfg.n_pulses)
+        expected = expected_rates(cfg, merged_bin_s=opts.binning.merged_bin_s).expected_central_count
         central = [
-            analyze_stream(
-                simulate_run(replace(cfg, rng_seed=seed)), bincfg, n_pulses=cfg.n_pulses
-            ).central_count
+            analyze_stream(simulate_run(replace(cfg, rng_seed=seed)), opts).central_count
             for seed in range(100)
         ]
         assert abs(np.mean(central) - expected) <= 4 * math.sqrt(expected / len(central))
@@ -953,6 +1004,6 @@ class TestAnalyzeStream:
                 rng_seed=4,
             )
             stream = simulate_run(cfg, n_threads=2)
-            report = analyze_stream(stream, bincfg, n_pulses=cfg.n_pulses)
+            report = analyze_stream(stream, AnalyzeOptions(bincfg, n_pulses=cfg.n_pulses))
             cars.append(report.car)
         assert cars[0] > cars[1]

@@ -5,10 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tripletsim.analysis import BinningConfig
+from tripletsim.analysis import AnalyzeOptions, BinningConfig
 from tripletsim.cli import main
 from tripletsim.config import (
-    AnalyzeOptions,
     PhasematchPlan,
     default_config,
     load_config,

@@ -163,9 +163,8 @@ class TestSolver:
         monkeypatch.setattr(
             pm, "_mismatch_vs_signal", lambda lambda_s_m, *_: lambda_s_m - grid[2]
         )
-        sol = pm.solve_phasematched_signal(
-            532e-9, STAGE1, CAL_TEMP, LN, (700e-9, 900e-9), scan_points=5
-        )
+        monkeypatch.setattr(pm, "_SCAN_POINTS", 5)
+        sol = pm.solve_phasematched_signal(532e-9, STAGE1, CAL_TEMP, LN, (700e-9, 900e-9))
         assert sol.n_roots == 1
         assert sol.lambda_s_m == grid[2] and sol.residual_delta_k == 0.0
 
@@ -223,16 +222,17 @@ class TestShg:
         peak = pm.shg_peak_wavelength(STAGE2, CAL_TEMP, LN, (1570e-9, 1610e-9))
         assert peak == pytest.approx(1581.0e-9, abs=0.5e-9)
 
-    def test_peak_invariant_width_not(self):
+    def test_peak_invariant_width_not(self, monkeypatch):
         scan = (1570e-9, 1610e-9)
         # the peak takes no crystal length: it must be the response maximum at each
         peak = pm.shg_peak_wavelength(STAGE2, CAL_TEMP, LN, scan)
+        monkeypatch.setattr(pm, "_SHG_POINTS", 8001)  # a response grid ten times finer
         for length in (0.011, 0.022):
-            lams, resp = pm.shg_response(STAGE2, CAL_TEMP, LN, scan, length, n_points=8001)
+            lams, resp = pm.shg_response(STAGE2, CAL_TEMP, LN, scan, length)
             assert lams[int(np.argmax(resp))] == pytest.approx(peak, abs=lams[1] - lams[0])
 
         def fwhm(length):
-            lams, resp = pm.shg_response(STAGE2, CAL_TEMP, LN, scan, length, n_points=8001)
+            lams, resp = pm.shg_response(STAGE2, CAL_TEMP, LN, scan, length)
             half = resp.max() / 2
             above = np.nonzero(resp >= half)[0]
             return lams[above[-1]] - lams[above[0]]
@@ -249,12 +249,12 @@ class TestShg:
 class TestAcceptanceBandwidth:
     def test_length_doubling_halves_fwhm(self):
         scan = (787e-9, 793e-9)
-        acc1 = pm.pump_acceptance_bandwidth(STAGE2, CAL_TEMP, LN, 0.011, scan)
-        acc2 = pm.pump_acceptance_bandwidth(STAGE2, CAL_TEMP, LN, 0.022, scan)
+        acc1 = pm.pump_acceptance_bandwidth(STAGE2, CAL_TEMP, LN, 0.011, scan, 161)
+        acc2 = pm.pump_acceptance_bandwidth(STAGE2, CAL_TEMP, LN, 0.022, scan, 161)
         assert acc1.fwhm_m / acc2.fwhm_m == pytest.approx(2.0, rel=0.1)
 
     def test_peak_near_half_harmonic(self):
-        acc = pm.pump_acceptance_bandwidth(STAGE2, CAL_TEMP, LN, 0.022, (787e-9, 793e-9))
+        acc = pm.pump_acceptance_bandwidth(STAGE2, CAL_TEMP, LN, 0.022, (787e-9, 793e-9), 161)
         assert acc.peak_m == pytest.approx(790.5e-9, abs=0.5e-9)
 
     def test_toy_centroid_tracks_argmax(self):
@@ -270,7 +270,7 @@ class TestAcceptanceBandwidth:
 
     def test_peak_outside_scan_fails(self):
         with pytest.raises(FitError):
-            pm.pump_acceptance_bandwidth(STAGE2, CAL_TEMP, LN, 0.022, (786e-9, 789e-9))
+            pm.pump_acceptance_bandwidth(STAGE2, CAL_TEMP, LN, 0.022, (786e-9, 789e-9), 161)
 
     def test_non_unimodal_response_fails_with_diagnostics(self):
         class DippedIndex:
@@ -288,12 +288,15 @@ class TestAcceptanceBandwidth:
         disp = DippedIndex()
         grating = pm.poling_period_for_shg(1581e-9, 25.0, disp)
         with pytest.raises(FitError, match="non-unimodal") as err:
-            pm.pump_acceptance_bandwidth(grating, 25.0, disp, 0.02, (787e-9, 794e-9))
+            pm.pump_acceptance_bandwidth(grating, 25.0, disp, 0.02, (787e-9, 794e-9), 161)
         assert err.value.residuals is not None
 
-    def test_response_integral_grid_stable(self):
-        r500 = pm.pdc_signal_response(790.5e-9, STAGE2, CAL_TEMP, LN, 0.022, n_points=500)
-        r2000 = pm.pdc_signal_response(790.5e-9, STAGE2, CAL_TEMP, LN, 0.022, n_points=2000)
+    def test_response_integral_grid_stable(self, monkeypatch):
+        def response(n_points):
+            monkeypatch.setattr(pm, "_SIGNAL_POINTS", n_points)
+            return pm.pdc_signal_response(790.5e-9, STAGE2, CAL_TEMP, LN, 0.022)
+
+        r500, r2000 = response(500), response(2000)
         assert r500 == pytest.approx(r2000, rel=0.01)
 
 
