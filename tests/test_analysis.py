@@ -884,14 +884,17 @@ class TestScalarStatistics:
 
 
 class TestAnalyzeStream:
-    def test_pulse_count_refused_before_the_histogram(self, monkeypatch):
+    @pytest.mark.parametrize("n_pulses", [0, -1, None])
+    def test_pulse_count_refused_before_the_histogram(self, monkeypatch, n_pulses):
+        # a non-positive count is refused by AnalyzeOptions, a missing one by
+        # analyze_stream; neither reaches the histogram
         def histogram(stream, cfg):
-            raise AssertionError("histogram built without a pulse count")
+            raise AssertionError("histogram built without a positive pulse count")
 
         monkeypatch.setattr(analysis, "build_threefold_histogram", histogram)
         stream = stream_from_ticks(ch1=[100], ch2=[100], ch3=[100])
         with pytest.raises(ValueError, match="n_pulses"):
-            analyze_stream(stream, AnalyzeOptions())
+            analyze_stream(stream, AnalyzeOptions(n_pulses=n_pulses))
 
     def test_empty_stream_report(self):
         stream = TimeTagStream(TICK, np.empty(0, np.uint8), np.empty(0, np.int64))
