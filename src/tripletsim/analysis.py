@@ -127,15 +127,6 @@ class Coincidence2DHistogram:
     values: np.ndarray
     total_reference_events: int
 
-    @classmethod
-    def from_entries(cls, bin_width_s, n_half, i_entries, j_entries, total_reference_events):
-        """Accumulate raw per-pair bin indices into deduplicated counts."""
-        i, j = (np.asarray(a, dtype=np.int64) for a in (i_entries, j_entries))
-        if len(i) and max(np.abs(i).max(), np.abs(j).max()) > n_half:
-            raise ValueError("bin indices outside the histogram grid")
-        keys, counts = np.unique((i + n_half) * (2 * n_half + 1) + (j + n_half), return_counts=True)
-        return cls(bin_width_s, n_half, keys, counts, total_reference_events)
-
     @property
     def i_idx(self) -> np.ndarray:
         return (self.keys // self.n_axis_bins).astype(np.int64) - self.n_half

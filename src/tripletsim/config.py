@@ -1,13 +1,15 @@
-"""Run configuration: JSON schema, validation, defaults and hashing.
+"""Run configuration: JSON schema, validation and hashing.
 
 Configs are plain JSON with one subtree per command.  Each config object is
 declared once, by a table of its keys; a physical quantity carries its unit
-in the key name and is scaled to SI.  Unknown or missing keys, values of the
-wrong type and keys of another dispersion model are rejected, naming the
-full key path.  The hash covers the raw JSON tree canonicalised for key
-order, whitespace and integral-float spelling, so reformatting, key
-reordering or writing 10 as 10.0 does not change it, but an omitted default
-and an explicit one still hash differently.
+in the key name and is scaled to SI.  A key is required or optional.  An
+absent optional key is not passed on, so the default written once on the
+constructor of the object it configures applies.  Unknown keys, missing
+required keys, values of the wrong type and keys of another dispersion model
+are rejected, naming the full key path.  The hash covers the raw JSON tree
+canonicalised for key order, whitespace and integral-float spelling, so
+reformatting, key reordering or writing 10 as 10.0 does not change it, but
+an omitted default and an explicit one still hash differently.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .constants import DEFAULT_TICK_S
 from .analysis import AnalyzeOptions, BinningConfig
 from .dispersion import SellmeierDispersion, ToyDispersion, lithium_niobate_e
 from .errors import ConfigError
@@ -29,12 +30,10 @@ from .simulate import Arm, ChannelModel, DetectorModel, SimConfig
 
 SCHEMA_VERSION = 1
 
-# A table maps each key of one config object to (field, type, default,
-# scale).  The type is int, float (any finite number), dict (an object) or
-# an int n (a list of n finite numbers).  Given and default numbers, list
-# elements too, are multiplied by scale; a None default means "not given"
-# and stays None.
-REQUIRED = object()
+# A table maps each key of one config object to (field, type, scale,
+# required).  The type is int, float (any finite number), dict (an object) or
+# an int n (a list of n finite numbers).  Given numbers, list elements too,
+# are multiplied by scale.  An optional key that is absent sets no field.
 _TYPE_NAMES = {int: "an integer", float: "a finite number", dict: "an object"}
 
 
@@ -50,26 +49,25 @@ def _has_type(value, kind) -> bool:
 
 
 def _fields(tree, path: str, schema: dict) -> dict:
-    """Field values of the config object at path, checked against its table and scaled to SI."""
+    """Field values of the keys given at path, checked against its table and scaled to SI."""
     if not isinstance(tree, dict):
         raise ConfigError(f"{path}: expected an object, got {reprlib.repr(tree)}")
     for key in tree:
         if key not in schema:
             raise ConfigError(f"{path}.{key}: unknown key")
     fields = {}
-    for key, (field, kind, default, scale) in schema.items():
-        if key in tree:
-            value = tree[key]
-            if not _has_type(value, kind):
-                expected = _TYPE_NAMES.get(kind) or f"a list of {kind} finite numbers"
-                raise ConfigError(f"{path}.{key}: expected {expected}, got {reprlib.repr(value)}")
-        elif default is REQUIRED:
-            raise ConfigError(f"{path}.{key}: missing required key")
-        else:
-            value = default
+    for key, (field, kind, scale, required) in schema.items():
+        if key not in tree:
+            if required:
+                raise ConfigError(f"{path}.{key}: missing required key")
+            continue
+        value = tree[key]
+        if not _has_type(value, kind):
+            expected = _TYPE_NAMES.get(kind) or f"a list of {kind} finite numbers"
+            raise ConfigError(f"{path}.{key}: expected {expected}, got {reprlib.repr(value)}")
         if isinstance(kind, int):
             value = tuple(float(v) * scale for v in value)
-        elif value is not None and scale != 1:
+        elif scale != 1:
             value = value * scale
         fields[field] = value
     return fields
@@ -84,37 +82,37 @@ def _build(make, path: str, **kw):
 
 
 _DETECTOR = {
-    "efficiency": ("efficiency", float, REQUIRED, 1),
-    "dark_rate_hz": ("dark_rate_hz", float, 0.0, 1),
-    "jitter_sigma_ps": ("jitter_sigma_s", float, 0.0, 1e-12),
-    "dead_time_ns": ("dead_time_s", float, 0.0, 1e-9),
+    "efficiency": ("efficiency", float, 1, True),
+    "dark_rate_hz": ("dark_rate_hz", float, 1, False),
+    "jitter_sigma_ps": ("jitter_sigma_s", float, 1e-12, False),
+    "dead_time_ns": ("dead_time_s", float, 1e-9, False),
 }
 
 _ARM = {
-    "transmission": ("transmission", float, 1.0, 1),
-    "leakage_rate_per_pulse": ("leakage_rate_per_pulse", float, 0.0, 1),
-    "detector": ("detector", dict, REQUIRED, 1),
+    "transmission": ("transmission", float, 1, False),
+    "leakage_rate_per_pulse": ("leakage_rate_per_pulse", float, 1, False),
+    "detector": ("detector", dict, 1, True),
 }
 
-_ARMS = {name: (name, dict, REQUIRED, 1) for name in ("i1", "s2", "i2")}
+_ARMS = {name: (name, dict, 1, True) for name in ("i1", "s2", "i2")}
 
 _SOURCE = {
-    "pump_power_uW": ("pump_power_w", float, REQUIRED, 1e-6),
-    "pump_wavelength_nm": ("pump_wavelength_m", float, REQUIRED, 1e-9),
-    "rep_rate_MHz": ("rep_rate_hz", float, REQUIRED, 1e6),
-    "injection_efficiency": ("injection_efficiency", float, 1.0, 1),
-    "pdc1_pairs_per_pump_photon": ("pdc1_efficiency", float, REQUIRED, 1),
-    "pdc2_pairs_per_pump_photon": ("pdc2_efficiency", float, REQUIRED, 1),
+    "pump_power_uW": ("pump_power_w", float, 1e-6, True),
+    "pump_wavelength_nm": ("pump_wavelength_m", float, 1e-9, True),
+    "rep_rate_MHz": ("rep_rate_hz", float, 1e6, True),
+    "injection_efficiency": ("injection_efficiency", float, 1, False),
+    "pdc1_pairs_per_pump_photon": ("pdc1_efficiency", float, 1, True),
+    "pdc2_pairs_per_pump_photon": ("pdc2_efficiency", float, 1, True),
 }
 
 _SIMULATE = {
-    "source": ("source", dict, REQUIRED, 1),
-    "arms": ("arms", dict, REQUIRED, 1),
-    "rep_period_ns": ("rep_period_s", float, 100.0, 1e-9),
-    "n_pulses": ("n_pulses", int, REQUIRED, 1),
-    "peak_offset_ns": ("peak_offset_s", float, -0.165, 1e-9),
-    "resolution_ps": ("resolution_s", float, DEFAULT_TICK_S * 1e12, 1e-12),
-    "rng_seed": ("rng_seed", int, 0, 1),
+    "source": ("source", dict, 1, True),
+    "arms": ("arms", dict, 1, True),
+    "rep_period_ns": ("rep_period_s", float, 1e-9, False),
+    "n_pulses": ("n_pulses", int, 1, True),
+    "peak_offset_ns": ("peak_offset_s", float, 1e-9, False),
+    "resolution_ps": ("resolution_s", float, 1e-12, False),
+    "rng_seed": ("rng_seed", int, 1, False),
 }
 
 
@@ -135,23 +133,24 @@ def parse_simulate(tree: dict) -> SimConfig:
 
 
 _BINNING = {
-    "base_bin_ps": ("base_bin_s", float, DEFAULT_TICK_S * 1e12, 1e-12),
-    "merge_factor": ("merge_factor", int, 16, 1),
-    "window_half_span_ns": ("window_half_span_s", float, 300.0, 1e-9),
-    "rep_period_ns": ("rep_period_s", float, 100.0, 1e-9),
+    "base_bin_ps": ("base_bin_s", float, 1e-12, False),
+    "merge_factor": ("merge_factor", int, 1, False),
+    "window_half_span_ns": ("window_half_span_s", float, 1e-9, False),
+    "rep_period_ns": ("rep_period_s", float, 1e-9, False),
 }
 
 _ANALYZE = {
     **_BINNING,
-    "peak_search_radius_bins": ("peak_search_radius", int, AnalyzeOptions.peak_search_radius, 1),
-    "fit_exclude_sigma": ("fit_exclude_sigma", float, AnalyzeOptions.fit_exclude_sigma, 1),
-    "n_pulses": ("n_pulses", int, None, 1),
+    "peak_search_radius_bins": ("peak_search_radius", int, 1, False),
+    "fit_exclude_sigma": ("fit_exclude_sigma", float, 1, False),
+    "n_pulses": ("n_pulses", int, 1, False),
 }
 
 
 def parse_analyze(tree: dict) -> AnalyzeOptions:
     kw = _fields(tree, "analyze", _ANALYZE)
-    binning = _build(BinningConfig, "analyze", **{f: kw.pop(f) for f, *_ in _BINNING.values()})
+    binning_kw = {f: kw.pop(f) for f, *_ in _BINNING.values() if f in kw}
+    binning = _build(BinningConfig, "analyze", **binning_kw)
     return _build(AnalyzeOptions, "analyze", binning=binning, **kw)
 
 
@@ -159,15 +158,15 @@ def parse_analyze(tree: dict) -> AnalyzeOptions:
 class PhasematchPlan:
     dispersion: object
     grating: QpmGrating
-    temperature_c: float
-    lambda_p_m: float
-    bracket_m: tuple[float, float]
-    length_m: float
-    tune_range_c: tuple[float, float]
-    tune_steps: int
-    shg_scan_m: tuple[float, float]
-    acceptance_scan_m: tuple[float, float]
-    acceptance_points: int
+    temperature_c: float = 163.5
+    lambda_p_m: float = 532e-9
+    bracket_m: tuple[float, float] = (700e-9, 900e-9)
+    length_m: float = 22e-3
+    tune_range_c: tuple[float, float] = (153.5, 173.5)
+    tune_steps: int = 41
+    shg_scan_m: tuple[float, float] = (1570e-9, 1610e-9)
+    acceptance_scan_m: tuple[float, float] = (787e-9, 793e-9)
+    acceptance_points: int = 161
 
     def __post_init__(self):
         if self.tune_steps < 1:
@@ -177,59 +176,59 @@ class PhasematchPlan:
             raise ValueError(f"acceptance_points must be >= 3, got {self.acceptance_points}")
 
 
-# one table per dispersion `model` (the default model is lithium_niobate_e)
+# one table per dispersion `model` (the default model is lithium_niobate_e);
+# an absent bound or range keeps the built-in model's own
 _DISPERSION = {
-    # a None bound keeps the built-in model's own range
     "lithium_niobate_e": {
-        "lambda_min_nm": ("lambda_min_m", float, None, 1e-9),
-        "lambda_max_nm": ("lambda_max_m", float, None, 1e-9),
+        "lambda_min_nm": ("lambda_min_m", float, 1e-9, False),
+        "lambda_max_nm": ("lambda_max_m", float, 1e-9, False),
     },
     # custom temperature-dependent coefficient set, same functional form as
     # the built-in congruent lithium niobate model
     "sellmeier": {
-        "a": ("a", 6, REQUIRED, 1),
-        "b": ("b", 4, REQUIRED, 1),
-        "lambda_min_nm": ("lambda_min_m", float, 400.0, 1e-9),
-        "lambda_max_nm": ("lambda_max_m", float, 5000.0, 1e-9),
-        "theta_min_c": ("theta_min_c", float, 20.0, 1),
-        "theta_max_c": ("theta_max_c", float, 260.0, 1),
+        "a": ("a", 6, 1, True),
+        "b": ("b", 4, 1, True),
+        "lambda_min_nm": ("lambda_min_m", float, 1e-9, False),
+        "lambda_max_nm": ("lambda_max_m", float, 1e-9, False),
+        "theta_min_c": ("theta_min_c", float, 1, False),
+        "theta_max_c": ("theta_max_c", float, 1, False),
     },
     "toy": {
-        "n0": ("n0", float, 2.2, 1),
-        "slope_per_um": ("slope_per_m", float, 0.0, 1e6),
-        "curvature_per_um2": ("curvature_per_m2", float, 0.0, 1e12),
-        "theta_slope_per_c": ("theta_slope_per_c", float, 0.0, 1),
-        "lambda_ref_nm": ("lambda_ref_m", float, 1000.0, 1e-9),
+        "n0": ("n0", float, 1, False),
+        "slope_per_um": ("slope_per_m", float, 1e6, False),
+        "curvature_per_um2": ("curvature_per_m2", float, 1e12, False),
+        "theta_slope_per_c": ("theta_slope_per_c", float, 1, False),
+        "lambda_ref_nm": ("lambda_ref_m", float, 1e-9, False),
     },
 }
 
-# a target pump/signal pair; degenerate_nm selects the SHG table instead.  A
-# None temperature_c inherits the phasematch temperature_c.
+# a target pump/signal pair; degenerate_nm selects the SHG table instead.  An
+# absent temperature_c inherits the phasematch temperature_c.
 _CALIBRATION = {
-    "lambda_p_nm": ("lambda_p_m", float, REQUIRED, 1e-9),
-    "lambda_s_nm": ("lambda_s_m", float, REQUIRED, 1e-9),
-    "temperature_c": ("temperature_c", float, None, 1),
+    "lambda_p_nm": ("lambda_p_m", float, 1e-9, True),
+    "lambda_s_nm": ("lambda_s_m", float, 1e-9, True),
+    "temperature_c": ("temperature_c", float, 1, False),
 }
 
 _SHG_CALIBRATION = {
-    "degenerate_nm": ("lambda_f_m", float, REQUIRED, 1e-9),
-    "temperature_c": ("temperature_c", float, None, 1),
+    "degenerate_nm": ("lambda_f_m", float, 1e-9, True),
+    "temperature_c": ("temperature_c", float, 1, False),
 }
 
 _PHASEMATCH = {
-    "dispersion": ("dispersion", dict, {}, 1),
-    "poling_period_um": ("poling_period_m", float, None, 1e-6),
-    "grating_sign": ("sign", int, -1, 1),
-    "calibration": ("calibration", dict, None, 1),
-    "temperature_c": ("temperature_c", float, 163.5, 1),
-    "lambda_p_nm": ("lambda_p_m", float, 532.0, 1e-9),
-    "bracket_nm": ("bracket_m", 2, (700.0, 900.0), 1e-9),
-    "length_mm": ("length_m", float, 22.0, 1e-3),
-    "tune_range_c": ("tune_range_c", 2, (153.5, 173.5), 1),
-    "tune_steps": ("tune_steps", int, 41, 1),
-    "shg_scan_nm": ("shg_scan_m", 2, (1570.0, 1610.0), 1e-9),
-    "acceptance_scan_nm": ("acceptance_scan_m", 2, (787.0, 793.0), 1e-9),
-    "acceptance_points": ("acceptance_points", int, 161, 1),
+    "dispersion": ("dispersion", dict, 1, False),
+    "poling_period_um": ("poling_period_m", float, 1e-6, False),
+    "grating_sign": ("sign", int, 1, False),
+    "calibration": ("calibration", dict, 1, False),
+    "temperature_c": ("temperature_c", float, 1, False),
+    "lambda_p_nm": ("lambda_p_m", float, 1e-9, False),
+    "bracket_nm": ("bracket_m", 2, 1e-9, False),
+    "length_mm": ("length_m", float, 1e-3, False),
+    "tune_range_c": ("tune_range_c", 2, 1, False),
+    "tune_steps": ("tune_steps", int, 1, False),
+    "shg_scan_nm": ("shg_scan_m", 2, 1e-9, False),
+    "acceptance_scan_nm": ("acceptance_scan_m", 2, 1e-9, False),
+    "acceptance_points": ("acceptance_points", int, 1, False),
 }
 
 
@@ -240,25 +239,24 @@ def _dispersion(tree: dict, path: str):
     kw = _fields({k: v for k, v in tree.items() if k != "model"}, path, _DISPERSION[model])
     if model == "toy":
         return ToyDispersion(**kw)
-    if model == "sellmeier":
-        return SellmeierDispersion(
-            a=kw["a"],
-            b=kw["b"],
-            lambda_range_m=(kw["lambda_min_m"], kw["lambda_max_m"]),
-            temp_range_c=(kw["theta_min_c"], kw["theta_max_c"]),
-            name="custom_sellmeier",
-        )
-    lo, hi = lithium_niobate_e().lambda_range_m
-    lo = lo if kw["lambda_min_m"] is None else kw["lambda_min_m"]
-    hi = hi if kw["lambda_max_m"] is None else kw["lambda_max_m"]
-    return lithium_niobate_e(lambda_range_m=(lo, hi))
+    built_in = lithium_niobate_e()
+    (lo, hi), (t_lo, t_hi) = built_in.lambda_range_m, built_in.temp_range_c
+    lambda_range_m = (kw.get("lambda_min_m", lo), kw.get("lambda_max_m", hi))
+    if model == "lithium_niobate_e":
+        return lithium_niobate_e(lambda_range_m)
+    return SellmeierDispersion(
+        a=kw["a"],
+        b=kw["b"],
+        lambda_range_m=lambda_range_m,
+        temp_range_c=(kw.get("theta_min_c", t_lo), kw.get("theta_max_c", t_hi)),
+        name="custom_sellmeier",
+    )
 
 
 def _calibrated_grating(tree: dict, path: str, temperature_c: float, dispersion) -> QpmGrating:
     shg = "degenerate_nm" in tree
     kw = _fields(tree, path, _SHG_CALIBRATION if shg else _CALIBRATION)
-    if kw["temperature_c"] is None:
-        kw["temperature_c"] = temperature_c
+    kw.setdefault("temperature_c", temperature_c)
     solve = poling_period_for_shg if shg else poling_period_for_target
     return _build(solve, path, dispersion=dispersion, **kw)
 
@@ -269,22 +267,23 @@ def parse_phasematch(tree: dict) -> PhasematchPlan:
         raise ConfigError("phasematch: give exactly one of poling_period_um and a calibration object")
     if "grating_sign" in tree and "calibration" in tree:
         raise ConfigError("phasematch.grating_sign: only valid with poling_period_um")
-    dispersion = _dispersion(kw.pop("dispersion"), "phasematch.dispersion")
-    period, sign, calibration = kw.pop("poling_period_m"), kw.pop("sign"), kw.pop("calibration")
-    if calibration is None:
-        grating = _build(QpmGrating, "phasematch", poling_period_m=period, sign=sign)
-    else:
+    dispersion = _dispersion(kw.pop("dispersion", {}), "phasematch.dispersion")
+    grating_kw = {f: kw.pop(f) for f in ("poling_period_m", "sign") if f in kw}
+    if "calibration" in kw:
+        temperature_c = kw.get("temperature_c", PhasematchPlan.temperature_c)
         grating = _calibrated_grating(
-            calibration, "phasematch.calibration", kw["temperature_c"], dispersion
+            kw.pop("calibration"), "phasematch.calibration", temperature_c, dispersion
         )
+    else:
+        grating = _build(QpmGrating, "phasematch", **grating_kw)
     return _build(PhasematchPlan, "phasematch", dispersion=dispersion, grating=grating, **kw)
 
 
 _CONFIG = {
-    "schema_version": ("schema_version", int, REQUIRED, 1),
-    "simulate": ("simulate", dict, None, 1),
-    "analyze": ("analyze", dict, None, 1),
-    "phasematch": ("phasematch", dict, None, 1),
+    "schema_version": ("schema_version", int, 1, True),
+    "simulate": ("simulate", dict, 1, False),
+    "analyze": ("analyze", dict, 1, False),
+    "phasematch": ("phasematch", dict, 1, False),
 }
 
 

@@ -10,7 +10,7 @@ simulate.expected_rates(...).triplet_probability_per_pulse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .constants import C_VAC_M_S, PLANCK_J_S
 
@@ -39,13 +39,13 @@ class SourceParams:
 
     pump_power_w is the continuous-wave-equivalent injected pump power, the
     pdc efficiencies are pairs generated per pump photon in each stage, and
-    injection_efficiency is the pump in-coupling into the waveguide.
+    injection_efficiency (keyword only) is the pump in-coupling into the waveguide.
     """
 
     pump_power_w: float
     pump_wavelength_m: float
     rep_rate_hz: float
-    injection_efficiency: float
+    injection_efficiency: float = field(default=1.0, kw_only=True)
     pdc1_efficiency: float
     pdc2_efficiency: float
 

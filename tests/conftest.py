@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from tripletsim.analysis import Coincidence2DHistogram
 from tripletsim.pairstats import SourceParams
 from tripletsim.simulate import Arm, ChannelModel, DetectorModel, SimConfig, TimeTagStream
 
@@ -60,6 +61,14 @@ def fine_half_window(cfg):
     """Half width, in ticks, of the fine window the histogram of a BinningConfig reads."""
     f = cfg.merge_factor
     return cfg.n_half_merged * f + (f // 2) - 1 if f > 1 else cfg.n_half_merged
+
+
+def histogram_from_entries(bin_width_s, n_half, i_entries, j_entries, total_reference_events):
+    """The histogram counting each (i, j) entry once; every entry lies on the grid."""
+    i, j = (np.asarray(a, dtype=np.int64) for a in (i_entries, j_entries))
+    assert np.all(np.abs(i) <= n_half) and np.all(np.abs(j) <= n_half)
+    keys, counts = np.unique((i + n_half) * (2 * n_half + 1) + (j + n_half), return_counts=True)
+    return Coincidence2DHistogram(bin_width_s, n_half, keys, counts, total_reference_events)
 
 
 def gate_stream(stream, w):

@@ -28,7 +28,7 @@ from tripletsim.config import load_config, parse_analyze, parse_simulate
 from tripletsim.errors import InsufficientStatisticsError, PeakNotFoundError
 from tripletsim.pairstats import poisson_pair_probability
 from tripletsim.simulate import TimeTagStream, _gate, expected_rates, simulate_run
-from conftest import boosted_config, fine_half_window, gate_stream
+from conftest import boosted_config, fine_half_window, gate_stream, histogram_from_entries
 
 TICK = 82.3125e-12
 
@@ -314,20 +314,15 @@ class TestHistogramOracle:
         assert as_dict(merge_bins(h, f)) == dict(merged)
 
     def test_coordinates_derive_from_keys_as_stored_before(self):
-        # from_entries: the distinct (i, j) sorted by (i, j), each with its multiplicity
+        # the distinct (i, j) sorted by (i, j), each with its multiplicity
         rng = np.random.default_rng(12)
         ei, ej = rng.integers(-6, 7, 300), rng.integers(-6, 7, 300)
         counts = Counter(zip(ei.tolist(), ej.tolist()))
-        f = Coincidence2DHistogram.from_entries(TICK, 6, ei, ej, 1)
+        f = histogram_from_entries(TICK, 6, ei, ej, 1)
         assert list(zip(f.i_idx.tolist(), f.j_idx.tolist())) == sorted(counts)
         assert f.values.tolist() == [counts[k] for k in sorted(counts)]
         assert f.i_idx.dtype == f.j_idx.dtype == np.int64
         assert as_dict(f) == dict(counts)
-
-    @pytest.mark.parametrize("i, j", [([7], [0]), ([0], [-7]), ([0, 1], [6, 7])])
-    def test_coordinates_outside_the_grid_rejected(self, i, j):
-        with pytest.raises(ValueError, match="outside the histogram grid"):
-            Coincidence2DHistogram.from_entries(TICK, 6, i, j, 1)
 
     def test_single_triple_at_zero_delay(self):
         stream = stream_from_ticks(ch1=[100], ch2=[100], ch3=[100])
@@ -463,7 +458,7 @@ class TestMergeBins:
         rng = np.random.default_rng(100 * factor + n_half)
         n = int(rng.integers(1, 300))
         i, j = rng.integers(-n_half, n_half + 1, (2, n))
-        h = Coincidence2DHistogram.from_entries(TICK, n_half, i, j, 3)
+        h = histogram_from_entries(TICK, n_half, i, j, 3)
         m = merge_bins(h, factor)
         n_half_m, expected = block_sum_oracle(h, factor)
         assert m.n_half == n_half_m
@@ -524,19 +519,17 @@ class TestMergeBins:
 
 class TestCentralPeak:
     def test_single_nonzero_bin(self):
-        h = Coincidence2DHistogram.from_entries(TICK, 10, [3], [-2], 1)
+        h = histogram_from_entries(TICK, 10, [3], [-2], 1)
         peak = locate_central_peak(h, search_radius=3)
         assert (peak.i, peak.j, peak.count) == (3, -2, 1)
 
     def test_tie_breaks_toward_small_delay_then_lexicographic(self):
-        h = Coincidence2DHistogram.from_entries(
-            TICK, 10, [2, -1, 1], [2, 0, 0], 1
-        )
+        h = histogram_from_entries(TICK, 10, [2, -1, 1], [2, 0, 0], 1)
         peak = locate_central_peak(h, search_radius=3)
         assert (peak.i, peak.j) == (-1, 0)
 
     def test_all_zero_region(self):
-        h = Coincidence2DHistogram.from_entries(TICK, 10, [9], [9], 1)
+        h = histogram_from_entries(TICK, 10, [9], [9], 1)
         with pytest.raises(PeakNotFoundError):
             locate_central_peak(h, search_radius=3)
 
@@ -678,14 +671,14 @@ def lattice_histogram(cfg, peak_count, lattice_value, n_half=None):
                 j_idx.append(b * r)
                 counts.append(lattice_value)
     i_entries, j_entries = np.repeat(i_idx, counts), np.repeat(j_idx, counts)
-    return Coincidence2DHistogram.from_entries(cfg.merged_bin_s, n_half, i_entries, j_entries, 1)
+    return histogram_from_entries(cfg.merged_bin_s, n_half, i_entries, j_entries, 1)
 
 
 class TestAccidentals:
     def test_default_lattice_has_48_bins(self):
         # +/- 3 pulse periods fit on each axis of the default grid
         cfg = BinningConfig()
-        h = Coincidence2DHistogram.from_entries(cfg.merged_bin_s, cfg.n_half_merged, [0], [0], 1)
+        h = histogram_from_entries(cfg.merged_bin_s, cfg.n_half_merged, [0], [0], 1)
         peak = PeakLocation(0, 0, 1, 0.0, 0.0)
         est = accidental_mean(h, peak, cfg)
         assert est.n_bins == 48
@@ -701,7 +694,7 @@ class TestAccidentals:
 
     def test_insufficient_bins(self, monkeypatch):
         cfg = BinningConfig(window_half_span_s=100e-9)  # only one pulse period fits
-        h = Coincidence2DHistogram.from_entries(cfg.merged_bin_s, cfg.n_half_merged, [0], [0], 1)
+        h = histogram_from_entries(cfg.merged_bin_s, cfg.n_half_merged, [0], [0], 1)
         peak = PeakLocation(0, 0, 1, 0.0, 0.0)
         est = accidental_mean(h, peak, cfg)
         assert est.n_bins == 8
@@ -711,7 +704,7 @@ class TestAccidentals:
 
     def test_peak_outside_the_grid_refused(self):
         cfg = BinningConfig()
-        h = Coincidence2DHistogram.from_entries(cfg.merged_bin_s, cfg.n_half_merged, [0], [0], 1)
+        h = histogram_from_entries(cfg.merged_bin_s, cfg.n_half_merged, [0], [0], 1)
         with pytest.raises(ValueError, match="outside the histogram grid"):
             accidental_mean(h, PeakLocation(cfg.n_half_merged + 1, 0, 1, 0.0, 0.0), cfg)
 
@@ -722,9 +715,7 @@ class TestAccidentals:
         cfg = BinningConfig(window_half_span_s=1e-3)
         n, r = cfg.n_half_merged, cfg.rep_period_bins
         # two lattice bins and one bin beside the lattice
-        h = Coincidence2DHistogram.from_entries(
-            cfg.merged_bin_s, n, [0, r, 5 * r, 1], [0, -r, 2 * r, 0], 1
-        )
+        h = histogram_from_entries(cfg.merged_bin_s, n, [0, r, 5 * r, 1], [0, -r, 2 * r, 0], 1)
         tracemalloc.start()
         try:
             est = accidental_mean(h, PeakLocation(0, 0, 1, 0.0, 0.0), cfg)
@@ -750,7 +741,7 @@ class TestAccidentals:
         i = np.concatenate([peak_ij[0] + a * r, rng.integers(-n_half, n_half + 1, n_entries)])
         j = np.concatenate([peak_ij[1] + b * r, rng.integers(-n_half, n_half + 1, n_entries)])
         on_grid = (np.abs(i) <= n_half) & (np.abs(j) <= n_half)
-        h = Coincidence2DHistogram.from_entries(cfg.merged_bin_s, n_half, i[on_grid], j[on_grid], 1)
+        h = histogram_from_entries(cfg.merged_bin_s, n_half, i[on_grid], j[on_grid], 1)
         counts = dict(zip(zip(h.i_idx.tolist(), h.j_idx.tolist()), h.values.tolist()))
         kmax = (n_half + max(map(abs, peak_ij))) // r + 1
         expected = []
@@ -790,13 +781,13 @@ class TestCar:
 class TestOccupancy:
     def test_empty_histogram(self):
         cfg = BinningConfig()
-        h = Coincidence2DHistogram.from_entries(cfg.merged_bin_s, cfg.n_half_merged, [], [], 0)
+        h = histogram_from_entries(cfg.merged_bin_s, cfg.n_half_merged, [], [], 0)
         occ = occupancy_histogram(h)
         assert occ == {0: 457 * 457}
 
     def test_single_triple(self):
         cfg = BinningConfig()
-        h = Coincidence2DHistogram.from_entries(cfg.merged_bin_s, cfg.n_half_merged, [0], [0], 1)
+        h = histogram_from_entries(cfg.merged_bin_s, cfg.n_half_merged, [0], [0], 1)
         occ = occupancy_histogram(h)
         assert occ == {0: 457 * 457 - 1, 1: 1}
 
@@ -1001,7 +992,9 @@ class TestAnalyzeStream:
         for mu_target in (0.05, 1.0):
             pump = 10e-6 * mu_target / 0.10846507556427523
             cfg = SimConfig(
-                source=SourceParams(pump, 532e-9, 10e6, 0.5, 8.1e-8, 0.3),
+                source=SourceParams(
+                    pump, 532e-9, 10e6, 8.1e-8, 0.3, injection_efficiency=0.5
+                ),
                 arms=make_arms(jitter=(150e-12,) * 3, dark_rates=(100.0,) * 3),
                 n_pulses=2_000_000,
                 rng_seed=4,

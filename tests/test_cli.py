@@ -28,7 +28,7 @@ from tripletsim.config import (
 )
 from tripletsim.simulate import TimeTagStream, expected_rates
 from tripletsim.ttag import write_ttag
-from conftest import fine_half_window, gate_stream
+from conftest import fine_half_window, gate_stream, histogram_from_entries
 from test_output_digests import _write_dense_stream
 
 TICK = 82.3125e-12
@@ -322,7 +322,7 @@ class TestAnalyzeCommand:
             assert h.values.max() > 1000
             assert {1, 2, 4} <= {len(str(v)) for v in h.values.tolist()}
         elif case == "empty":
-            h = Coincidence2DHistogram.from_entries(16 * TICK, 228, [], [], 3)
+            h = histogram_from_entries(16 * TICK, 228, [], [], 3)
         else:  # a largest count far above the number of distinct counts
             # flat keys (i + 5) * 11 + (j + 5) of (-5, 5), (0, 0), (1, 1), (2, -3), (5, -5)
             keys, values = np.array([10, 60, 72, 79, 110]), np.array([1, 10**15, 7, 42, 7])

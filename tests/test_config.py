@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -144,17 +145,18 @@ def _toy_plan() -> PhasematchPlan:
         slope_per_m=-0.03 * 1e6,
         curvature_per_m2=0.05 * 1e12,
         theta_slope_per_c=1e-5,
-        lambda_ref_m=1000.0 * 1e-9,
+        lambda_ref_m=1e-6,
     )
     grating = poling_period_for_target(532.0 * 1e-9, 800.0 * 1e-9, 25.0, toy)
-    return _plan(toy, grating, 25.0, 532.0 * 1e-9, (700.0, 900.0))
+    plan = _plan(toy, grating, 25.0, 532.0 * 1e-9, (700.0, 900.0))
+    return replace(plan, bracket_m=(700e-9, 900e-9), acceptance_scan_m=(787e-9, 793e-9))
 
 
 def _sellmeier_plan() -> PhasematchPlan:
     disp = SellmeierDispersion(
         a=tuple(LN_A),
         b=tuple(LN_B),
-        lambda_range_m=(400.0 * 1e-9, 4000.0 * 1e-9),
+        lambda_range_m=(400e-9, 4000.0 * 1e-9),
         temp_range_c=(30.0, 260.0),
         name="custom_sellmeier",
     )
@@ -167,6 +169,7 @@ def _sellmeier_plan() -> PhasematchPlan:
         length_m=10.0 * 1e-3,
         tune_range_c=(90.0, 110.0),
         tune_steps=5,
+        acceptance_scan_m=(787e-9, 793e-9),
         acceptance_points=21,
     )
 
@@ -190,9 +193,76 @@ def test_parsed_values_are_pinned():
         _same(parse_analyze(tree["analyze"]), _baseline_analyze())
         _same(parse_phasematch(tree["phasematch"]), _baseline_plan())
     _same(parse_phasematch(load_config(CONFIGS / "stage2_phasematch.json")["phasematch"]), _stage2_plan())
-    _same(parse_analyze({}), _baseline_analyze())
+    _same(parse_analyze({}), AnalyzeOptions())
     _same(parse_phasematch(json.loads(json.dumps(TOY_TREE))), _toy_plan())
     _same(parse_phasematch(json.loads(json.dumps(SELLMEIER_TREE))), _sellmeier_plan())
+
+
+# the required keys of each config object; the object parsed from them alone
+# must be the one its constructor builds from the same required arguments, so
+# that every optional key's default has one owner, the constructor
+SOURCE_TREE = {
+    "pump_power_uW": 10.0,
+    "pump_wavelength_nm": 532.0,
+    "rep_rate_MHz": 10.0,
+    "pdc1_pairs_per_pump_photon": 8.1e-8,
+    "pdc2_pairs_per_pump_photon": 2.7e-7,
+}
+SIMULATE_TREE = {
+    "source": SOURCE_TREE,
+    "arms": {name: {"detector": {"efficiency": 0.6}} for name in ("i1", "s2", "i2")},
+    "n_pulses": 1000,
+}
+SOURCE = SourceParams(
+    pump_power_w=10.0 * 1e-6,
+    pump_wavelength_m=532.0 * 1e-9,
+    rep_rate_hz=10.0 * 1e6,
+    pdc1_efficiency=8.1e-8,
+    pdc2_efficiency=2.7e-7,
+)
+ARM = Arm(channel=ChannelModel(), detector=DetectorModel(efficiency=0.6))
+
+
+def _dispersion_of(tree):
+    return parse_phasematch({"dispersion": tree, "poling_period_um": 7.4}).dispersion
+
+
+@pytest.mark.parametrize(
+    "parse, expected",
+    [
+        (
+            lambda: parse_simulate(SIMULATE_TREE),
+            SimConfig(source=SOURCE, arms=(ARM,) * 3, n_pulses=1000),
+        ),
+        (lambda: parse_simulate(SIMULATE_TREE).source, SOURCE),
+        (lambda: parse_simulate(SIMULATE_TREE).arms[0], ARM),
+        (lambda: parse_simulate(SIMULATE_TREE).arms[0].detector, DetectorModel(efficiency=0.6)),
+        (lambda: parse_analyze({}), AnalyzeOptions()),
+        (
+            lambda: parse_phasematch({"poling_period_um": 7.4}),
+            PhasematchPlan(dispersion=lithium_niobate_e(), grating=QpmGrating(7.4 * 1e-6)),
+        ),
+        (lambda: _dispersion_of({"model": "toy"}), ToyDispersion()),
+        (
+            lambda: _dispersion_of({"model": "sellmeier", "a": LN_A, "b": LN_B}),
+            replace(lithium_niobate_e(), a=tuple(LN_A), b=tuple(LN_B), name="custom_sellmeier"),
+        ),
+        (lambda: _dispersion_of({"model": "lithium_niobate_e"}), lithium_niobate_e()),
+    ],
+    ids=[
+        "simulate",
+        "source",
+        "arm",
+        "detector",
+        "analyze",
+        "phasematch",
+        "toy",
+        "sellmeier",
+        "lithium_niobate_e",
+    ],
+)
+def test_absent_optional_keys_take_the_constructor_defaults(parse, expected):
+    _same(parse(), expected)
 
 
 class TestBaselineProvenance:

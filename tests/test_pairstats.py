@@ -101,11 +101,11 @@ class TestTripletSuccessProbability:
 class TestValidation:
     def test_source_params(self):
         with pytest.raises(ValueError):
-            SourceParams(-1e-6, 532e-9, 10e6, 0.5, 8.1e-8, 2.7e-7)
+            SourceParams(-1e-6, 532e-9, 10e6, 8.1e-8, 2.7e-7, injection_efficiency=0.5)
         with pytest.raises(ValueError):
-            SourceParams(10e-6, 532e-9, 10e6, 1.5, 8.1e-8, 2.7e-7)
+            SourceParams(10e-6, 532e-9, 10e6, 8.1e-8, 2.7e-7, injection_efficiency=1.5)
         with pytest.raises(ValueError):
-            SourceParams(10e-6, 532e-9, 0.0, 0.5, 8.1e-8, 2.7e-7)
+            SourceParams(10e-6, 532e-9, 0.0, 8.1e-8, 2.7e-7, injection_efficiency=0.5)
 
     def test_arm_efficiencies(self):
         # an arm's efficiency is its transmission times its detector efficiency
