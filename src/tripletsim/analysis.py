@@ -84,6 +84,18 @@ class BinningConfig:
         return round(self.window_half_span_s / self.merged_bin_s)
 
     @property
+    def n_half_fine(self) -> int:
+        """Ticks on each side of zero delay in the fine histogram, and its gate's half-width.
+
+        Merged bin k sums the f fine bins from k f - f//2 on (f the merge
+        factor).  The fine window is symmetric and its merged image stays
+        inside the merged grid, so the negative edge bin gives up its single
+        outermost tick (for odd f, both edge bins give up one).
+        """
+        f = self.merge_factor
+        return self.n_half_merged * f + (f // 2) - 1 if f > 1 else self.n_half_merged
+
+    @property
     def rep_period_bins(self) -> int:
         return round(self.rep_period_s / self.merged_bin_s)
 
@@ -171,9 +183,10 @@ def _chunks(before):
 def build_threefold_histogram(stream: TimeTagStream, cfg: BinningConfig) -> Coincidence2DHistogram:
     """Fine (one bin per tick) 2-D histogram around the channel-2 references.
 
+    A reference's window reaches cfg.n_half_fine ticks to either side.
     simulate._gate keeps the references with a channel-3 tag in their window,
-    and a second search counts those tags.  total_reference_events
-    counts all references, kept or not.  Channel 1 is read from the stream's
+    and a second search counts those tags.  total_reference_events counts all
+    references, kept or not.  Channel 1 is read from the stream's
     records window by window, a record once per kept window that holds it, in
     chunks of at most _PAIR_CHUNK records (or one window's); each window's
     channel-1 tags follow those of the window before.  The pairs'
@@ -188,11 +201,7 @@ def build_threefold_histogram(stream: TimeTagStream, cfg: BinningConfig) -> Coin
         )
     refs, t3 = (stream.channel_ticks(c) for c in (CHANNEL_S2, CHANNEL_I2))
     n_refs = len(refs)
-    f = cfg.merge_factor
-    # symmetric fine window whose merged image stays inside the merged grid;
-    # the negative edge bin gives up its single outermost tick for symmetry
-    n_half_fine = cfg.n_half_merged * f + (f // 2) - 1 if f > 1 else cfg.n_half_merged
-    w = n_half_fine
+    w = cfg.n_half_fine
     side = 2 * w + 1
 
     # channel 1 is looked up only in the kept references' windows
@@ -256,7 +265,7 @@ def build_threefold_histogram(stream: TimeTagStream, cfg: BinningConfig) -> Coin
     np.subtract(counts[1:], counts[:-1], out=counts[:-1])
     counts[-1:] = len(keys) - counts[-1:]
     return Coincidence2DHistogram(
-        cfg.base_bin_s, n_half_fine, keys[head], counts, total_reference_events=n_refs
+        cfg.base_bin_s, w, keys[head], counts, total_reference_events=n_refs
     )
 
 

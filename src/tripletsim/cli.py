@@ -49,25 +49,33 @@ def _thread_count(text: str) -> int:
     return n
 
 
+def _physical_memory_bytes() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def cmd_simulate(args) -> int:
     tree = load_config(args.config)
     if "simulate" not in tree:
         raise ConfigError("config.simulate: section required by this command")
+    # every section is parsed, and the run's size checked, before any pulse is sampled
     sim_cfg = parse_simulate(tree["simulate"])
     if args.seed is not None:
         sim_cfg = sim_cfg.with_seed(args.seed)
-        tree["simulate"]["rng_seed"] = args.seed
+    opts = parse_analyze(tree["analyze"]) if "analyze" in tree else None
+    # with the analysis geometry known the manifest also predicts the central count (else null)
+    rates = expected_rates(sim_cfg, None if opts is None else opts.binning.merged_bin_s)
+    need, memory = sum(rates.singles_counts) * ttag.RECORD_SIZE, _physical_memory_bytes()
+    if need > memory:
+        raise ConfigError(
+            f"simulate.n_pulses: {sim_cfg.n_pulses} pulses would hold about {need:.3g} bytes "
+            f"of records, more than the {memory:.3g} bytes of physical memory"
+        )
 
     stream = simulate_run(sim_cfg, n_threads=args.threads, progress=True)
     ttag.write_ttag(args.output, stream)
-
-    # with the analysis geometry known the manifest also predicts the central count (else null)
-    analyze = tree.get("analyze")
-    merged_bin_s = None if analyze is None else parse_analyze(analyze).binning.merged_bin_s
-    rates = expected_rates(sim_cfg, merged_bin_s=merged_bin_s)
     manifest = {
         "schema_version": tree["schema_version"],
-        "config_sha256": config_hash(tree),
+        "config_sha256": config_hash({"simulate": sim_cfg, "analyze": opts}),
         "rng_seed": sim_cfg.rng_seed,
         "rng_scheme": RNG_SCHEME,
         # NumPy may change what a Generator draws between releases

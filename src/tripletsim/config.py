@@ -6,10 +6,9 @@ in the key name and is scaled to SI.  A key is required or optional.  An
 absent optional key is not passed on, so the default written once on the
 constructor of the object it configures applies.  Unknown keys, missing
 required keys, values of the wrong type and keys of another dispersion model
-are rejected, naming the full key path.  The hash covers the raw JSON tree
-canonicalised for key order, whitespace and integral-float spelling, so
-reformatting, key reordering or writing 10 as 10.0 does not change it, but
-an omitted default and an explicit one still hash differently.
+are rejected, naming the full key path.  The hash covers the parsed
+objects, so reformatting, key reordering, writing 10 as 10.0 or omitting a
+default does not change it.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import hashlib
 import json
 import reprlib
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .analysis import AnalyzeOptions, BinningConfig
@@ -32,8 +31,9 @@ SCHEMA_VERSION = 1
 
 # A table maps each key of one config object to (field, type, scale,
 # required).  The type is int, float (any finite number), dict (an object) or
-# an int n (a list of n finite numbers).  Given numbers, list elements too,
-# are multiplied by scale.  An optional key that is absent sets no field.
+# an int n (a list of n finite numbers).  A float value, and each list
+# element, is stored as a float times scale, so 10 and 10.0 parse alike; int
+# and dict rows have scale 1.  An optional key that is absent sets no field.
 _TYPE_NAMES = {int: "an integer", float: "a finite number", dict: "an object"}
 
 
@@ -67,8 +67,8 @@ def _fields(tree, path: str, schema: dict) -> dict:
             raise ConfigError(f"{path}.{key}: expected {expected}, got {reprlib.repr(value)}")
         if isinstance(kind, int):
             value = tuple(float(v) * scale for v in value)
-        elif scale != 1:
-            value = value * scale
+        elif kind is float:
+            value = float(value) * scale
         fields[field] = value
     return fields
 
@@ -299,26 +299,15 @@ def load_config(path) -> dict:
     return tree
 
 
-def _integral_floats_as_ints(value):
-    """Copy of a JSON tree with every integral float (10.0) written as an int."""
-    if isinstance(value, dict):
-        return {k: _integral_floats_as_ints(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_integral_floats_as_ints(v) for v in value]
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    return value
+def config_hash(sections: dict) -> str:
+    """SHA-256 of the parsed config sections, as JSON with sorted keys and no whitespace.
 
-
-def config_hash(tree: dict) -> str:
-    """SHA-256 of the raw tree with sorted keys and no whitespace.
-
-    Key order, formatting and the spelling of integral numbers are
-    canonicalised, so 10 and 10.0 hash alike (booleans stay booleans).
-    Other values are hashed as written: an omitted default and an explicit
-    one hash differently.
+    sections maps a section name to its parsed dataclass (values in SI), or to
+    None for a section the config lacks.  Key order, formatting, 10 against
+    10.0 and an omitted default against an explicit one all hash alike.
     """
-    canonical = json.dumps(_integral_floats_as_ints(tree), sort_keys=True, separators=(",", ":"))
+    parsed = {name: asdict(obj) for name, obj in sections.items() if obj is not None}
+    canonical = json.dumps(parsed, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 

@@ -57,12 +57,6 @@ def boosted_config(n_pulses, seed, jitter_s=30e-12, dark_hz=0.0, pdc2=2.7e-1):
     )
 
 
-def fine_half_window(cfg):
-    """Half width, in ticks, of the fine window the histogram of a BinningConfig reads."""
-    f = cfg.merge_factor
-    return cfg.n_half_merged * f + (f // 2) - 1 if f > 1 else cfg.n_half_merged
-
-
 def histogram_from_entries(bin_width_s, n_half, i_entries, j_entries, total_reference_events):
     """The histogram counting each (i, j) entry once; every entry lies on the grid."""
     i, j = (np.asarray(a, dtype=np.int64) for a in (i_entries, j_entries))

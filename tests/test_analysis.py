@@ -28,7 +28,7 @@ from tripletsim.config import load_config, parse_analyze, parse_simulate
 from tripletsim.errors import InsufficientStatisticsError, PeakNotFoundError
 from tripletsim.pairstats import poisson_pair_probability
 from tripletsim.simulate import TimeTagStream, _gate, expected_rates, simulate_run
-from conftest import boosted_config, fine_half_window, gate_stream, histogram_from_entries
+from conftest import boosted_config, gate_stream, histogram_from_entries
 
 TICK = 82.3125e-12
 
@@ -66,7 +66,7 @@ def one_sided_stream(rng, n_events, span_ticks):
 
 def brute_force_histogram(stream, cfg):
     """Independent oracle: full pairwise masks and dict accumulation."""
-    w = fine_half_window(cfg)
+    w = cfg.n_half_fine
     t1 = stream.channel_ticks(1)
     t2 = stream.channel_ticks(2)
     t3 = stream.channel_ticks(3)
@@ -110,6 +110,7 @@ class TestBinningConfig:
         cfg = BinningConfig()
         assert cfg.merged_bin_s == pytest.approx(1.317e-9, rel=1e-12)
         assert cfg.n_half_merged == 228
+        assert cfg.n_half_fine == 228 * 16 + 7  # merged bin 228 ends at fine tick 3655
         assert cfg.rep_period_bins == 76
         assert (2 * cfg.n_half_merged + 1) ** 2 == 457 * 457 == 208849
 
@@ -132,6 +133,25 @@ class TestBinningConfig:
     def test_bin_count_beyond_the_float_range_refused(self, field):
         with pytest.raises(ValueError, match=f"^{field} spans more merged bins"):
             BinningConfig(**{"base_bin_s": 1e-300, field: 1e10})
+
+    @pytest.mark.parametrize("factor", range(1, 33))
+    @pytest.mark.parametrize("span_bins", [1, 2.4, 37])
+    def test_fine_window_edges_land_on_the_merged_grid_edges(self, factor, span_bins):
+        merged = TICK * factor
+        cfg = BinningConfig(TICK, factor, span_bins * merged, 76 * merged)
+        n, w = cfg.n_half_merged, cfg.n_half_fine
+        h = histogram_from_entries(TICK, w, [-w, -w, w, w], [-w, w, -w, w], 1)
+        m = merge_bins(h, factor)
+        assert m.n_half == n
+        assert as_dict(m) == {(a, b): 1 for a in (-n, n) for b in (-n, n)}
+
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_gate_keeps_a_ch3_tag_n_half_fine_away_and_no_further(self, sign):
+        cfg, t0 = BinningConfig(), 10_000
+        w = cfg.n_half_fine
+        for d, count in ((w, 1), (w + 1, 0)):
+            stream = stream_from_ticks(ch1=[t0], ch2=[t0], ch3=[t0 + sign * d])
+            assert build_threefold_histogram(stream, cfg).total_counts == count, d
 
 
 class TestAnalyzeOptions:
@@ -164,7 +184,7 @@ class TestHistogramOracle:
         # boundaries and delay bins recur across chunks
         monkeypatch.setattr(analysis, "_PAIR_CHUNK", budget)
         rng = np.random.default_rng(4321 + budget)
-        w = fine_half_window(SMALL)
+        w = SMALL.n_half_fine
         for trial in range(10):
             # the later trials hold references that see channel 3 but no channel 1, and the reverse
             make = random_stream if trial < 5 else one_sided_stream
@@ -184,7 +204,7 @@ class TestHistogramOracle:
     def test_shift_near_int64_limit_leaves_histogram_unchanged(self, cfg):
         # absolute ticks times the grid side would overflow int64 at this offset
         rng = np.random.default_rng(808)
-        stream = random_stream(rng, 600, 40 * fine_half_window(cfg))
+        stream = random_stream(rng, 600, 40 * cfg.n_half_fine)
         shifted = TimeTagStream(TICK, stream.channels, stream.timestamps + (2**62 - 2**40))
         h, g = (build_threefold_histogram(s, cfg) for s in (stream, shifted))
         assert h.total_counts > 100
@@ -193,7 +213,7 @@ class TestHistogramOracle:
         assert g.total_reference_events == h.total_reference_events
 
     def test_window_edges_are_inclusive(self):
-        w = fine_half_window(SMALL)
+        w = SMALL.n_half_fine
         t0 = 1000
         edges = [t0 - w - 1, t0 - w, t0 + w, t0 + w + 1]
         stream = stream_from_ticks(ch1=edges, ch2=[t0], ch3=edges)
@@ -214,7 +234,7 @@ class TestHistogramOracle:
     def test_no_pair_inside_any_window(self, monkeypatch):
         # each reference sees tags on only one of channels 1 and 3, so no pair forms
         monkeypatch.setattr(analysis, "_PAIR_CHUNK", 1)
-        w = fine_half_window(SMALL)
+        w = SMALL.n_half_fine
         stream = stream_from_ticks(ch1=[1000, 1001], ch2=[1000, 1000 + 4 * w], ch3=[1000 + 4 * w])
         h = build_threefold_histogram(stream, SMALL)
         assert h.total_counts == 0 and len(h.values) == len(h.i_idx) == len(h.j_idx) == 0
@@ -227,7 +247,7 @@ class TestHistogramOracle:
         # share records; a tag of each channel on one tick, the first window's right
         # edge; channel-1 tags on and one tick past other window edges
         monkeypatch.setattr(analysis, "_PAIR_CHUNK", 3)
-        w = fine_half_window(SMALL)
+        w = SMALL.n_half_fine
         t0, near = 1000, 1000 + w // 2
         edge = t0 + w
         stream = stream_from_ticks(
@@ -271,7 +291,7 @@ class TestHistogramOracle:
         # channel 1 is read window by window, in chunks of windows; a chunk of 2
         # records holds one window, and one chunk holds them all
         monkeypatch.setattr(analysis, "_PAIR_CHUNK", chunk)
-        w = fine_half_window(SMALL)
+        w = SMALL.n_half_fine
         ch1, ch2, ch3 = self.per_window_case(case, w)
         stream = stream_from_ticks(ch1=ch1, ch2=ch2, ch3=ch3)
         ts, refs = stream.timestamps, np.asarray(ch2)
@@ -296,7 +316,7 @@ class TestHistogramOracle:
         cfg = BinningConfig(
             base_bin_s=1e-12, merge_factor=16, window_half_span_s=30e-9, rep_period_s=16e-9
         )
-        w = fine_half_window(cfg)
+        w = cfg.n_half_fine
         assert (2 * w + 1) ** 2 >= 2**31
         rng = np.random.default_rng(55)
         stream = TimeTagStream(
@@ -354,7 +374,7 @@ def gate_loop(t2, t3, w):
 
 
 class TestGate:
-    W = fine_half_window(SMALL)
+    W = SMALL.n_half_fine
 
     @staticmethod
     def gate_case(case, w):
@@ -589,7 +609,7 @@ class TestMemoryBound:
         stream = TimeTagStream(TICK, channels[order], ticks[order])
         del ticks, channels, order
 
-        w = fine_half_window(cfg)
+        w = cfg.n_half_fine
         t1, refs, t3 = (stream.channel_ticks(c) for c in (1, 2, 3))
         count1, count3 = (
             np.searchsorted(t, refs + w, "right") - np.searchsorted(t, refs - w, "left")

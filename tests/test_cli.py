@@ -15,11 +15,10 @@ import numpy as np
 import pytest
 
 import tripletsim
-from tripletsim import simulate, ttag
+from tripletsim import cli, simulate, ttag
 from tripletsim.analysis import Coincidence2DHistogram, build_threefold_histogram, merge_bins
 from tripletsim.cli import _histogram_csv, main
 from tripletsim.config import (
-    config_hash,
     default_config,
     load_config,
     parse_analyze,
@@ -28,7 +27,7 @@ from tripletsim.config import (
 )
 from tripletsim.simulate import TimeTagStream, expected_rates
 from tripletsim.ttag import write_ttag
-from conftest import fine_half_window, gate_stream, histogram_from_entries
+from conftest import gate_stream, histogram_from_entries
 from test_output_digests import _write_dense_stream
 
 TICK = 82.3125e-12
@@ -249,6 +248,38 @@ class TestSimulateCommand:
         tree["simulate"]["unknown_knob"] = 1
         cfg = write_json(tmp_path / "cfg.json", tree)
         assert main(["simulate", "--config", cfg, "--output", str(tmp_path / "x.ttag")]) == 2
+
+    @staticmethod
+    def refuse_sampling(monkeypatch):
+        def sample(*args, **kwargs):
+            raise AssertionError("simulate_run was called")
+
+        monkeypatch.setattr(cli, "simulate_run", sample)
+
+    def test_bad_analyze_section_refused_before_sampling(self, tmp_path, monkeypatch, capsys):
+        self.refuse_sampling(monkeypatch)
+        tree = small_sim_config()
+        tree["analyze"]["merge_factor"] = 0
+        cfg = write_json(tmp_path / "cfg.json", tree)
+        assert main(["simulate", "--config", cfg, "--output", str(tmp_path / "run.ttag")]) == 2
+        assert "analyze: merge_factor" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_run_beyond_physical_memory_refused_before_sampling(self, tmp_path, monkeypatch, capsys):
+        tree = small_sim_config()
+        rates = expected_rates(parse_simulate(tree["simulate"]))
+        need = sum(rates.singles_counts) * ttag.RECORD_SIZE
+        argv = ["simulate", "--config", write_json(tmp_path / "cfg.json", tree)]
+        argv += ["--output", str(tmp_path / "run.ttag")]
+        monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: need - 1)
+        self.refuse_sampling(monkeypatch)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"simulate.n_pulses: 100000 pulses would hold about {need:.3g} bytes" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: need + 1)
+        assert main(argv) == 0  # the records fit
 
     @pytest.mark.parametrize("flag", ["abc", "-4", "0", "two"])
     def test_bad_thread_count_rejected(self, capsys, flag):
@@ -553,7 +584,7 @@ class TestGatedStream:
             manifest = Path(str(run) + ".manifest.json").read_bytes()
             Path(str(gated) + ".manifest.json").write_bytes(manifest)
         stream = ttag.read_ttag(run)
-        kept = gate_stream(stream, fine_half_window(parse_analyze(tree["analyze"]).binning))
+        kept = gate_stream(stream, parse_analyze(tree["analyze"]).binning.n_half_fine)
         assert 0 < len(kept) < len(stream)
         write_ttag(gated, kept)
         del stream, kept
@@ -567,30 +598,64 @@ class TestGatedStream:
 
 
 class TestConfigHash:
-    def test_formatting_invariant(self):
-        tree = default_config()
+    """The manifest hash covers the parsed simulate and analyze sections, nothing else."""
+
+    @staticmethod
+    def manifest_hash(tmp_path, tree, *flags):
+        cfg = write_json(tmp_path / "cfg.json", tree)
+        out = str(tmp_path / "run.ttag")
+        assert main(["simulate", "--config", cfg, "--output", out, *flags]) == 0
+        return json.loads(Path(out + ".manifest.json").read_text())["config_sha256"]
+
+    def same_hash(self, tmp_path, a, b):
+        return self.manifest_hash(tmp_path, a) == self.manifest_hash(tmp_path, b)
+
+    def test_formatting_invariant(self, tmp_path):
+        tree = small_sim_config(n_pulses=1000)
         reordered = json.loads(json.dumps(tree, sort_keys=True))
-        assert config_hash(tree) == config_hash(reordered)
+        assert self.same_hash(tmp_path, tree, reordered)
 
-    def test_value_change_detected(self):
-        a = default_config()
-        b = default_config()
-        b["simulate"]["rng_seed"] += 1
-        assert config_hash(a) != config_hash(b)
-
-    def test_integral_float_spelling_invariant(self):
-        assert config_hash({"n_pulses": 10}) == config_hash({"n_pulses": 10.0})
-        a = default_config()
+    def test_value_change_detected(self, tmp_path):
+        a = small_sim_config(n_pulses=1000)
         b = json.loads(json.dumps(a))
-        b["simulate"]["n_pulses"] = float(b["simulate"]["n_pulses"])
-        b["simulate"]["arms"]["i1"]["detector"]["dark_rate_hz"] = 300
-        b["phasematch"]["bracket_nm"] = [700, 900]
-        assert config_hash(a) == config_hash(b)
+        b["simulate"]["rng_seed"] += 1
+        c = json.loads(json.dumps(a))
+        c["analyze"]["merge_factor"] = 8
+        assert len({self.manifest_hash(tmp_path, t) for t in (a, b, c)}) == 3
 
-    def test_booleans_and_fractions_keep_their_value(self):
-        assert config_hash({"x": True}) != config_hash({"x": 1})
-        assert config_hash({"x": [False]}) != config_hash({"x": [0.0]})
-        assert config_hash({"x": 10.5}) != config_hash({"x": 10})
+    def test_integral_float_spelling_invariant(self, tmp_path):
+        a = small_sim_config(n_pulses=1000)
+        b = json.loads(json.dumps(a))
+        a["simulate"]["arms"]["i1"]["detector"]["dark_rate_hz"] = 300
+        b["simulate"]["arms"]["i1"]["detector"]["dark_rate_hz"] = 300.0
+        assert self.same_hash(tmp_path, a, b)
+
+    def test_omitted_default_hashes_like_the_explicit_one(self, tmp_path):
+        a = small_sim_config(n_pulses=1000)
+        b = json.loads(json.dumps(a))
+        del a["simulate"]["arms"]["i1"]["transmission"]
+        b["simulate"]["arms"]["i1"]["transmission"] = 1.0
+        assert self.same_hash(tmp_path, a, b)
+
+    def test_phasematch_section_not_covered(self, tmp_path):
+        a = small_sim_config(n_pulses=1000)
+        b = json.loads(json.dumps(a))
+        b["phasematch"]["temperature_c"] += 1.0
+        assert self.same_hash(tmp_path, a, b)
+
+    def test_seed_override_covered(self, tmp_path):
+        tree = small_sim_config(n_pulses=1000, seed=9)
+        plain = self.manifest_hash(tmp_path, tree)
+        assert self.manifest_hash(tmp_path, tree, "--seed", "9") == plain
+        assert self.manifest_hash(tmp_path, tree, "--seed", "10") != plain
+
+    def test_scaled_literal_differs_from_the_default_it_rounds_from(self, tmp_path):
+        # 100 ns scales to 1.0000000000000001e-07 s, not SimConfig's 1e-07: other ticks
+        a = small_sim_config(n_pulses=1000)
+        b = json.loads(json.dumps(a))
+        a["simulate"]["rep_period_ns"] = 100
+        del b["simulate"]["rep_period_ns"]
+        assert not self.same_hash(tmp_path, a, b)
 
 
 class TestPhasematchCommands:
