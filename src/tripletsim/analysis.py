@@ -89,11 +89,11 @@ class BinningConfig:
 
         Merged bin k sums the f fine bins from k f - f//2 on (f the merge
         factor).  The fine window is symmetric and its merged image stays
-        inside the merged grid, so the negative edge bin gives up its single
-        outermost tick (for odd f, both edge bins give up one).
+        inside the merged grid, so for even f the negative edge bin gives up
+        its single outermost tick.
         """
         f = self.merge_factor
-        return self.n_half_merged * f + (f // 2) - 1 if f > 1 else self.n_half_merged
+        return self.n_half_merged * f + (f - 1) // 2
 
     @property
     def rep_period_bins(self) -> int:
@@ -160,6 +160,8 @@ class Coincidence2DHistogram:
         return int(self.values.sum())
 
 
+# Largest relative mismatch between a stream's tick and the analysis base bin
+_TICK_RTOL = 1e-4
 # Pairs expanded at once.  Each costs about 16 bytes of transient arrays on top of
 # the 4 or 8 bytes of its key, so a chunk's temporaries (about 1 MB) stay cache-sized.
 _PAIR_CHUNK = 1 << 16
@@ -194,7 +196,7 @@ def build_threefold_histogram(stream: TimeTagStream, cfg: BinningConfig) -> Coin
     channel-3 tag's) into one array, sorted once in place: each run of equal
     keys is one bin.
     """
-    if abs(stream.resolution_s - cfg.base_bin_s) > 1e-4 * cfg.base_bin_s:
+    if abs(stream.resolution_s - cfg.base_bin_s) > _TICK_RTOL * cfg.base_bin_s:
         raise ValueError(
             f"stream resolution {stream.resolution_s} does not match the analysis "
             f"base bin {cfg.base_bin_s}"

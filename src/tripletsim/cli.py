@@ -27,7 +27,7 @@ from .config import (
     parse_simulate,
 )
 from .errors import ConfigError, FitError, NoRootError, TripletSimError, TtagFormatError
-from .simulate import RNG_SCHEME, expected_rates, simulate_run
+from .simulate import _PERIOD_RTOL, RNG_SCHEME, expected_rates, simulate_run
 
 
 def _csv_text(rows) -> str:
@@ -49,6 +49,14 @@ def _thread_count(text: str) -> int:
     return n
 
 
+# Peak bytes of a simulate run per expected record.  Measured with getrusage in fresh
+# processes (configs/baseline.json, 2 threads): 98 MB at 1e8 pulses (1.81e6 records),
+# 155 MB at 2e8 (3.63e6), 270 MB at 5e8 (9.06e6) and 498 MB at 1e9 (1.81e7), so each
+# added record costs 25-31 B.  ROADMAP item 13 (dead time and merge block by block)
+# should lower it.
+_SIMULATE_BYTES_PER_RECORD = 3 * ttag.RECORD_SIZE
+
+
 def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
@@ -62,13 +70,25 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         sim_cfg = sim_cfg.with_seed(args.seed)
     opts = parse_analyze(tree["analyze"]) if "analyze" in tree else None
+    if opts is not None:  # an analysis of other ticks or pulses would fail, or mislead, later
+        b, tick, period = opts.binning, sim_cfg.resolution_s, sim_cfg.rep_period_s
+        if abs(tick - b.base_bin_s) > analysis._TICK_RTOL * b.base_bin_s:
+            raise ConfigError(
+                f"analyze.base_bin_ps: {b.base_bin_s * 1e12:g} ps does not match the "
+                f"simulated tick of {tick * 1e12:g} ps"
+            )
+        if abs(period - b.rep_period_s) > _PERIOD_RTOL * period:
+            raise ConfigError(
+                f"analyze.rep_period_ns: {b.rep_period_s * 1e9:g} ns does not match the "
+                f"simulated pulse period of {period * 1e9:g} ns"
+            )
     # with the analysis geometry known the manifest also predicts the central count (else null)
     rates = expected_rates(sim_cfg, None if opts is None else opts.binning.merged_bin_s)
-    need, memory = sum(rates.singles_counts) * ttag.RECORD_SIZE, _physical_memory_bytes()
+    need, memory = sum(rates.singles_counts) * _SIMULATE_BYTES_PER_RECORD, _physical_memory_bytes()
     if need > memory:
         raise ConfigError(
-            f"simulate.n_pulses: {sim_cfg.n_pulses} pulses would hold about {need:.3g} bytes "
-            f"of records, more than the {memory:.3g} bytes of physical memory"
+            f"simulate.n_pulses: {sim_cfg.n_pulses} pulses would need about {need:.3g} bytes "
+            f"at the simulation's peak, more than the {memory:.3g} bytes of physical memory"
         )
 
     stream = simulate_run(sim_cfg, n_threads=args.threads, progress=True)

@@ -17,11 +17,11 @@ import hashlib
 import json
 import reprlib
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .analysis import AnalyzeOptions, BinningConfig
-from .dispersion import SellmeierDispersion, ToyDispersion, lithium_niobate_e
+from .dispersion import ToyDispersion, lithium_niobate_e
 from .errors import ConfigError
 from .pairstats import SourceParams
 from .phasematch import QpmGrating, poling_period_for_shg, poling_period_for_target
@@ -239,17 +239,15 @@ def _dispersion(tree: dict, path: str):
     kw = _fields({k: v for k, v in tree.items() if k != "model"}, path, _DISPERSION[model])
     if model == "toy":
         return ToyDispersion(**kw)
+    # a sellmeier model is the built-in one with its coefficients and temperature range replaced
     built_in = lithium_niobate_e()
     (lo, hi), (t_lo, t_hi) = built_in.lambda_range_m, built_in.temp_range_c
-    lambda_range_m = (kw.get("lambda_min_m", lo), kw.get("lambda_max_m", hi))
-    if model == "lithium_niobate_e":
-        return lithium_niobate_e(lambda_range_m)
-    return SellmeierDispersion(
-        a=kw["a"],
-        b=kw["b"],
-        lambda_range_m=lambda_range_m,
+    return replace(
+        built_in,
+        a=kw.get("a", built_in.a),
+        b=kw.get("b", built_in.b),
+        lambda_range_m=(kw.get("lambda_min_m", lo), kw.get("lambda_max_m", hi)),
         temp_range_c=(kw.get("theta_min_c", t_lo), kw.get("theta_max_c", t_hi)),
-        name="custom_sellmeier",
     )
 
 

@@ -42,7 +42,6 @@ class SellmeierDispersion:
     b: tuple[float, float, float, float]
     lambda_range_m: tuple[float, float]
     temp_range_c: tuple[float, float]
-    name: str = "sellmeier"
 
     def n_eff(self, lambda_m, temperature_c):
         _check_range("wavelength", lambda_m, *self.lambda_range_m)
@@ -77,7 +76,6 @@ class ToyDispersion:
     theta_ref_c: float = 25.0
     lambda_range_m: tuple[float, float] = (100e-9, 10e-6)
     temp_range_c: tuple[float, float] = (-50.0, 500.0)
-    name: str = "toy"
 
     def n_eff(self, lambda_m, temperature_c):
         _check_range("wavelength", lambda_m, *self.lambda_range_m)
@@ -103,5 +101,4 @@ def lithium_niobate_e(lambda_range_m: tuple[float, float] = (400e-9, 5.0e-6)) ->
         b=(4.629e-7, 3.862e-8, -0.89e-8, 2.657e-5),
         lambda_range_m=lambda_range_m,
         temp_range_c=(20.0, 260.0),
-        name="congruent_linbo3_e",
     )

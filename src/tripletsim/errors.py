@@ -14,11 +14,7 @@ class NoRootError(TripletSimError, RuntimeError):
 
 
 class FitError(TripletSimError, RuntimeError):
-    """A fit or a half-maximum width failed; carries diagnostics when available."""
-
-    def __init__(self, message, residuals=None):
-        super().__init__(message)
-        self.residuals = residuals
+    """A fit or a half-maximum width failed."""
 
 
 class PeakNotFoundError(TripletSimError, RuntimeError):

@@ -377,23 +377,14 @@ def pump_acceptance_bandwidth(
     if rmax <= 0:
         raise FitError("integrated response vanished over the whole pump scan")
     if peak_idx in (0, n_pump - 1):
-        raise FitError(
-            "response peak sits at the scan boundary; widen the scan",
-            residuals=resp / rmax,
-        )
+        raise FitError("response peak sits at the scan boundary; widen the scan")
     half = 0.5 * rmax
     above = resp >= half
     segments = np.count_nonzero(np.diff(above.astype(int)) == 1) + int(above[0])
     if segments > 1:
-        raise FitError(
-            f"response is non-unimodal ({segments} separate half-maximum segments)",
-            residuals=resp / rmax,
-        )
+        raise FitError(f"response is non-unimodal ({segments} separate half-maximum segments)")
     if resp[0] > half or resp[-1] > half:
-        raise FitError(
-            "half-maximum crossings fall outside the scan; widen the scan",
-            residuals=resp / rmax,
-        )
+        raise FitError("half-maximum crossings fall outside the scan; widen the scan")
     # the outermost points above half maximum, with a point at or below it beyond each
     i, j = np.flatnonzero(resp > half)[[0, -1]]
     left = float(np.interp(half, resp[[i - 1, i]], pumps[[i - 1, i]]))

@@ -77,6 +77,9 @@ BLOCK_PULSES = 1 << 20
 # scheme 3 does the same in blocks of 2**20.
 RNG_SCHEME = 3
 
+# Largest relative mismatch between rep_period_s and 1 / source.rep_rate_hz
+_PERIOD_RTOL = 1e-6
+
 # Detection-bearing event kinds and the channels (i1, s2, i2) each one hits,
 # in the order their block totals are drawn: the seven detection patterns of
 # one pair (the eighth, no detection, is never drawn), then a leakage photon
@@ -208,7 +211,7 @@ class SimConfig:
             raise ValueError("exactly three arms (i1, s2, i2) required")
         if self.arms[0].channel.leakage_rate_per_pulse != 0.0:
             raise ValueError("leakage feeds the secondary channels only; set arm i1 leakage to 0")
-        if abs(self.rep_period_s * self.source.rep_rate_hz - 1.0) > 1e-6:
+        if abs(self.rep_period_s * self.source.rep_rate_hz - 1.0) > _PERIOD_RTOL:
             raise ValueError(
                 "rep_period_s must equal 1 / source.rep_rate_hz; "
                 f"got {self.rep_period_s} vs {1.0 / self.source.rep_rate_hz}"

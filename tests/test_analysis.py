@@ -153,6 +153,19 @@ class TestBinningConfig:
             stream = stream_from_ticks(ch1=[t0], ch2=[t0], ch3=[t0 + sign * d])
             assert build_threefold_histogram(stream, cfg).total_counts == count, d
 
+    @pytest.mark.parametrize("factor", [3, 5, 17])
+    @pytest.mark.parametrize("sign", [-1, 1])
+    @pytest.mark.parametrize("channel", [1, 3])
+    def test_odd_factor_edge_bins_keep_their_outer_tick(self, factor, sign, channel):
+        # merged bin n spans fine ticks n f - (f - 1)/2 to n f + (f - 1)/2 for odd f
+        merged, t0 = TICK * factor, 10_000
+        cfg = BinningConfig(TICK, factor, 2.4 * merged, 76 * merged)
+        n = cfg.n_half_merged
+        t = t0 + sign * (n * factor + (factor - 1) // 2)
+        ticks = {"ch1": [t0], "ch2": [t0], "ch3": [t0], f"ch{channel}": [t]}
+        m = merge_bins(build_threefold_histogram(stream_from_ticks(**ticks), cfg), factor)
+        assert as_dict(m) == {(sign * n, 0) if channel == 1 else (0, sign * n): 1}
+
 
 class TestAnalyzeOptions:
     @pytest.mark.parametrize(

@@ -258,24 +258,33 @@ class TestSimulateCommand:
 
     def test_bad_analyze_section_refused_before_sampling(self, tmp_path, monkeypatch, capsys):
         self.refuse_sampling(monkeypatch)
-        tree = small_sim_config()
-        tree["analyze"]["merge_factor"] = 0
-        cfg = write_json(tmp_path / "cfg.json", tree)
-        assert main(["simulate", "--config", cfg, "--output", str(tmp_path / "run.ttag")]) == 2
-        assert "analyze: merge_factor" in capsys.readouterr().err
-        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+        cases = [
+            ("merge_factor", 0, "analyze: merge_factor"),
+            # neither describes the simulated run: 82.3125 ps ticks, 100 ns pulse period
+            ("base_bin_ps", 80.0, "analyze.base_bin_ps: 80 ps does not match"),
+            ("rep_period_ns", 50.0, "analyze.rep_period_ns: 50 ns does not match"),
+        ]
+        for key, value, message in cases:
+            tree = small_sim_config()
+            tree["analyze"][key] = value
+            run = tmp_path / key
+            run.mkdir()
+            cfg = write_json(run / "cfg.json", tree)
+            assert main(["simulate", "--config", cfg, "--output", str(run / "run.ttag")]) == 2, key
+            assert message in capsys.readouterr().err
+            assert [p.name for p in run.iterdir()] == ["cfg.json"]
 
     def test_run_beyond_physical_memory_refused_before_sampling(self, tmp_path, monkeypatch, capsys):
         tree = small_sim_config()
         rates = expected_rates(parse_simulate(tree["simulate"]))
-        need = sum(rates.singles_counts) * ttag.RECORD_SIZE
+        need = sum(rates.singles_counts) * 3 * ttag.RECORD_SIZE
         argv = ["simulate", "--config", write_json(tmp_path / "cfg.json", tree)]
         argv += ["--output", str(tmp_path / "run.ttag")]
         monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: need - 1)
         self.refuse_sampling(monkeypatch)
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert f"simulate.n_pulses: 100000 pulses would hold about {need:.3g} bytes" in err
+        assert f"simulate.n_pulses: 100000 pulses would need about {need:.3g} bytes" in err
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
         monkeypatch.undo()
         monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: need + 1)

@@ -158,7 +158,6 @@ def _sellmeier_plan() -> PhasematchPlan:
         b=tuple(LN_B),
         lambda_range_m=(400e-9, 4000.0 * 1e-9),
         temp_range_c=(30.0, 260.0),
-        name="custom_sellmeier",
     )
     return _plan(
         disp,
@@ -245,7 +244,7 @@ def _dispersion_of(tree):
         (lambda: _dispersion_of({"model": "toy"}), ToyDispersion()),
         (
             lambda: _dispersion_of({"model": "sellmeier", "a": LN_A, "b": LN_B}),
-            replace(lithium_niobate_e(), a=tuple(LN_A), b=tuple(LN_B), name="custom_sellmeier"),
+            replace(lithium_niobate_e(), a=tuple(LN_A), b=tuple(LN_B)),
         ),
         (lambda: _dispersion_of({"model": "lithium_niobate_e"}), lithium_niobate_e()),
     ],

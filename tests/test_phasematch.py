@@ -287,9 +287,8 @@ class TestAcceptanceBandwidth:
 
         disp = DippedIndex()
         grating = pm.poling_period_for_shg(1581e-9, 25.0, disp)
-        with pytest.raises(FitError, match="non-unimodal") as err:
+        with pytest.raises(FitError, match="non-unimodal"):
             pm.pump_acceptance_bandwidth(grating, 25.0, disp, 0.02, (787e-9, 794e-9), 161)
-        assert err.value.residuals is not None
 
     def test_response_integral_grid_stable(self, monkeypatch):
         def response(n_points):
