@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -50,15 +51,33 @@ def _thread_count(text: str) -> int:
 
 
 # Peak bytes of a simulate run per expected record.  Measured with getrusage in fresh
-# processes (configs/baseline.json, 2 threads): 98 MB at 1e8 pulses (1.81e6 records),
-# 155 MB at 2e8 (3.63e6), 270 MB at 5e8 (9.06e6) and 498 MB at 1e9 (1.81e7), so each
-# added record costs 25-31 B.  ROADMAP item 13 (dead time and merge block by block)
-# should lower it.
-_SIMULATE_BYTES_PER_RECORD = 3 * ttag.RECORD_SIZE
+# processes (configs/baseline.json, 2 threads): 57.5 MB at 1e8 pulses (1.81e6 records),
+# 127 MB at 5e8 (9.06e6) and 213 MB at 1e9 (1.81e7), so each added record costs about
+# 10 B: the 9 B of its channel and tick, held until the file is written.  Two 9 B records
+# bound that slope with room for the fixed part of the peak.
+_SIMULATE_BYTES_PER_RECORD = 2 * ttag.RECORD_SIZE
 
 
 def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _check_binning(binning, tick_s: float, period_s: float) -> None:
+    """ConfigError naming the analyze key that does not describe a run of this tick and period.
+
+    A base bin other than the tick would be refused after the run's file is
+    read; another pulse period would sample accidentals on the wrong lattice.
+    """
+    if abs(tick_s - binning.base_bin_s) > analysis._TICK_RTOL * binning.base_bin_s:
+        raise ConfigError(
+            f"analyze.base_bin_ps: {binning.base_bin_s * 1e12:g} ps does not match the "
+            f"simulated tick of {tick_s * 1e12:g} ps"
+        )
+    if abs(period_s - binning.rep_period_s) > _PERIOD_RTOL * period_s:
+        raise ConfigError(
+            f"analyze.rep_period_ns: {binning.rep_period_s * 1e9:g} ns does not match the "
+            f"simulated pulse period of {period_s * 1e9:g} ns"
+        )
 
 
 def cmd_simulate(args) -> int:
@@ -71,17 +90,7 @@ def cmd_simulate(args) -> int:
         sim_cfg = sim_cfg.with_seed(args.seed)
     opts = parse_analyze(tree["analyze"]) if "analyze" in tree else None
     if opts is not None:  # an analysis of other ticks or pulses would fail, or mislead, later
-        b, tick, period = opts.binning, sim_cfg.resolution_s, sim_cfg.rep_period_s
-        if abs(tick - b.base_bin_s) > analysis._TICK_RTOL * b.base_bin_s:
-            raise ConfigError(
-                f"analyze.base_bin_ps: {b.base_bin_s * 1e12:g} ps does not match the "
-                f"simulated tick of {tick * 1e12:g} ps"
-            )
-        if abs(period - b.rep_period_s) > _PERIOD_RTOL * period:
-            raise ConfigError(
-                f"analyze.rep_period_ns: {b.rep_period_s * 1e9:g} ns does not match the "
-                f"simulated pulse period of {period * 1e9:g} ns"
-            )
+        _check_binning(opts.binning, sim_cfg.resolution_s, sim_cfg.rep_period_s)
     # with the analysis geometry known the manifest also predicts the central count (else null)
     rates = expected_rates(sim_cfg, None if opts is None else opts.binning.merged_bin_s)
     need, memory = sum(rates.singles_counts) * _SIMULATE_BYTES_PER_RECORD, _physical_memory_bytes()
@@ -103,6 +112,7 @@ def cmd_simulate(args) -> int:
         "n_pulses": sim_cfg.n_pulses,
         "n_records": len(stream),
         "resolution_ps": sim_cfg.resolution_s * 1e12,
+        "rep_period_ns": sim_cfg.rep_period_s * 1e9,
         "expected": asdict(rates),
     }
     manifest_path = args.output + ".manifest.json"
@@ -145,29 +155,32 @@ def _json_object(path, what: str) -> dict:
     return tree
 
 
-def _manifest_pulses(ttag_path) -> int:
-    """Pulse count from the simulation manifest next to the file.
-
-    Without a manifest, ConfigError names analyze.n_pulses, the config key
-    that gives the count instead; a manifest that is present but unreadable,
-    not a JSON object or without a positive integer n_pulses raises
-    TripletSimError naming its path.
-    """
-    manifest_path = os.fspath(ttag_path) + ".manifest.json"
-    if not os.path.exists(manifest_path):
-        raise ConfigError(f"analyze.n_pulses: required, since there is no manifest at {manifest_path}")
-    n = _json_object(manifest_path, "manifest").get("n_pulses")
-    if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
-        raise TripletSimError(f"{manifest_path}: n_pulses must be a positive integer, got {n!r}")
-    return n
+def _manifest_number(manifest: dict, manifest_path: str, key: str, integer: bool = False):
+    """The manifest's positive number (integer if asked) under key; TripletSimError naming the path."""
+    v = manifest.get(key)
+    if not isinstance(v, int if integer else (int, float)) or isinstance(v, bool) or not 0 < v < math.inf:
+        what = "integer" if integer else "number"
+        raise TripletSimError(f"{manifest_path}: {key} must be a positive {what}, got {v!r}")
+    return v
 
 
 def cmd_analyze(args) -> int:
     tree = load_config(args.config)
     opts = parse_analyze(tree.get("analyze", {}))
-    # a refused pulse count costs no read of the file
+    # a refused pulse count or binning costs no read of the file; a manifest that is
+    # present must be a readable JSON object
+    manifest_path = os.fspath(args.ttag) + ".manifest.json"
+    manifest = _json_object(manifest_path, "manifest") if os.path.exists(manifest_path) else None
     if opts.n_pulses is None:
-        opts = replace(opts, n_pulses=_manifest_pulses(args.ttag))
+        if manifest is None:
+            raise ConfigError(f"analyze.n_pulses: required, since there is no manifest at {manifest_path}")
+        opts = replace(opts, n_pulses=_manifest_number(manifest, manifest_path, "n_pulses", integer=True))
+    if manifest is not None:
+        _check_binning(
+            opts.binning,
+            _manifest_number(manifest, manifest_path, "resolution_ps") * 1e-12,
+            _manifest_number(manifest, manifest_path, "rep_period_ns") * 1e-9,
+        )
     report = analysis.analyze_stream(ttag.read_ttag(args.ttag), opts)
 
     os.makedirs(args.output, exist_ok=True)

@@ -18,13 +18,18 @@ detection-bearing pair patterns and of the s2 and i2 leakage photons
 order, so that a channel's events are the ranges of its kinds, then the
 jitter of channels 1, 2 and 3, then the dark counts of channels 1, 2 and 3.
 The cost follows the number of detections, not of pulses.  The worker that
-samples a block also sorts its ticks per channel, so the main thread only
-merges sorted runs: per channel by a stable sort, which merges presorted runs
-in linear time and stays correct where jitter makes neighbouring blocks
-overlap, then, after dead time, across channels by one stable sort of the
-keys tick << 2 | channel, which puts equal ticks in channel order.  Output is
-an ordered stream of (channel, tick) records, bit-reproducible for a fixed
-seed and RNG_SCHEME independent of the worker count.
+samples a block also sorts its ticks per channel.  The main thread takes the
+blocks in order, at most 2 x n_threads of them sampled ahead, and finishes
+the run block by block.  Once the blocks before pulse p are in, no later
+block reaches a tick below _final_tick(config, p).  Each channel's ticks
+below it are final: a stable sort merges them with the ticks carried from
+the block before, its dead time runs on from the channel's last accepted
+tick, and one stable sort of the keys tick << 2 | channel merges the
+channels, putting equal ticks in channel order.  The merged records are
+appended to the output arrays; the ticks at or above the bound are carried
+into the next block.  Output is an ordered stream of (channel, tick)
+records, bit-reproducible for a fixed seed and RNG_SCHEME independent of
+the worker count.
 
 The statistical oracle, expected_rates, reads the same event table: singles
 are the table's column sums weighted by the kinds' means, the dead-time-free
@@ -38,8 +43,10 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -79,6 +86,11 @@ RNG_SCHEME = 3
 
 # Largest relative mismatch between rep_period_s and 1 / source.rep_rate_hz
 _PERIOD_RTOL = 1e-6
+
+# Standard deviations a jitter draw never reaches (p < 1e-300; NumPy's ziggurat
+# draws no normal variate beyond about 14).  SimConfig bounds the tick range
+# with it and simulate_run declares ticks final by it.
+_JITTER_REACH_SIGMAS = 40.0
 
 # Detection-bearing event kinds and the channels (i1, s2, i2) each one hits,
 # in the order their block totals are drawn: the seven detection patterns of
@@ -216,9 +228,9 @@ class SimConfig:
                 "rep_period_s must equal 1 / source.rep_rate_hz; "
                 f"got {self.rep_period_s} vs {1.0 / self.source.rep_rate_hz}"
             )
-        # merge keys tick << 2 | channel are int64; jitter never reaches 40 sigma (p < 1e-300)
+        # merge keys tick << 2 | channel are int64
         jitter = max(arm.detector.jitter_sigma_s for arm in self.arms)
-        last_s = self.n_pulses * self.rep_period_s + abs(self.peak_offset_s) + 40.0 * jitter
+        last_s = self.n_pulses * self.rep_period_s + abs(self.peak_offset_s) + _JITTER_REACH_SIGMAS * jitter
         if last_s / self.resolution_s >= 2**61:
             raise ValueError("run span overflows the tick range; reduce n_pulses or coarsen ticks")
 
@@ -350,12 +362,52 @@ def _gate(t2: np.ndarray, t3: np.ndarray, half_width: int) -> tuple[np.ndarray, 
     return kept, start3[kept]
 
 
+def _expected_raw_ticks(config: SimConfig, means: np.ndarray) -> float:
+    """Expected tick count of the run before dead time: its events' detections and dark counts.
+
+    means is _event_means_per_pulse(config).
+    """
+    dark_per_pulse = sum(arm.detector.dark_rate_hz for arm in config.arms) * config.rep_period_s
+    return config.n_pulses * (float(means @ _EVENT_CHANNELS.sum(axis=1)) + dark_per_pulse)
+
+
+def _final_tick(config: SimConfig, p_stop: int) -> int:
+    """A tick below which no block from pulse p_stop on puts a tick.
+
+    A later block's tick is a pulse time p * rep_period_s (p >= p_stop) plus
+    its arm's delay (peak_offset_s or 0) and a jitter draw above
+    -_JITTER_REACH_SIGMAS times the largest sigma, or a dark count after
+    p_stop * rep_period_s, divided by the tick and rounded to nearest.  The
+    bound takes the same floating-point steps in the same order, each rounded
+    monotonically, and floors, so it holds exactly.
+    """
+    sigma = max(arm.detector.jitter_sigma_s for arm in config.arms)
+    t = float(p_stop) * config.rep_period_s + min(0.0, config.peak_offset_s)
+    t -= _JITTER_REACH_SIGMAS * sigma
+    return math.floor(t / config.resolution_s)
+
+
+def _sampled_blocks(pool: ThreadPoolExecutor, config: SimConfig, means: np.ndarray, bounds, n_ahead: int):
+    """((block, pulse start, pulse stop), ticks per channel) for each of bounds, in order.
+
+    At most n_ahead blocks are submitted and not yet taken, so the sampled
+    blocks held at once do not grow with the run.
+    """
+    ahead = deque((a, pool.submit(_simulate_block, config, means, *a)) for a in islice(bounds, n_ahead))
+    while ahead:
+        a, future = ahead.popleft()
+        ahead.extend((a, pool.submit(_simulate_block, config, means, *a)) for a in islice(bounds, 1))
+        yield a, future.result()
+
+
 def simulate_run(config: SimConfig, n_threads: int = 1, progress: bool = False) -> TimeTagStream:
     """Simulate the full run and return the merged, dead-time-filtered stream.
 
     Deterministic for a fixed rng_seed: pulse blocks use independent
     counter-based streams keyed by (seed, block), so every thread count
-    produces identical output.
+    produces identical output.  Blocks are finished in order as they arrive
+    (see the module docstring), so besides the output only the blocks in
+    flight and the ticks carried between them are held.
     """
     if n_threads < 1:
         raise ValueError(f"n_threads must be >= 1, got {n_threads}")
@@ -366,38 +418,55 @@ def simulate_run(config: SimConfig, n_threads: int = 1, progress: bool = False) 
             stacklevel=2,
         )
     n_blocks = (config.n_pulses + BLOCK_PULSES - 1) // BLOCK_PULSES
-    bounds = [
-        (b, b * BLOCK_PULSES, min((b + 1) * BLOCK_PULSES, config.n_pulses))
-        for b in range(n_blocks)
-    ]
-
-    means = _event_means_per_pulse(config)
-    results = []
     report_every = max(1, n_blocks // 10)
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        blocks = pool.map(lambda a: _simulate_block(config, means, *a), bounds)
-        for (b, _, p1), block in zip(bounds, blocks):
-            results.append(block)
-            if progress and ((b + 1) % report_every == 0 or b + 1 == n_blocks):
-                print(f"simulate: {p1}/{config.n_pulses} pulses", file=sys.stderr)
+    means = _event_means_per_pulse(config)
+    dead = [math.ceil(arm.detector.dead_time_s / config.resolution_s - 1e-12) for arm in config.arms]
 
-    # block arrays are dropped once merged; each channel's kept ticks become
-    # the keys tick << 2 | channel in place (SimConfig keeps ticks below 2**61)
-    keys = []
-    for channel, arm in zip(_CHANNELS, config.arms):
-        ticks = np.concatenate([r.pop(channel) for r in results])
-        ticks.sort(kind="stable")  # merges the per-block sorted runs
-        dead_ticks = math.ceil(arm.detector.dead_time_s / config.resolution_s - 1e-12)
-        ticks = _apply_dead_time(ticks, dead_ticks)
-        ticks <<= 2
-        ticks |= channel
-        keys.append(ticks)
-    keys = np.concatenate(keys)
-    # merges the channels' sorted runs: by tick, equal ticks in channel order
-    keys.sort(kind="stable")
-    channels = np.bitwise_and(keys, 3, out=np.empty(len(keys), np.uint8), casting="unsafe")
-    keys >>= 2  # the ticks, in place
-    return TimeTagStream(resolution_s=config.resolution_s, channels=channels, timestamps=keys)
+    # sized for the expected raw tick count, which dead time only lowers, and
+    # grown if a run exceeds it; pages past the records written are never touched
+    expected = _expected_raw_ticks(config, means)
+    size = math.ceil(expected + 6.0 * math.sqrt(expected))
+    channels, timestamps = np.empty(size, np.uint8), np.empty(size, np.int64)
+    n = 0
+    carry = [np.empty(0, np.int64)] * 3  # each channel's ticks not yet final, sorted
+    accept_from = [0, 0, 0]  # each channel's last accepted tick plus its dead time
+    bounds = ((b, b * BLOCK_PULSES, min((b + 1) * BLOCK_PULSES, config.n_pulses)) for b in range(n_blocks))
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        for (b, _, p_stop), block in _sampled_blocks(pool, config, means, bounds, 2 * n_threads):
+            final = _final_tick(config, p_stop) if b + 1 < n_blocks else None
+            keys = []
+            for i, channel in enumerate(_CHANNELS):
+                ticks = np.concatenate([carry[i], block.pop(channel)])
+                ticks.sort(kind="stable")  # merges the carried and the new sorted run
+                k = len(ticks) if final is None else int(np.searchsorted(ticks, final))
+                carry[i] = ticks[k:].copy()
+                ticks = ticks[np.searchsorted(ticks[:k], accept_from[i]) : k]
+                ticks = _apply_dead_time(ticks, dead[i])
+                if len(ticks):
+                    accept_from[i] = int(ticks[-1]) + dead[i]
+                # the kept ticks become the keys tick << 2 | channel in place
+                # (SimConfig keeps ticks below 2**61)
+                ticks <<= 2
+                ticks |= channel
+                keys.append(ticks)
+            keys = np.concatenate(keys)
+            # merges the channels' sorted runs: by tick, equal ticks in channel order
+            keys.sort(kind="stable")
+            if n + len(keys) > size:
+                size = max(n + len(keys), size + size // 4)
+                # no view of either array is alive here
+                channels.resize(size, refcheck=False)
+                timestamps.resize(size, refcheck=False)
+            np.bitwise_and(keys, 3, out=channels[n : n + len(keys)], casting="unsafe")
+            np.right_shift(keys, 2, out=timestamps[n : n + len(keys)])
+            n += len(keys)
+            if progress and ((b + 1) % report_every == 0 or b + 1 == n_blocks):
+                print(f"simulate: {p_stop}/{config.n_pulses} pulses", file=sys.stderr)
+
+    # realloc gives back the unused tail, as a rule without copying the records
+    channels.resize(n, refcheck=False)
+    timestamps.resize(n, refcheck=False)
+    return TimeTagStream(resolution_s=config.resolution_s, channels=channels, timestamps=timestamps)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 import struct
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -32,16 +33,19 @@ TTAG_VERSION = 1
 _HEADER = struct.Struct("<4sHQQ")
 _RECORD_DTYPE = np.dtype([("channel", "<u1"), ("timestamp", "<u8")])
 RECORD_SIZE = _RECORD_DTYPE.itemsize  # 9 bytes
-# Records per read; the file passes through one such buffer, never held whole.
-_READ_CHUNK = 1 << 16
+# Records per read and per write; the file passes through one such buffer, never
+# held whole.
+_READ_CHUNK = _WRITE_CHUNK = 1 << 16
 
 
 def atomic_write(path, *chunks) -> None:
     """Write str (as UTF-8) and bytes-like chunks to path, replacing it atomically.
 
-    The temp file is created beside path with mode 0o666, so the umask gives it
-    the mode open() would give a new file, also where it replaces one with
-    another mode; on any error it is removed and path is left as it was.
+    A chunk may also be an iterator of bytes-like pieces: each piece is written
+    as it is yielded, before the next is asked for, so the iterator may refill
+    one buffer.  The temp file is created beside path with mode 0o666, so the
+    umask gives it the mode open() would give a new file, also where it replaces
+    one with another mode; on any error it is removed and path is left as it was.
     """
     path = os.fspath(path)
     directory, name = os.path.split(os.path.abspath(path))
@@ -50,7 +54,11 @@ def atomic_write(path, *chunks) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:
-                fh.write(chunk.encode() if isinstance(chunk, str) else chunk)
+                if isinstance(chunk, Iterator):
+                    for piece in chunk:
+                        fh.write(piece)
+                else:
+                    fh.write(chunk.encode() if isinstance(chunk, str) else chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -84,6 +92,16 @@ def _first_fault(channels, timestamps) -> TtagFormatError | None:
     return TtagFormatError(f"{what} (byte offset {offset})", byte_offset=offset)
 
 
+def _records(stream: TimeTagStream):
+    """The stream's records, _WRITE_CHUNK at a time, encoded into one reused buffer."""
+    buf = np.empty(min(len(stream), _WRITE_CHUNK), dtype=_RECORD_DTYPE)
+    for a in range(0, len(stream), _WRITE_CHUNK):
+        n = min(_WRITE_CHUNK, len(stream) - a)
+        buf["channel"][:n] = stream.channels[a : a + n]
+        buf["timestamp"][:n] = stream.timestamps[a : a + n]  # cast on assignment
+        yield buf[:n]
+
+
 def write_ttag(path, stream: TimeTagStream) -> None:
     """Serialize a stream; atomic (see `atomic_write`) and byte-deterministic.
 
@@ -93,11 +111,8 @@ def write_ttag(path, stream: TimeTagStream) -> None:
     resolution_fs = int(round(stream.resolution_s * 1e15))
     if resolution_fs <= 0:
         raise ValueError("resolution below 1 fs cannot be stored")
-    records = np.empty(len(stream.timestamps), dtype=_RECORD_DTYPE)
-    records["channel"] = stream.channels
-    records["timestamp"] = stream.timestamps  # cast on assignment, no temporary copy
-    header = _HEADER.pack(TTAG_MAGIC, TTAG_VERSION, resolution_fs, len(records))
-    atomic_write(path, header, records)  # the array's own buffer, not a copy of it
+    header = _HEADER.pack(TTAG_MAGIC, TTAG_VERSION, resolution_fs, len(stream))
+    atomic_write(path, header, _records(stream))
 
 
 def read_ttag(path) -> TimeTagStream:

@@ -277,7 +277,7 @@ class TestSimulateCommand:
     def test_run_beyond_physical_memory_refused_before_sampling(self, tmp_path, monkeypatch, capsys):
         tree = small_sim_config()
         rates = expected_rates(parse_simulate(tree["simulate"]))
-        need = sum(rates.singles_counts) * 3 * ttag.RECORD_SIZE
+        need = sum(rates.singles_counts) * cli._SIMULATE_BYTES_PER_RECORD
         argv = ["simulate", "--config", write_json(tmp_path / "cfg.json", tree)]
         argv += ["--output", str(tmp_path / "run.ttag")]
         monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: need - 1)
@@ -544,6 +544,28 @@ class TestManifestPulseCount:
         assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("rep_period_ns", 50.0, "analyze.rep_period_ns: 50 ns does not match the simulated pulse period"),
+            ("base_bin_ps", 80.0, "analyze.base_bin_ps: 80 ps does not match the simulated tick"),
+        ],
+    )
+    def test_binning_that_does_not_describe_the_run_refused(self, tmp_path, capsys, key, value, message):
+        # a 50 ns period would sample accidentals on the wrong lattice (168 bins
+        # instead of 48 on this run); both refusals come before the file is read
+        tree = load_config(REPO_CONFIGS / "baseline.json")
+        tree["simulate"]["n_pulses"] = 200_000
+        ttag_path = tmp_path / "run.ttag"
+        cfg = write_json(tmp_path / "cfg.json", tree)
+        assert main(["simulate", "--config", cfg, "--output", str(ttag_path)]) == 0
+        tree["analyze"][key] = value
+        cfg, out = write_json(tmp_path / "other.json", tree), tmp_path / "out"
+        capsys.readouterr()
+        assert main(["analyze", str(ttag_path), "--config", cfg, "--output", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize(
         "text, cause",
         [
             ("{not json", "unreadable manifest"),
@@ -555,6 +577,8 @@ class TestManifestPulseCount:
             ('{"n_pulses": 1.5e5}', "n_pulses"),
             ('{"n_pulses": "150000"}', "n_pulses"),
             ('{"n_pulses": true}', "n_pulses"),
+            ('{"n_pulses": 150000, "resolution_ps": 82.3125}', "rep_period_ns"),
+            ('{"n_pulses": 150000, "resolution_ps": 0, "rep_period_ns": 100.0}', "resolution_ps"),
         ],
     )
     def test_bad_manifest_fails_naming_it(self, tmp_path, capsys, text, cause):

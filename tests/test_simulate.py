@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tripletsim
-from tripletsim import simulate
+from tripletsim import simulate, ttag
 from tripletsim.config import load_config, parse_analyze, parse_simulate
 from tripletsim.constants import C_VAC_M_S, PLANCK_J_S
 from tripletsim.simulate import (
@@ -28,6 +28,7 @@ from tripletsim.simulate import (
     expected_rates,
     simulate_run,
 )
+from tripletsim.ttag import RECORD_SIZE, write_ttag
 from conftest import baseline_source, boosted_config, make_arms
 
 # Block size for tests that need many blocks at a small pulse count;
@@ -514,6 +515,110 @@ class TestSortedRunMerge:
         stream = simulate_run(cfg, n_threads=n_threads)
         assert np.array_equal(stream.timestamps, ticks)
         assert np.array_equal(stream.channels, channels)
+
+    def assert_matches_reference(self, cfg, n_threads):
+        raw, channels, ticks = self.reference_run(cfg)
+        stream = simulate_run(cfg, n_threads=n_threads)
+        assert np.array_equal(stream.timestamps, ticks)
+        assert np.array_equal(stream.channels, channels)
+        return raw, stream
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_dead_time_longer_than_two_blocks(self, monkeypatch, n_threads):
+        # ch2's 250 us dead window spans more than two 102.4 us blocks, so the
+        # last accepted tick is carried over blocks whose every ch2 tick it rejects
+        monkeypatch.setattr(simulate, "BLOCK_PULSES", self.BLOCK)
+        arms = make_arms(
+            transmission=0.5,
+            dark_rates=(2e5, 2e5, 2e5),
+            jitter=(300e-9, 300e-9, 300e-9),
+            dead_times=(50e-9, 250e-6, 0.0),
+        )
+        cfg = replace(self.overlapping_config(), arms=arms)
+        assert 250e-6 > 2 * self.BLOCK * cfg.rep_period_s
+        raw, stream = self.assert_matches_reference(cfg, n_threads)
+        assert min(len(r[2]) for r in raw[:-1]) > 100  # every full block holds ch2 ticks to reject
+        assert len(stream.channel_ticks(2)) > 10
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_jitter_reach_beyond_a_block(self, monkeypatch, n_threads):
+        # an 8 us ch3 jitter reaches 320 us, more than three 102.4 us blocks: no
+        # tick is final after the first three, and ticks stay carried over several
+        monkeypatch.setattr(simulate, "BLOCK_PULSES", self.BLOCK)
+        arms = make_arms(
+            transmission=0.5,
+            dark_rates=(2e5, 2e5, 2e5),
+            jitter=(300e-9, 0.0, 8e-6),
+            dead_times=(50e-9, 200e-9, 100e-9),
+        )
+        cfg = replace(self.overlapping_config(), arms=arms)
+        assert simulate._JITTER_REACH_SIGMAS * 8e-6 > 3 * self.BLOCK * cfg.rep_period_s
+        assert simulate._final_tick(cfg, 3 * self.BLOCK) < 0
+        self.assert_matches_reference(cfg, n_threads)
+
+    def test_output_grown_past_its_estimate(self, monkeypatch):
+        # output arrays sized for no tick at all grow with every block
+        monkeypatch.setattr(simulate, "BLOCK_PULSES", self.BLOCK)
+        monkeypatch.setattr(simulate, "_expected_raw_ticks", lambda config, means: 0.0)
+        self.assert_matches_reference(self.overlapping_config(), n_threads=2)
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_blocks_without_a_tick_on_one_channel(self, monkeypatch, n_threads):
+        # ch3 detects about 0.7 photons a block and has no dark counts
+        monkeypatch.setattr(simulate, "BLOCK_PULSES", self.BLOCK)
+        arms = make_arms(
+            transmission=0.5,
+            efficiencies=(0.6, 0.25, 1e-3),
+            dark_rates=(2e5, 2e5, 0.0),
+            jitter=(300e-9, 300e-9, 300e-9),
+            dead_times=(50e-9, 200e-9, 100e-9),
+        )
+        cfg = replace(self.overlapping_config(), arms=arms)
+        raw, _ = self.assert_matches_reference(cfg, n_threads)
+        empty = [len(r[3]) == 0 for r in raw]
+        assert any(empty) and not all(empty)
+
+
+class TestMemoryBound:
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_simulate_and_write_peaks_follow_the_output(self, tmp_path, n_threads):
+        """Traced peaks of simulate_run and write_ttag on a 5e7-pulse baseline run.
+
+        NumPy reports its data buffers to tracemalloc, so the traced peak is the
+        sum of the arrays alive at once.  With E the run's expected raw tick
+        count from the event table and R a block's (9.1e5 and 1.9e4 here):
+
+        simulate_run: the output arrays, sized E + 6 sqrt(E) records of 9 B
+        (uint8 channel and int64 tick); the 2 x n_threads blocks in flight, at
+        most n_threads of them being sampled (pulse indices, float times,
+        jitter draws and int64 ticks: 32 B per tick) and the others held as
+        sorted ticks (8 B); and the block being finished (its ticks, their
+        merge with the carried ones, the dead-time temporaries and the merge
+        keys: 40 B per tick); plus 1 MiB for the interpreter and the pool.
+
+        write_ttag: one buffer of 2**16 9 B records, plus 64 KiB.
+        """
+        tree = load_config(Path(__file__).resolve().parent.parent / "configs" / "baseline.json")
+        tree["simulate"]["n_pulses"] = 50_000_000
+        cfg = parse_simulate(tree["simulate"])
+        e = simulate._expected_raw_ticks(cfg, simulate._event_means_per_pulse(cfg))
+        r = e * simulate.BLOCK_PULSES / cfg.n_pulses
+
+        tracemalloc.start()
+        try:
+            stream = simulate_run(cfg, n_threads=n_threads)
+            held, simulate_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            write_ttag(tmp_path / "run.ttag", stream)
+            write_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+
+        n = len(stream)
+        assert 0.98 * e < n < e
+        output = 9 * (e + 6 * math.sqrt(e))
+        assert simulate_peak / n <= (output + (40 * n_threads + 40) * r + 2**20) / n
+        assert write_peak / n <= (RECORD_SIZE * ttag._WRITE_CHUNK + 2**16) / n
 
 
 class TestJitter:
