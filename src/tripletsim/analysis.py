@@ -73,6 +73,8 @@ class BinningConfig:
             )
         if self.n_half_merged < 1:
             raise ValueError("window_half_span_s must cover at least one merged bin")
+        if (2 * self.n_half_fine + 1) ** 2 >= 2**63:
+            raise ValueError("window_half_span_s spans too many ticks for int64 flat bin keys")
 
     @property
     def merged_bin_s(self) -> float:
@@ -186,15 +188,15 @@ def build_threefold_histogram(stream: TimeTagStream, cfg: BinningConfig) -> Coin
     """Fine (one bin per tick) 2-D histogram around the channel-2 references.
 
     A reference's window reaches cfg.n_half_fine ticks to either side.
-    simulate._gate keeps the references with a channel-3 tag in their window,
-    and a second search counts those tags.  total_reference_events counts all
-    references, kept or not.  Channel 1 is read from the stream's
-    records window by window, a record once per kept window that holds it, in
-    chunks of at most _PAIR_CHUNK records (or one window's); each window's
-    channel-1 tags follow those of the window before.  The pairs'
-    flat bin keys are expanded in chunks of at most _PAIR_CHUNK pairs (or one
-    channel-3 tag's) into one array, sorted once in place: each run of equal
-    keys is one bin.
+    simulate._gate keeps the references with a channel-3 tag in their window;
+    total_reference_events counts all references, kept or not.  Channels 1
+    and 3 are read from the stream's records window by window, a record once
+    per kept window that holds it, in chunks of at most _PAIR_CHUNK records
+    (or one window's), as tick offsets u from the window start; each window's
+    tags follow those of the window before.  The pairs' flat bin keys
+    u1 * side + u3 are expanded in chunks of at most _PAIR_CHUNK pairs (or
+    one channel-3 tag's) into one array, sorted once in place: each run of
+    equal keys is one bin.
     """
     if abs(stream.resolution_s - cfg.base_bin_s) > _TICK_RTOL * cfg.base_bin_s:
         raise ValueError(
@@ -205,60 +207,55 @@ def build_threefold_histogram(stream: TimeTagStream, cfg: BinningConfig) -> Coin
     n_refs = len(refs)
     w = cfg.n_half_fine
     side = 2 * w + 1
+    dtype = np.int32 if side * side < 2**31 else np.int64  # of the offsets and keys
 
-    # channel 1 is looked up only in the kept references' windows
-    kept, start3 = _gate(refs, t3, w)
-    win = refs[kept] - w  # window start
-    count3 = np.searchsorted(t3, win + 2 * w, "right") - start3
-    del refs, kept
+    win = refs[_gate(refs, t3, w)] - w  # the kept windows' starts
+    del refs, t3
     # window k holds the n[k] records from lo[k] on, its own reference among them, so
     # n[k] >= 1: reduceat gives an empty segment its first element, not 0
     ts = stream.timestamps
     lo = np.searchsorted(ts, win, "left")
     n = np.searchsorted(ts, win + 2 * w, "right") - lo
     before = np.concatenate(([0], np.cumsum(n)))
-    count1 = np.empty(len(n), dtype=np.int64)
+    count1, count3 = np.empty((2, len(n)), dtype=np.int64)
 
     def read_windows(a, b):
-        """Channel-1 ticks of windows a to b, window by window; counts them into count1."""
+        """Channel-1 and channel-3 offsets of windows a to b, window by window; counts them."""
         r = np.repeat(lo[a:b] - before[a:b], n[a:b])
         r += np.arange(before[a], before[b])
-        is1 = np.take(stream.channels, r) == CHANNEL_I1
-        count1[a:b] = np.add.reduceat(is1, before[a:b] - before[a], dtype=np.int64)
-        return np.take(ts, np.compress(is1, r))
+        u = np.take(ts, r)
+        u -= np.repeat(win[a:b], n[a:b])
+        u = u.astype(dtype, copy=False)  # in [0, 2 w]
+        ch = np.take(stream.channels, r)
+        is1, is3 = ch == CHANNEL_I1, ch == CHANNEL_I2
+        for count, is_c in ((count1, is1), (count3, is3)):
+            count[a:b] = np.add.reduceat(is_c, before[a:b] - before[a], dtype=np.int64)
+        return np.compress(is1, u), np.compress(is3, u)
 
-    t1 = np.concatenate([ts[:0]] + [read_windows(a, b) for a, b in _chunks(before)])
-    del lo, n, before
-    start1 = np.cumsum(count1) - count1
-    # one entry per channel-3 tag in the window of a reference with a channel-1 tag there
-    # too; pair k (over all entries) of entry e is channel-1 tag base[e] + k and delay off[e]
-    count3[count1 == 0] = 0
+    read = [read_windows(a, b) for a, b in _chunks(before)] or [(np.empty(0, dtype),) * 2]
+    u1, u3 = (np.concatenate(parts) for parts in zip(*read))
+    del win, lo, n, before, read
+    # one entry per channel-3 tag; pair k (over all entries) of entry e is channel-1
+    # tag base[e] + k with channel-3 tag e
     n1 = np.repeat(count1, count3)
     pairs_before = np.concatenate(([0], np.cumsum(n1)))
-    keys = np.empty(pairs_before[-1], dtype=np.int32 if side * side < 2**31 else np.int64)
-    base = np.repeat(start1, count3)
+    keys = np.empty(pairs_before[-1], dtype=dtype)
+    base = np.repeat(np.cumsum(count1) - count1, count3)
     base -= pairs_before[:-1]
-    win = np.repeat(win, count3)
-    off = np.repeat(start3 - np.cumsum(count3) + count3, count3)
-    off += np.arange(len(off))
-    off = t3[off]
-    off -= win
-    off = off.astype(keys.dtype, copy=False)
-    del start1, count1, start3, count3, t3
+    del count1, count3
 
     def fill_keys(a, b):
         n, chunk = n1[a:b], keys[pairs_before[a] : pairs_before[b]]
         p = np.repeat(base[a:b], n)
         p += np.arange(pairs_before[a], pairs_before[b])
-        p = t1[p]
-        # subtract before multiplying: absolute ticks times side would overflow int64
-        p -= np.repeat(win[a:b], n)
-        np.multiply(p, side, out=chunk, casting="unsafe")  # below side**2, so fits the keys
-        chunk += np.repeat(off[a:b], n)
+        # the indices are in range; "clip" lets take write to chunk without a buffer
+        np.take(u1, p, out=chunk, mode="clip")
+        chunk *= side  # u1 * side + u3 < side**2, so fits the keys
+        chunk += np.repeat(u3[a:b], n)
 
     for a, b in _chunks(pairs_before):
         fill_keys(a, b)
-    del t1, n1, pairs_before, base, win, off  # before the sort
+    del u1, u3, n1, pairs_before, base  # before the sort
     keys.sort()
     # a run starts where the key changes, and at the first key if there is one
     head = np.ones(len(keys), dtype=bool)

@@ -156,9 +156,9 @@ class Arm:
 class TimeTagStream:
     """Ordered (channel, timestamp) records at a fixed tick resolution.
 
-    The constructor owns the record invariants: every channel is 1 (i1),
-    2 (s2) or 3 (i2), and the ticks are non-decreasing from a first tick
-    >= 0, so that every tick is >= 0.
+    The constructor owns the record invariants: the channels are integers
+    1 (i1), 2 (s2) or 3 (i2), and the ticks are int64, non-decreasing from a
+    first tick >= 0, so that every tick is >= 0.
     """
 
     resolution_s: float
@@ -168,6 +168,10 @@ class TimeTagStream:
     def __post_init__(self):
         if not self.resolution_s > 0:
             raise ValueError(f"resolution_s must be > 0, got {self.resolution_s}")
+        if self.channels.dtype.kind not in "iu":
+            raise ValueError(f"channels must be integers, got dtype {self.channels.dtype}")
+        if self.timestamps.dtype != np.int64:  # unsigned or narrower ticks wrap in window sums
+            raise ValueError(f"timestamps must be int64 ticks, got dtype {self.timestamps.dtype}")
         if self.channels.shape != self.timestamps.shape:
             raise ValueError("channels and timestamps must have equal length")
         channels = self.channels
@@ -347,19 +351,17 @@ def _apply_dead_time(ticks_sorted: np.ndarray, dead_ticks: int) -> np.ndarray:
     return ticks_sorted[keep]
 
 
-def _gate(t2: np.ndarray, t3: np.ndarray, half_width: int) -> tuple[np.ndarray, np.ndarray]:
+def _gate(t2: np.ndarray, t3: np.ndarray, half_width: int) -> np.ndarray:
     """The ch2 tags with a ch3 tag within half_width ticks: the keep rule.
 
-    kept holds the indices into t2 of the tags whose first ch3 tick at or
-    after t2 - half_width is at most t2 + half_width, and start3 that tick's
-    index into t3, one per kept tag.  A stream cut down to the records within
-    half_width of the kept tags has the same kept tags, with the same
-    records in their windows.
+    Returns the indices into t2 of the tags whose first ch3 tick at or after
+    t2 - half_width is at most t2 + half_width.  A stream cut down to the
+    records within half_width of the kept tags has the same kept tags, with
+    the same records in their windows.
     """
     start3 = np.searchsorted(t3, t2 - half_width, "left")
     kept = np.flatnonzero(start3 < len(t3))
-    kept = kept[t3[start3[kept]] <= t2[kept] + half_width]
-    return kept, start3[kept]
+    return kept[t3[start3[kept]] <= t2[kept] + half_width]
 
 
 def _expected_raw_ticks(config: SimConfig, means: np.ndarray) -> float:

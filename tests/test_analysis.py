@@ -134,6 +134,16 @@ class TestBinningConfig:
         with pytest.raises(ValueError, match=f"^{field} spans more merged bins"):
             BinningConfig(**{"base_bin_s": 1e-300, field: 1e10})
 
+    def test_fine_grid_beyond_int64_keys_refused(self):
+        # (2 n_half_fine + 1)**2 < 2**63 holds up to n_half_fine 1,518,500,249, that is
+        # 94,906,265 merged bins; one more merged bin would wrap the flat keys
+        cfg = BinningConfig()
+        inside = BinningConfig(window_half_span_s=94_906_265 * cfg.merged_bin_s)
+        assert (2 * inside.n_half_fine + 1) ** 2 < 2**63
+        for span in (94_906_266 * cfg.merged_bin_s, 0.2):
+            with pytest.raises(ValueError, match="^window_half_span_s spans .* int64"):
+                BinningConfig(window_half_span_s=span)
+
     @pytest.mark.parametrize("factor", range(1, 33))
     @pytest.mark.parametrize("span_bins", [1, 2.4, 37])
     def test_fine_window_edges_land_on_the_merged_grid_edges(self, factor, span_bins):
@@ -376,14 +386,13 @@ class TestHistogramOracle:
 
 
 def gate_loop(t2, t3, w):
-    """The keep rule reference by reference: (kept ch2 indices, first ch3 index of each)."""
-    kept, start3 = [], []
+    """The keep rule reference by reference: the kept ch2 indices."""
+    kept = []
     for i, t in enumerate(t2.tolist()):
         j = next((j for j, u in enumerate(t3.tolist()) if u >= t - w), len(t3))
         if j < len(t3) and t3[j] <= t + w:
             kept.append(i)
-            start3.append(j)
-    return kept, start3
+    return kept
 
 
 class TestGate:
@@ -431,9 +440,8 @@ class TestGate:
         w = self.W
         stream = stream_from_ticks(*self.gate_case(case, w))
         t2, t3 = stream.channel_ticks(2), stream.channel_ticks(3)
-        kept, start3 = _gate(t2, t3, w)
-        assert (kept.tolist(), start3.tolist()) == gate_loop(t2, t3, w)
-        assert kept.tolist() == self.KEPT[case]
+        kept = _gate(t2, t3, w).tolist()
+        assert kept == gate_loop(t2, t3, w) == self.KEPT[case]
 
     @pytest.mark.parametrize("case", list(KEPT))
     def test_gated_edge_cases_keep_the_histogram(self, case):
@@ -455,8 +463,7 @@ class TestGate:
             # sparse to dense: few to most ch2 tags have a ch3 tag in their window
             stream = random_stream(rng, int(rng.integers(0, 200)), int(rng.integers(1, 40)) * w)
             t2, t3 = stream.channel_ticks(2), stream.channel_ticks(3)
-            kept, start3 = _gate(t2, t3, w)
-            assert (kept.tolist(), start3.tolist()) == gate_loop(t2, t3, w), trial
+            assert _gate(t2, t3, w).tolist() == gate_loop(t2, t3, w), trial
             gated = gate_stream(stream, w)
             h, g = (build_threefold_histogram(s, SMALL) for s in (stream, gated))
             assert as_dict(g) == as_dict(h), trial
@@ -583,30 +590,32 @@ class TestMemoryBound:
 
         NumPy reports its data buffers to tracemalloc, so the traced peak is the
         sum of the arrays alive at once.  With P pairs, B non-empty fine bins
-        (int32 keys on the default grid), N1 and N3 tags on channels 1 and 3, K
-        references with a channel-3 tag in their window, E (reference, channel-3
-        tag) entries and 2**16-element chunks:
+        (int32 keys and offsets on the default grid), N2 and N3 tags on
+        channels 2 and 3, K references with a channel-3 tag in their window and
+        2**16-element chunks:
 
-        histogram, the largest of three stages, with S records summed over the
-        kept windows (a record two windows share counts twice), S1 of them on
-        channel 1:
+        histogram, the largest of four stages, with S1 and S3 the channel-1 and
+        channel-3 records summed over the kept windows (a record two windows
+        share counts twice):
+        - the gate holds the channel-2 and channel-3 copies (8 B per tag) and
+          _gate's temporaries, at most five int64 arrays per reference
+          (40 B per N2);
+        - the per-window read holds six int64 arrays per kept reference (window
+          start, first record, record count, its prefix sum, channel-1 and
+          channel-3 counts: 48 B per K) and the offsets read, in their chunks
+          and then joined (8 B per S1 + S3), plus a chunk's temporaries: per
+          record its int64 index, tick and repeated window start, at most
+          24 B x 2**16;
+        - before the keys are filled, the offsets (4 B per S1 + S3), the counts
+          per window with the channel-1 starts and their cumsum (32 B per K),
+          the keys (4 P) and one entry per channel-3 offset (n1, pair offsets,
+          base: 24 B per S3); the key fill holds less than that without the
+          counts, plus a chunk's temporaries (pair index and arange,
+          16 B x 2**16);
         - the sort and run count hold the P keys (4 B) and the run-head mask
           (1 B per pair), then per bin the run starts, turned into the int64
-          counts in place (8 B), and the unique keys (4 B): 5 P + 12 B;
-        - the per-window read holds the channel-3 copy (8 B per tag), seven
-          int64 arrays per kept reference (window start, first channel-3 tag,
-          channel-3 count, first record, record count, its prefix sum and
-          channel-1 count: 56 B per K) and the channel-1 ticks read, in their
-          chunks and then joined (16 B per S1), plus a chunk's temporaries: per
-          record its int64 index and channel-1 mask (9 B) and per channel-1
-          record its index and tick (16 B), at most 25 B x 2**16;
-        - before the keys are filled, the channel-1 ticks read and the
-          channel-3 copy (8 B per tag), the per-reference starts and counts
-          with the temporaries of the entry index (56 B per K), the keys (4 P)
-          and the entry table (n1, pair offsets, base, window start: 32 B per
-          E) with the index of its delay gather, built in place, and the
-          gathered ticks (16 B per E); the key fill holds less than that plus
-          a chunk's temporaries (at most three int64 arrays, 24 B x 2**16).
+          counts in place (8 B), and the unique keys (4 B): 5 P + 12 B, plus
+          the sort's few KB of workspace and the array headers, under 2**16 B.
 
         merge: the fine histogram (12 B per bin) stays; the merged grid G of
         int64 sums (8 B x 457**2, 1.67 MB), a chunk's divmod outputs with an
@@ -629,17 +638,18 @@ class TestMemoryBound:
             for t in (t1, t3)
         )
         kept = count3 > 0
-        n_kept, entries = np.count_nonzero(kept), int(count3[count1 > 0].sum())
-        # the records and channel-1 ticks summed over the kept windows; the windows
-        # overlap, so they hold more records than their union
+        n_kept = np.count_nonzero(kept)
+        # the records and tags summed over the kept windows; the windows overlap,
+        # so they hold more records than their union
         lo, hi = (
             np.searchsorted(stream.timestamps, refs[kept] + d, side)
             for d, side in ((-w, "left"), (w, "right"))
         )
-        read, read1 = int((hi - lo).sum()), int(count1[kept].sum())
+        read, read1, read3 = (int(c.sum()) for c in (hi - lo, count1[kept], count3[kept]))
         assert len(gate_stream(stream, w)) < read < len(stream) and read1 < len(t1)
-        read_stage = 8 * len(t3) + 56 * n_kept + 16 * read1 + 25 * 2**16
-        table_stage = 8 * (read1 + len(t3)) + 56 * n_kept + 48 * entries + 24 * 2**16
+        gate_stage = 8 * len(t3) + 48 * len(refs)
+        read_stage = 48 * n_kept + 8 * (read1 + read3) + 24 * 2**16
+        table_stage = 4 * (read1 + read3) + 32 * n_kept + 24 * read3 + 16 * 2**16
         del t1, refs, t3, count1, count3, kept, lo, hi
 
         tracemalloc.start()
@@ -654,8 +664,8 @@ class TestMemoryBound:
 
         pairs, bins = h.total_counts, len(h.keys)
         assert pairs >= 2**21 and h.keys.dtype == np.int32 and m.total_counts == pairs
-        stages = max(5 * pairs + 12 * bins, read_stage, table_stage + 4 * pairs)
-        assert hist_peak / pairs <= stages / pairs
+        stages = max(gate_stage, read_stage, table_stage + 4 * pairs, 5 * pairs + 12 * bins)
+        assert hist_peak / pairs <= (stages + 2**16) / pairs
         grid = 8 * (2 * cfg.n_half_merged + 1) ** 2
         assert merge_peak / bins <= (12 * bins + 3 * grid + 16 * 2**16) / bins
 

@@ -431,6 +431,8 @@ class TestAnalyzeOptionRanges:
             ("n_pulses", 0, "n_pulses"),
             ("peak_search_radius_bins", -1, "peak_search_radius"),
             ("fit_exclude_sigma", 0, "fit_exclude_sigma"),
+            # 2,429,764,631 ticks each side: the fine grid's flat keys would wrap int64
+            ("window_half_span_ns", 2e8, "window_half_span_s"),
         ],
     )
     def test_out_of_range_option_rejected(self, tmp_path, capsys, key, value, field):

@@ -50,6 +50,24 @@ class TestStreamType:
         with pytest.raises(ValueError, match="timestamps must be >= 0"):
             TimeTagStream(82.3125e-12, np.array([1, 2], np.uint8), np.array([-3, 5], np.int64))
 
+    @pytest.mark.parametrize(
+        "field, values, dtype",
+        [
+            # float ticks would be truncated on write and in the histogram keys
+            ("channels", np.array([2.0, 1.0, 3.0]), "float64"),
+            ("timestamps", np.array([100.0, 100.4, 100.6]), "float64"),
+            # unsigned or narrower ticks wrap in the window arithmetic: a stream of
+            # either kind holding this triple binned none of its pairs
+            ("timestamps", np.full(3, 100, np.uint64), "uint64"),
+            ("timestamps", np.full(3, 2**31 - 100, np.int32), "int32"),
+        ],
+    )
+    def test_non_integer_or_narrow_arrays_rejected(self, field, values, dtype):
+        arrays = {"channels": np.array([2, 1, 3], np.uint8), "timestamps": np.full(3, 100)}
+        what = "integers" if field == "channels" else "int64 ticks"
+        with pytest.raises(ValueError, match=f"^{field} must be {what}, got dtype {dtype}$"):
+            TimeTagStream(82.3125e-12, **{**arrays, field: values})
+
     def test_channel_views(self):
         s = TimeTagStream(
             82.3125e-12,
