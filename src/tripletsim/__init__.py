@@ -13,10 +13,10 @@ from .analysis import (
     merge_bins,
     occupancy_histogram,
     poisson_fit,
+    poisson_pair_probability,
     snr,
 )
 from .dispersion import SellmeierDispersion, ToyDispersion, lithium_niobate_e
-from .pairstats import SourceParams, mean_pairs_from_pump, poisson_pair_probability
 from .phasematch import (
     QpmGrating,
     idler_partner,
@@ -33,6 +33,7 @@ from .simulate import (
     ChannelModel,
     DetectorModel,
     SimConfig,
+    SourceParams,
     TimeTagStream,
     expected_rates,
     simulate_run,

@@ -19,7 +19,6 @@ import numpy as np
 
 from .constants import DEFAULT_TICK_S
 from .errors import InsufficientStatisticsError, PeakNotFoundError, FitError
-from .pairstats import poisson_pair_probability
 from .simulate import CHANNEL_I1, CHANNEL_I2, CHANNEL_S2, TimeTagStream, _gate
 
 __all__ = [
@@ -40,6 +39,7 @@ __all__ = [
     "merge_bins",
     "occupancy_histogram",
     "poisson_fit",
+    "poisson_pair_probability",
     "snr",
 ]
 
@@ -439,6 +439,22 @@ class PoissonFit:
     chi2: float
     dof: int
     excluded_counts: list[int]
+
+
+def poisson_pair_probability(mean: float, m: int) -> float:
+    """Poisson probability exp(-mu) mu^m / m! of exactly m counts at mean mu.
+
+    The chance of m pairs in one pulse, of m counts in an occupancy bin under
+    the fitted noise, and the report's noise tail probability.  Evaluated in
+    log space, with lgamma, so the factorial cannot overflow.
+    """
+    if mean < 0:
+        raise ValueError(f"mean must be >= 0, got {mean}")
+    if m < 0:
+        raise ValueError(f"count must be >= 0, got {m}")
+    if mean == 0.0:
+        return 1.0 if m == 0 else 0.0
+    return math.exp(m * math.log(mean) - mean - math.lgamma(m + 1))
 
 
 # Outlier-exclusion rounds of poisson_fit at most

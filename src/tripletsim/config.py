@@ -23,9 +23,8 @@ from pathlib import Path
 from .analysis import AnalyzeOptions, BinningConfig
 from .dispersion import ToyDispersion, lithium_niobate_e
 from .errors import ConfigError
-from .pairstats import SourceParams
 from .phasematch import QpmGrating, poling_period_for_shg, poling_period_for_target
-from .simulate import Arm, ChannelModel, DetectorModel, SimConfig
+from .simulate import Arm, ChannelModel, DetectorModel, SimConfig, SourceParams
 
 SCHEMA_VERSION = 1
 
@@ -169,6 +168,19 @@ class PhasematchPlan:
     acceptance_points: int = 161
 
     def __post_init__(self):
+        # comparisons written so that NaN fails too
+        for name in ("length_m", "lambda_p_m"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        # the signal is redder than its pump, and every scan runs upwards
+        for name, floor, floor_name in (
+            ("bracket_m", self.lambda_p_m, "lambda_p_m"),
+            ("shg_scan_m", 0.0, "0"),
+            ("acceptance_scan_m", 0.0, "0"),
+        ):
+            lo, hi = getattr(self, name)
+            if not floor < lo < hi:
+                raise ValueError(f"{name} must satisfy {floor_name} < lo < hi, got {(lo, hi)}")
         if self.tune_steps < 1:
             raise ValueError(f"tune_steps must be >= 1, got {self.tune_steps}")
         # the acceptance width needs a response peak inside the scan

@@ -45,13 +45,12 @@ import sys
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import islice
 
 import numpy as np
 
-from .constants import DEFAULT_TICK_S
-from .pairstats import SourceParams, mean_pairs_from_pump
+from .constants import C_VAC_M_S, DEFAULT_TICK_S, PLANCK_J_S
 
 __all__ = [
     "Arm",
@@ -62,6 +61,7 @@ __all__ = [
     "DetectorModel",
     "ExpectedRates",
     "SimConfig",
+    "SourceParams",
     "TimeTagStream",
     "expected_rates",
     "simulate_run",
@@ -103,6 +103,50 @@ _EVENT_CHANNELS = np.array(
 _CHANNELS = (CHANNEL_I1, CHANNEL_S2, CHANNEL_I2)
 # the kinds (rows of _EVENT_CHANNELS) that hit each channel, in table order
 _CHANNEL_KINDS = tuple(np.flatnonzero(column).tolist() for column in _EVENT_CHANNELS.T)
+
+
+@dataclass(frozen=True)
+class SourceParams:
+    """Pump and conversion parameters of the cascaded source.
+
+    pump_power_w is the continuous-wave-equivalent injected pump power, the
+    pdc efficiencies are pairs generated per pump photon in each stage, and
+    injection_efficiency (keyword only) is the pump in-coupling into the waveguide.
+    """
+
+    pump_power_w: float
+    pump_wavelength_m: float
+    rep_rate_hz: float
+    injection_efficiency: float = field(default=1.0, kw_only=True)
+    pdc1_efficiency: float
+    pdc2_efficiency: float
+
+    def __post_init__(self):
+        # written so that NaN fails too
+        if not self.pump_power_w >= 0:
+            raise ValueError(f"pump_power_w must be >= 0, got {self.pump_power_w}")
+        for name in ("pump_wavelength_m", "rep_rate_hz"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("injection_efficiency", "pdc1_efficiency", "pdc2_efficiency"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+
+    @property
+    def mean_pairs(self) -> float:
+        """Mean primary pair number per pulse, P eta_in lambda / (h c R) * P_pdc1.
+
+        The injected pump photons per pulse times the stage-1 pair efficiency;
+        linear in the pump power.
+        """
+        return (
+            self.pump_power_w
+            * self.pump_wavelength_m
+            / (PLANCK_J_S * C_VAC_M_S * self.rep_rate_hz)
+            * self.injection_efficiency
+            * self.pdc1_efficiency
+        )
 
 
 @dataclass(frozen=True)
@@ -168,6 +212,9 @@ class TimeTagStream:
     def __post_init__(self):
         if not self.resolution_s > 0:
             raise ValueError(f"resolution_s must be > 0, got {self.resolution_s}")
+        for name in ("channels", "timestamps"):
+            if getattr(self, name).ndim != 1:
+                raise ValueError(f"{name} must be 1-D, got shape {getattr(self, name).shape}")
         if self.channels.dtype.kind not in "iu":
             raise ValueError(f"channels must be integers, got dtype {self.channels.dtype}")
         if self.timestamps.dtype != np.int64:  # unsigned or narrower ticks wrap in window sums
@@ -238,11 +285,6 @@ class SimConfig:
         if last_s / self.resolution_s >= 2**61:
             raise ValueError("run span overflows the tick range; reduce n_pulses or coarsen ticks")
 
-    @property
-    def mean_pairs(self) -> float:
-        """Mean primary pairs per pulse behind the injected pump."""
-        return mean_pairs_from_pump(self.source)
-
     def with_seed(self, seed: int) -> "SimConfig":
         return replace(self, rng_seed=seed)
 
@@ -269,7 +311,7 @@ def _event_means_per_pulse(config: SimConfig) -> np.ndarray:
         p_secondary = conv * (p2 if s2 else 1.0 - p2) * (p3 if i2 else 1.0 - p3)
         if not (s2 or i2):
             p_secondary += 1.0 - conv  # an unconverted signal reaches neither
-        means.append(config.mean_pairs * (p1 if i1 else 1.0 - p1) * p_secondary)
+        means.append(config.source.mean_pairs * (p1 if i1 else 1.0 - p1) * p_secondary)
     for arm in config.arms[1:]:
         means.append(arm.channel.leakage_rate_per_pulse * arm.detection_prob)
     return np.array(means)
@@ -299,18 +341,16 @@ def _simulate_block(config: SimConfig, means: np.ndarray, block_index: int, p_st
         t = np.concatenate([pulses[edges[k] : edges[k + 1]] for k in kinds], dtype=np.float64)
         t *= rep
         t += delay
-        if arm.detector.jitter_sigma_s > 0 and len(t):
+        if arm.detector.jitter_sigma_s > 0:
             t += rng.normal(0.0, arm.detector.jitter_sigma_s, len(t))
         out[channel] = t
 
+    # empty draws (a zero dark rate, no dark or no jittered tag) consume no random numbers
     block_t0 = p_start * rep
     block_span = n * rep
     for channel, arm in zip(_CHANNELS, config.arms):
-        if arm.detector.dark_rate_hz > 0:
-            n_dark = rng.poisson(arm.detector.dark_rate_hz * block_span)
-            if n_dark:
-                out[channel] = np.concatenate([out[channel], block_t0 + rng.random(n_dark) * block_span])
-    for channel, t in out.items():
+        n_dark = rng.poisson(arm.detector.dark_rate_hz * block_span)
+        t = np.concatenate([out[channel], block_t0 + rng.random(n_dark) * block_span])
         t /= res
         ticks = np.rint(t, out=t).astype(np.int64)
         # a value sort (same bytes for any algorithm; NumPy releases the interpreter
@@ -413,9 +453,9 @@ def simulate_run(config: SimConfig, n_threads: int = 1, progress: bool = False) 
     """
     if n_threads < 1:
         raise ValueError(f"n_threads must be >= 1, got {n_threads}")
-    if config.mean_pairs > 10:
+    if config.source.mean_pairs > 10:
         warnings.warn(
-            f"mean pair number {config.mean_pairs:.3g} per pulse is far outside the "
+            f"mean pair number {config.source.mean_pairs:.3g} per pulse is far outside the "
             "Poissonian pumping regime the source model assumes",
             stacklevel=2,
         )
@@ -613,7 +653,7 @@ def expected_rates(config: SimConfig, merged_bin_s: float | None = None) -> Expe
         central = per_pulse_central * config.n_pulses * _central_bin_containment(config, merged_bin_s)
 
     return ExpectedRates(
-        mean_pairs_per_pulse=config.mean_pairs,
+        mean_pairs_per_pulse=config.source.mean_pairs,
         singles_rates_hz=tuple(rates),
         singles_counts=tuple(r * (config.n_pulses * rep) for r in rates),
         triplet_probability_per_pulse=p_triple,

@@ -3,8 +3,14 @@ import pytest
 from hypothesis import settings
 
 from tripletsim.analysis import Coincidence2DHistogram
-from tripletsim.pairstats import SourceParams
-from tripletsim.simulate import Arm, ChannelModel, DetectorModel, SimConfig, TimeTagStream
+from tripletsim.simulate import (
+    Arm,
+    ChannelModel,
+    DetectorModel,
+    SimConfig,
+    SourceParams,
+    TimeTagStream,
+)
 
 # property tests draw the same examples on every run
 settings.register_profile("deterministic", derandomize=True)

@@ -20,11 +20,11 @@ from tripletsim.analysis import (
     build_threefold_histogram,
     car,
     poisson_fit,
+    poisson_pair_probability,
     snr,
 )
 from tripletsim.dispersion import lithium_niobate_e
-from tripletsim.pairstats import SourceParams, mean_pairs_from_pump, poisson_pair_probability
-from tripletsim.simulate import SimConfig, expected_rates, simulate_run
+from tripletsim.simulate import SimConfig, SourceParams, expected_rates, simulate_run
 from tripletsim.ttag import write_ttag
 from conftest import baseline_source, boosted_config, make_arms
 
@@ -45,7 +45,7 @@ def test_criterion_01_success_probability_formula():
 
 
 def test_criterion_02_mean_pair_number():
-    mean = mean_pairs_from_pump(replace(baseline_source(), injection_efficiency=1.0))
+    mean = replace(baseline_source(), injection_efficiency=1.0).mean_pairs
     assert round(mean, 3) == 0.217
     assert abs(mean - 0.215) <= 0.02
     report(f"mean pair number {mean:.5f} = 0.217 inside 0.215 +/- 0.02")
@@ -99,7 +99,7 @@ def test_criterion_06_closed_loop_statistics():
 
 def test_criterion_07_car_monotonicity():
     bincfg = BinningConfig()
-    mu_reference = mean_pairs_from_pump(baseline_source())
+    mu_reference = baseline_source().mean_pairs
     all_cars = {}
     for seed in (11, 12, 13):
         cars = []

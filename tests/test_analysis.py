@@ -22,11 +22,11 @@ from tripletsim.analysis import (
     merge_bins,
     occupancy_histogram,
     poisson_fit,
+    poisson_pair_probability,
     snr,
 )
 from tripletsim.config import load_config, parse_analyze, parse_simulate
 from tripletsim.errors import InsufficientStatisticsError, PeakNotFoundError
-from tripletsim.pairstats import poisson_pair_probability
 from tripletsim.simulate import TimeTagStream, _gate, expected_rates, simulate_run
 from conftest import boosted_config, gate_stream, histogram_from_entries
 
@@ -1026,8 +1026,7 @@ class TestAnalyzeStream:
 
     def test_car_decreases_with_mean_pair_number(self):
         # higher-order emission grows accidentals faster than the peak
-        from tripletsim.pairstats import SourceParams
-        from tripletsim.simulate import SimConfig
+        from tripletsim.simulate import SimConfig, SourceParams
         from conftest import make_arms
 
         bincfg = BinningConfig()

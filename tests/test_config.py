@@ -18,13 +18,13 @@ from tripletsim.config import (
 )
 from tripletsim.dispersion import SellmeierDispersion, ToyDispersion, lithium_niobate_e
 from tripletsim.errors import ConfigError
-from tripletsim.pairstats import SourceParams
 from tripletsim.phasematch import QpmGrating, poling_period_for_shg, poling_period_for_target
 from tripletsim.simulate import (
     Arm,
     ChannelModel,
     DetectorModel,
     SimConfig,
+    SourceParams,
     TimeTagStream,
     expected_rates,
 )
@@ -464,3 +464,31 @@ class TestPhasematchRanges:
         assert err.startswith(f"config error: phasematch: {key} must be")
         with pytest.raises(ConfigError, match=f"^phasematch: {key}"):
             parse_phasematch(tree["phasematch"])
+
+    @pytest.mark.parametrize(
+        "key, value, mode, field",
+        [
+            ("length_mm", -5.0, "acceptance", "length_m"),
+            ("length_mm", 0.0, "acceptance", "length_m"),
+            ("lambda_p_nm", -532.0, "solve", "lambda_p_m"),
+            ("bracket_nm", [900.0, 700.0], "solve", "bracket_m"),
+            ("bracket_nm", [500.0, 900.0], "solve", "bracket_m"),  # starts below the pump
+            ("shg_scan_nm", [1610.0, 1570.0], "shg", "shg_scan_m"),
+            ("acceptance_scan_nm", [793.0, 787.0], "acceptance", "acceptance_scan_m"),
+            ("acceptance_scan_nm", [-1.0, 793.0], "acceptance", "acceptance_scan_m"),
+        ],
+    )
+    def test_out_of_range_plan_value_rejected_naming_the_field(
+        self, tmp_path, capsys, key, value, mode, field
+    ):
+        tree = _phasematch_tree(**{key: value})
+        rc, err = _run(tmp_path, capsys, tree, "phasematch", mode)
+        assert rc == 2
+        assert err.startswith(f"config error: phasematch: {field} must")
+        with pytest.raises(ConfigError, match=f"^phasematch: {field} must"):
+            parse_phasematch(tree["phasematch"])
+
+    def test_reversed_tune_range_still_tunes(self, tmp_path, capsys):
+        tree = _phasematch_tree(tune_range_c=[173.5, 153.5], tune_steps=3)
+        rc, _ = _run(tmp_path, capsys, tree, "phasematch", "tune")
+        assert rc == 0

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tripletsim.pairstats import SourceParams, mean_pairs_from_pump, poisson_pair_probability
-from tripletsim.simulate import ChannelModel, DetectorModel, SimConfig, expected_rates
+from tripletsim.analysis import poisson_pair_probability
+from tripletsim.simulate import ChannelModel, DetectorModel, SimConfig, SourceParams, expected_rates
 from conftest import DETECTOR_EFFICIENCIES, baseline_source, make_arms
 
 
@@ -47,23 +47,23 @@ class TestPoissonPairProbability:
 class TestMeanPairsFromPump:
     def test_reference_point(self):
         # P lambda / (h c R) * pdc1 at 10 uW, 532 nm, 10 MHz, 8.1e-8
-        mean = mean_pairs_from_pump(replace(baseline_source(), injection_efficiency=1.0))
+        mean = replace(baseline_source(), injection_efficiency=1.0).mean_pairs
         assert mean == pytest.approx(0.21693015112855046, rel=1e-12)
         assert abs(mean - 0.215) <= 0.02
 
     def test_zero_pump(self):
         src = baseline_source(pump_w=0.0)
-        assert mean_pairs_from_pump(src) == 0.0
+        assert src.mean_pairs == 0.0
 
     def test_linearity_in_pump_power(self):
-        m1 = mean_pairs_from_pump(baseline_source(pump_w=10e-6))
-        m2 = mean_pairs_from_pump(baseline_source(pump_w=20e-6))
+        m1 = baseline_source(pump_w=10e-6).mean_pairs
+        m2 = baseline_source(pump_w=20e-6).mean_pairs
         assert m2 == pytest.approx(2.0 * m1, rel=1e-12)
 
     def test_injection_flag(self):
         # baseline_source injects half the pump
-        on = mean_pairs_from_pump(baseline_source())
-        off = mean_pairs_from_pump(replace(baseline_source(), injection_efficiency=1.0))
+        on = baseline_source().mean_pairs
+        off = replace(baseline_source(), injection_efficiency=1.0).mean_pairs
         assert on == pytest.approx(0.5 * off, rel=1e-12)
 
 

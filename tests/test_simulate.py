@@ -1,5 +1,7 @@
+import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -67,6 +69,19 @@ class TestStreamType:
         what = "integers" if field == "channels" else "int64 ticks"
         with pytest.raises(ValueError, match=f"^{field} must be {what}, got dtype {dtype}$"):
             TimeTagStream(82.3125e-12, **{**arrays, field: values})
+
+    @pytest.mark.parametrize(
+        "channels, timestamps, field, shape",
+        [
+            # columns failed later, in write_ttag and in the histogram
+            (np.array([[1], [2], [3]], np.uint8), np.full((3, 1), 100), "channels", "(3, 1)"),
+            (np.array([1, 2, 3], np.uint8), np.full((3, 1), 100), "timestamps", "(3, 1)"),
+            (np.array(2, np.uint8), np.array(100), "channels", "()"),
+        ],
+    )
+    def test_arrays_must_be_one_dimensional(self, channels, timestamps, field, shape):
+        with pytest.raises(ValueError, match=rf"^{field} must be 1-D, got shape {re.escape(shape)}$"):
+            TimeTagStream(82.3125e-12, channels, timestamps)
 
     def test_channel_views(self):
         s = TimeTagStream(
@@ -143,6 +158,23 @@ class TestSimulateRun:
         a = simulate_run(boosted_config(100_000, seed=1))
         b = simulate_run(boosted_config(100_000, seed=2))
         assert len(a) != len(b) or not np.array_equal(a.timestamps, b.timestamps)
+
+    def test_output_bytes_pinned_with_darks_and_jitter_on_some_channels(self, monkeypatch):
+        # darks on channel 2 only, no jitter on channel 1, and a five-pulse last
+        # block with empty channels: the sampler's empty draws (poisson(0),
+        # random(0), a jitter draw of no tags) consume no random numbers; recorded
+        # under the numpy of tests/output_digests.json
+        monkeypatch.setattr(simulate, "BLOCK_PULSES", SMALL_BLOCK)
+        cfg = SimConfig(
+            source=baseline_source(pdc2=0.27),
+            arms=make_arms(dark_rates=(0.0, 2e4, 0.0), jitter=(0.0, 30e-12, 50e-12)),
+            n_pulses=3 * SMALL_BLOCK + 5,
+            rng_seed=41,
+        )
+        stream = simulate_run(cfg)
+        assert stream.channels.dtype == np.uint8 and np.bincount(stream.channels)[1:].min() > 1000
+        digest = hashlib.sha256(stream.channels.tobytes() + stream.timestamps.tobytes())
+        assert digest.hexdigest() == "31a2a70f60ab902cf0f7338add5b495873990dbda27884e34a069cfb955f96c5"
 
     def test_mean_pairs_warning(self):
         src = baseline_source(pump_w=10e-6 * 120)
@@ -289,7 +321,7 @@ class TestSinglesStatistics:
         # n_pulses * mean * transmission * efficiency + dark * span, 4 sigma
         cfg = boosted_config(10_000_000, seed=77, dark_hz=300.0, pdc2=2.7e-7)
         stream = simulate_run(cfg, n_threads=2)
-        mean = cfg.mean_pairs
+        mean = cfg.source.mean_pairs
         arm = cfg.arms[0]
         span = cfg.n_pulses * cfg.rep_period_s
         expected = cfg.n_pulses * mean * arm.detection_prob + arm.detector.dark_rate_hz * span
@@ -408,7 +440,7 @@ class TestThinning:
 
         # P(no tag on any channel outside kept) per pulse: each of the Poisson
         # pairs misses them, and so does each Poisson leakage photon
-        mu, conv = cfg.mean_pairs, cfg.source.pdc2_efficiency
+        mu, conv = cfg.source.mean_pairs, cfg.source.pdc2_efficiency
         p1, p2, p3 = (a.detection_prob for a in cfg.arms)
         leak2, leak3 = (a.channel.leakage_rate_per_pulse * a.detection_prob for a in cfg.arms[1:])
 
@@ -713,7 +745,7 @@ class TestExpectedRates:
         # same-pulse multi-pair combinations push the central-bin expectation
         # above the single-pair cascade rate
         assert rates.expected_central_count > rates.expected_triplets
-        mu = cfg.mean_pairs
+        mu = cfg.source.mean_pairs
         assert rates.expected_central_count > rates.expected_triplets * (1 + mu * 0.9)
 
     @staticmethod
@@ -727,7 +759,7 @@ class TestExpectedRates:
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(50):
             f = mpmath.mpf
-            mu, conv, rep = f(cfg.mean_pairs), f(cfg.source.pdc2_efficiency), f(cfg.rep_period_s)
+            mu, conv, rep = f(cfg.source.mean_pairs), f(cfg.source.pdc2_efficiency), f(cfg.rep_period_s)
             p1, p2, p3 = (f(arm.detection_prob) for arm in cfg.arms)
             leak2, leak3 = (
                 f(arm.channel.leakage_rate_per_pulse) * p for arm, p in zip(cfg.arms[1:], (p2, p3))
