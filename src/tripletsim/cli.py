@@ -39,20 +39,24 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
-def _thread_count(text: str) -> int:
-    """argparse type of --threads."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return n
+def _integer_at_least(low: int):
+    """argparse type of an integer flag whose values start at low (--threads, --seed)."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = low - 1
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return n
+
+    return parse
 
 
 # Peak bytes of a simulate run per expected record.  Measured with getrusage in fresh
-# processes (configs/baseline.json, 2 threads): 57.5 MB at 1e8 pulses (1.81e6 records),
-# 127 MB at 5e8 (9.06e6) and 213 MB at 1e9 (1.81e7), so each added record costs about
+# processes (configs/baseline.json, 2 threads): 61 MB at 1e8 pulses (1.81e6 records),
+# 130 MB at 5e8 (9.06e6) and 217 MB at 1e9 (1.81e7), so each added record costs about
 # 10 B: the 9 B of its channel and tick, held until the file is written.  Two 9 B records
 # bound that slope with room for the fixed part of the peak.
 _SIMULATE_BYTES_PER_RECORD = 2 * ttag.RECORD_SIZE
@@ -334,8 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run the source simulation, write a TTAG file")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--output", required=True, help="output .ttag path")
-    p_sim.add_argument("--seed", type=int, default=None, help="override the config rng_seed")
-    p_sim.add_argument("--threads", type=_thread_count, default=1)
+    p_sim.add_argument(
+        "--seed", type=_integer_at_least(0), default=None, help="override the config rng_seed"
+    )
+    p_sim.add_argument("--threads", type=_integer_at_least(1), default=1)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_an = sub.add_parser("analyze", help="coincidence analysis of a TTAG file")

@@ -9,27 +9,27 @@ photons land on the secondary channels at the pulse times, and each channel
 enforces a non-paralyzable dead time.
 
 Pulses are simulated in blocks of BLOCK_PULSES, each with its own random
-stream keyed by (seed, block).  By Poisson thinning, the pairs of a block
-that produce a given detection pattern over (i1, s2, i2) number an
-independent Poisson variable, spread uniformly over the block's pulses.  A
-block therefore draws, in this order: the totals of the seven
-detection-bearing pair patterns and of the s2 and i2 leakage photons
-(_EVENT_CHANNELS), the pulse of every such event, grouped by kind in table
-order, so that a channel's events are the ranges of its kinds, then the
-jitter of channels 1, 2 and 3, then the dark counts of channels 1, 2 and 3.
-The cost follows the number of detections, not of pulses.  The worker that
-samples a block also sorts its ticks per channel.  The main thread takes the
-blocks in order, at most 2 x n_threads of them sampled ahead, and finishes
-the run block by block.  Once the blocks before pulse p are in, no later
-block reaches a tick below _final_tick(config, p).  Each channel's ticks
-below it are final: a stable sort merges them with the ticks carried from
-the block before, its dead time runs on from the channel's last accepted
-tick, and one stable sort of the keys tick << 2 | channel merges the
-channels, putting equal ticks in channel order.  The merged records are
+stream: an SFC64 generator seeded by SeedSequence((seed, block)).  By
+Poisson thinning, the pairs of a block that produce a given detection
+pattern over (i1, s2, i2) number an independent Poisson variable, spread
+uniformly over the block's pulses.  A block therefore draws, in this order:
+the totals of the seven detection-bearing pair patterns and of the s2 and i2
+leakage photons (_EVENT_CHANNELS), the pulse of every such event, grouped by
+kind in table order, so that a channel's events are the ranges of its kinds,
+then the jitter of channels 1, 2 and 3, then the dark counts of channels 1,
+2 and 3.  The cost follows the number of detections, not of pulses.  The
+worker that samples a block also sorts its ticks per channel.  The main
+thread takes the blocks in order, at most 2 x n_threads of them sampled
+ahead, and finishes the run block by block.  Once the blocks before pulse p
+are in, no later block reaches a tick below _final_tick(config, p).  Each
+channel's ticks below it are final: a stable sort merges them with the ticks
+carried from the block before, its dead time runs on from the channel's last
+accepted tick, and one stable sort of the keys tick << 2 | channel merges
+the channels, putting equal ticks in channel order.  The merged records are
 appended to the output arrays; the ticks at or above the bound are carried
 into the next block.  Output is an ordered stream of (channel, tick)
-records, bit-reproducible for a fixed seed and RNG_SCHEME independent of
-the worker count.
+records, bit-reproducible for a fixed seed and RNG_SCHEME independent of the
+worker count.
 
 The statistical oracle, expected_rates, reads the same event table: singles
 are the table's column sums weighted by the kinds' means, the dead-time-free
@@ -72,17 +72,23 @@ CHANNEL_S2 = 2
 CHANNEL_I2 = 3
 
 # Pulses per RNG block; each block draws from its own stream whichever worker
-# runs it, so results do not depend on the thread count.  Blocks must be large
-# enough that a worker spends its time in NumPy calls that release the
-# interpreter lock, not in per-call overhead.
-BLOCK_PULSES = 1 << 20
+# runs it, so results do not depend on the thread count.  A block costs the
+# same number of NumPy calls whatever its length, so blocks must be long
+# enough that a worker spends its time in calls that release the interpreter
+# lock, not in per-call overhead; but the 2 x n_threads blocks in flight scale
+# the peak memory.  Against 2**20-pulse blocks, 2**21 (with SFC64 streams)
+# took the W2-boosted benchmark's wall time down 16% for 5% more peak RSS;
+# 2**22 costs about 8% more RSS, close to the 10% the benchmark allows.
+BLOCK_PULSES = 1 << 21
 
 # Version of the sampling scheme, written to the simulate manifest: the bytes
 # produced for a given seed change only with it.  Scheme 1 drew pair numbers
 # and detections pulse by pulse; scheme 2 draws block totals per event kind
-# and scatters them over the block's pulses, in blocks of 2**17 pulses;
-# scheme 3 does the same in blocks of 2**20.
-RNG_SCHEME = 3
+# and scatters them over the block's pulses, in blocks of 2**17 pulses, from
+# Philox streams keyed by (seed, block); scheme 3 does the same in blocks of
+# 2**20; scheme 4 in blocks of 2**21, from SFC64 streams seeded by
+# SeedSequence((seed, block)).
+RNG_SCHEME = 4
 
 # Largest relative mismatch between rep_period_s and 1 / source.rep_rate_hz
 _PERIOD_RTOL = 1e-6
@@ -265,6 +271,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_pulses <= 0:
             raise ValueError("n_pulses must be > 0")
+        if self.rng_seed < 0:  # SeedSequence takes non-negative integers of any size
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         for name in ("rep_period_s", "resolution_s"):
             if not getattr(self, name) > 0:  # also rejects NaN
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
@@ -290,9 +298,8 @@ class SimConfig:
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
-    """Counter-based per-block stream: key = (run seed, block index)."""
-    key = np.array([seed & (2**64 - 1), block_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """The stream of one block: SFC64 seeded by SeedSequence((run seed, block index))."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, block_index])))
 
 
 def _event_means_per_pulse(config: SimConfig) -> np.ndarray:
@@ -446,8 +453,8 @@ def simulate_run(config: SimConfig, n_threads: int = 1, progress: bool = False) 
     """Simulate the full run and return the merged, dead-time-filtered stream.
 
     Deterministic for a fixed rng_seed: pulse blocks use independent
-    counter-based streams keyed by (seed, block), so every thread count
-    produces identical output.  Blocks are finished in order as they arrive
+    streams keyed by (seed, block), so every thread count produces
+    identical output.  Blocks are finished in order as they arrive
     (see the module docstring), so besides the output only the blocks in
     flight and the ticks carried between them are held.
     """
@@ -562,17 +569,25 @@ def _central_bin_containment(config: SimConfig, merged_bin_s: float) -> float:
     off = config.peak_offset_s
     k = round(off / w)  # merged bin holding the peak
     lo, hi = (k - 0.5) * w - off, (k + 0.5) * w - off
-    erfc = np.frompyfunc(math.erfc, 1, 1)
 
     def inside(z, s):
-        """P(lo <= j - z <= hi) for a jitter j ~ N(0, s^2)."""
+        """P(lo <= j - z <= hi) for a jitter j ~ N(0, s^2), at each z of a 1-D array."""
         if s == 0.0:
             return ((lo + z <= 0.0) & (0.0 <= hi + z)) * 1.0
         r = s * math.sqrt(2.0)
-        return np.asarray(0.5 * (erfc((lo + z) / r) - erfc((hi + z) / r)), float)
+        erfc_lo, erfc_hi = (
+            np.fromiter(map(math.erfc, (x / r).tolist()), float, len(z)) for x in (lo + z, hi + z)
+        )
+        return 0.5 * (erfc_lo - erfc_hi)
+
+    def factors(z):
+        """The channel-1 and channel-3 factors at z; equal jitters share one evaluation."""
+        factor = {s: inside(z, s) for s in {s1, s3}}
+        return factor[s1], factor[s3]
 
     if s2 == 0.0:
-        return float(inside(0.0, s1) * inside(0.0, s3))
+        f1, f3 = factors(np.zeros(1))
+        return float(f1[0] * f3[0])
     # in units u = z / s2: both factors step at u = -hi/s2 and -lo/s2 over a
     # ramp s_k/s2 wide, and their product vanishes 12 of the smaller jitter beyond
     pad = 12.0 * min(s1, s3)
@@ -590,7 +605,8 @@ def _central_bin_containment(config: SimConfig, merged_bin_s: float) -> float:
     half = 0.5 * np.diff(ends)[:, None]
     nodes, weights = leggauss(20)
     u = (ends[:-1, None] + half * (1.0 + nodes)).ravel()
-    f = np.exp(-0.5 * u * u) * inside(u * s2, s1) * inside(u * s2, s3)
+    f1, f3 = factors(u * s2)
+    f = np.exp(-0.5 * u * u) * f1 * f3
     return float((half * weights).ravel() @ f) / math.sqrt(2.0 * math.pi)
 
 

@@ -181,7 +181,7 @@ class TestSimulateCommand:
         assert out.stat().st_size == 22
         manifest = json.loads((tmp_path / "run.ttag.manifest.json").read_text())
         assert manifest["n_records"] == 0
-        assert manifest["rng_scheme"] == 3
+        assert manifest["rng_scheme"] == 4
 
     def test_same_seed_byte_identical(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", small_sim_config(seed=9))
@@ -299,6 +299,17 @@ class TestSimulateCommand:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["-1", "x"])
+    def test_bad_seed_refused_before_sampling(self, tmp_path, monkeypatch, capsys, flag):
+        # a negative seed used to be drawn as seed + 2**64 while the manifest recorded it
+        self.refuse_sampling(monkeypatch)
+        cfg = write_json(tmp_path / "cfg.json", small_sim_config())
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", cfg, "--output", str(tmp_path / "run.ttag"), "--seed", flag])
+        assert exc.value.code == 2
+        assert f"argument --seed: must be an integer >= 0, got '{flag}'" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 class TestAnalyzeCommand:

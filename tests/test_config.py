@@ -410,6 +410,12 @@ class TestMalformedConfig:
                 "simulate.rep_period_ns",
                 "expected a finite number",
             ),
+            (
+                _simulate_tree(rng_seed=-5),
+                "simulate",
+                "simulate: rng_seed",
+                "must be >= 0, got -5",
+            ),
         ],
     )
     def test_rejected_naming_the_key_once(self, tmp_path, capsys, tree, command, path, words):

@@ -159,6 +159,34 @@ class TestSimulateRun:
         b = simulate_run(boosted_config(100_000, seed=2))
         assert len(a) != len(b) or not np.array_equal(a.timestamps, b.timestamps)
 
+    def test_seeds_do_not_wrap_at_64_bits(self):
+        # a seed masked to 64 bits made 1 and 2**64 + 1 the same run
+        a = simulate_run(boosted_config(100_000, seed=1))
+        b = simulate_run(boosted_config(100_000, seed=2**64 + 1))
+        assert len(a) != len(b) or not np.array_equal(a.timestamps, b.timestamps)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^rng_seed must be >= 0, got -5$"):
+            boosted_config(1000, seed=-5)
+
+    def test_block_streams_keyed_by_seed_and_block(self):
+        draws = {
+            key: simulate._block_rng(*key).integers(0, 2**63, 4).tolist()
+            for key in [(7, 3), (7, 3), (8, 3), (6, 3), (7, 4), (7, 2), (3, 7)]
+        }
+        assert simulate._block_rng(7, 3).integers(0, 2**63, 4).tolist() == draws[7, 3]
+        assert len({tuple(d) for d in draws.values()}) == len(draws)
+
+    def test_thread_count_independence_at_the_default_block(self):
+        # three full blocks and a short fourth at the shipped BLOCK_PULSES
+        cfg = boosted_config(3 * simulate.BLOCK_PULSES + 10_000, seed=29, dark_hz=500.0, pdc2=0.05)
+        serial = simulate_run(cfg, n_threads=1)
+        parallel = simulate_run(cfg, n_threads=2)
+        assert np.array_equal(serial.timestamps, parallel.timestamps)
+        assert np.array_equal(serial.channels, parallel.channels)
+        pulses = pulse_index(serial.timestamps, cfg)
+        assert np.count_nonzero(pulses >= 3 * simulate.BLOCK_PULSES) > 0
+
     def test_output_bytes_pinned_with_darks_and_jitter_on_some_channels(self, monkeypatch):
         # darks on channel 2 only, no jitter on channel 1, and a five-pulse last
         # block with empty channels: the sampler's empty draws (poisson(0),
@@ -174,7 +202,7 @@ class TestSimulateRun:
         stream = simulate_run(cfg)
         assert stream.channels.dtype == np.uint8 and np.bincount(stream.channels)[1:].min() > 1000
         digest = hashlib.sha256(stream.channels.tobytes() + stream.timestamps.tobytes())
-        assert digest.hexdigest() == "31a2a70f60ab902cf0f7338add5b495873990dbda27884e34a069cfb955f96c5"
+        assert digest.hexdigest() == "1ad9a951b4c1e050c8259823161de47f70951ca951e6a4bd0a1d3ab5d9dc2102"
 
     def test_mean_pairs_warning(self):
         src = baseline_source(pump_w=10e-6 * 120)
@@ -636,7 +664,7 @@ class TestMemoryBound:
 
         NumPy reports its data buffers to tracemalloc, so the traced peak is the
         sum of the arrays alive at once.  With E the run's expected raw tick
-        count from the event table and R a block's (9.1e5 and 1.9e4 here):
+        count from the event table and R a block's (9.1e5 and 3.8e4 here):
 
         simulate_run: the output arrays, sized E + 6 sqrt(E) records of 9 B
         (uint8 channel and int64 tick); the 2 x n_threads blocks in flight, at
@@ -904,6 +932,35 @@ class TestCentralBinContainment:
         jitters = tuple(arm.detector.jitter_sigma_s for arm in cfg.arms)
         oracle = self.quad_oracle(jitters, cfg.peak_offset_s)
         assert _central_bin_containment(cfg, merged_bin_s) == pytest.approx(oracle, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "pdc2, n_pulses, central",
+        [
+            (None, None, "0x1.5b95ea0b9cb27p-11"),  # configs/baseline.json as shipped
+            (0.05, 20_000_000, "0x1.dd3ebbdc198b7p+7"),  # the W2-boosted benchmark run
+        ],
+    )
+    def test_shipped_central_counts_pinned(self, pdc2, n_pulses, central):
+        # the manifest's expected block may move only with the model: its floats are pinned
+        tree = load_config(Path(__file__).resolve().parent.parent / "configs" / "baseline.json")
+        if pdc2 is not None:
+            tree["simulate"]["source"]["pdc2_pairs_per_pump_photon"] = pdc2
+            tree["simulate"]["n_pulses"] = n_pulses
+        cfg = parse_simulate(tree["simulate"])
+        rates = expected_rates(cfg, merged_bin_s=parse_analyze(tree["analyze"]).binning.merged_bin_s)
+        assert rates.expected_central_count.hex() == central
+
+    @pytest.mark.parametrize(
+        "jitters, containment",
+        [
+            ((100e-12, 150e-12, 200e-12), "0x1.f240b8ae51f84p-1"),
+            ((0.0, 150e-12, 300e-12), "0x1.d822094cc25d6p-1"),
+            ((80e-12, 0.0, 120e-12), "0x1.fffd6f5514bdap-1"),
+        ],
+    )
+    def test_unequal_side_jitters_pinned(self, jitters, containment):
+        cfg = self.config(jitters, -0.165e-9)
+        assert _central_bin_containment(cfg, self.MERGED_BIN_S).hex() == containment
 
     def test_narrow_edge_ramp_with_one_exact_side(self):
         # s1 = 0 makes the range end exactly at the steps, where channel 3's
