@@ -54,6 +54,14 @@ def _integer_at_least(low: int):
     return parse
 
 
+def _path_in_existing_directory(text: str) -> str:
+    """argparse type of simulate's --output: a missing directory is refused before any sampling."""
+    directory = os.path.dirname(text) or "."
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(f"{directory!r} is not an existing directory")
+    return text
+
+
 # Peak bytes of a simulate run per expected record.  Measured with getrusage in fresh
 # processes (configs/baseline.json, 2 threads): 61 MB at 1e8 pulses (1.81e6 records),
 # 130 MB at 5e8 (9.06e6) and 217 MB at 1e9 (1.81e7), so each added record costs about
@@ -337,7 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run the source simulation, write a TTAG file")
     p_sim.add_argument("--config", required=True)
-    p_sim.add_argument("--output", required=True, help="output .ttag path")
+    p_sim.add_argument(
+        "--output", type=_path_in_existing_directory, required=True, help="output .ttag path"
+    )
     p_sim.add_argument(
         "--seed", type=_integer_at_least(0), default=None, help="override the config rng_seed"
     )

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tripletsim import analysis
 from tripletsim.analysis import (
@@ -819,6 +822,42 @@ class TestCar:
         est = car(10, 0.0, n_accidental_bins=48)
         assert est.is_lower_bound
         assert est.value == 480.0
+
+
+class TestPoissonPairProbability:
+    def test_empty_pulse_certainty(self):
+        assert poisson_pair_probability(0.0, 0) == 1.0
+        assert poisson_pair_probability(0.0, 3) == 0.0
+
+    def test_reference_mean(self):
+        # exp(-0.215) and 0.215 exp(-0.215), frozen from direct evaluation
+        assert poisson_pair_probability(0.215, 0) == pytest.approx(0.8065414401773269, rel=1e-12)
+        assert poisson_pair_probability(0.215, 1) == pytest.approx(0.1734064096381253, rel=1e-12)
+
+    def test_domain_errors(self):
+        with pytest.raises(ValueError):
+            poisson_pair_probability(-0.1, 0)
+        with pytest.raises(ValueError):
+            poisson_pair_probability(0.1, -1)
+
+    def test_log_space_branch_continuity(self):
+        # at m = 21 the log-space evaluation agrees with the direct product
+        mean = 3.7
+        direct = math.exp(-mean) * mean**21 / math.factorial(21)
+        assert poisson_pair_probability(mean, 21) == pytest.approx(direct, rel=1e-12)
+
+    def test_large_count_no_overflow(self):
+        p = poisson_pair_probability(5.0, 400)
+        assert 0.0 < p < 1e-300 or p == 0.0
+
+    @given(st.floats(min_value=1e-12, max_value=10.0), st.integers(min_value=0, max_value=60))
+    def test_matches_log_pmf(self, mean, m):
+        p = poisson_pair_probability(mean, m)
+        lp = m * math.log(mean) - mean - math.lgamma(m + 1)
+        if p >= sys.float_info.min:
+            assert math.log(p) == pytest.approx(lp, abs=1e-10)
+        else:  # a subnormal p holds too few bits for its log to meet 1e-10: one step apart at most
+            assert abs(p - math.exp(lp)) <= math.ulp(0.0)
 
 
 class TestOccupancy:

@@ -31,6 +31,7 @@ from conftest import gate_stream, histogram_from_entries
 from test_output_digests import _write_dense_stream
 
 TICK = 82.3125e-12
+REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_json(path, tree):
@@ -117,6 +118,8 @@ class TestWriteConfig:
         assert main(["write-config", "--output", str(out)]) == 0
         tree = load_config(out)
         assert tree["schema_version"] == 1
+        # the baseline the package carries is the file configs/ links to
+        assert out.read_bytes() == (REPO_CONFIGS / "baseline.json").read_bytes()
 
 
 @pytest.fixture(params=[0o022, 0o027], ids=oct)
@@ -140,8 +143,10 @@ class TestOutputFiles:
         assert main(["analyze", str(run), "--config", cfg, "--output", str(out)]) == 0
         pm = tmp_path / "solve.json"
         assert main(["phasematch", "solve", "--config", str(base), "--output", str(pm)]) == 0
-        written = [base, run, tmp_path / "run.ttag.manifest.json", pm, *out.iterdir()]
-        assert len(written) == 7
+        tune = tmp_path / "tune.csv"
+        assert main(["phasematch", "tune", "--config", str(base), "--output", str(tune)]) == 0
+        written = [base, run, tmp_path / "run.ttag.manifest.json", pm, tune, *out.iterdir()]
+        assert len(written) == 8
         assert {p.name: oct(stat.S_IMODE(p.stat().st_mode)) for p in written} == {
             p.name: oct(0o666 & ~umask) for p in written
         }
@@ -193,10 +198,12 @@ class TestSimulateCommand:
     def test_thread_count_independent(self, tmp_path, monkeypatch):
         monkeypatch.setattr(simulate, "BLOCK_PULSES", 1 << 17)  # 4 blocks
         cfg = write_json(tmp_path / "cfg.json", small_sim_config(n_pulses=400_000, seed=12))
-        a, b = tmp_path / "a.ttag", tmp_path / "b.ttag"
-        assert main(["simulate", "--config", cfg, "--output", str(a), "--threads", "1"]) == 0
-        assert main(["simulate", "--config", cfg, "--output", str(b), "--threads", "4"]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        outputs = {}
+        for threads in ("1", "2", "4"):
+            out = tmp_path / f"t{threads}.ttag"
+            assert main(["simulate", "--config", cfg, "--output", str(out), "--threads", threads]) == 0
+            outputs[threads] = out.read_bytes()
+        assert outputs["2"] == outputs["1"] and outputs["4"] == outputs["1"]
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", small_sim_config(seed=9))
@@ -242,6 +249,31 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--output", str(out)]) == 0
         manifest = json.loads((tmp_path / "run.ttag.manifest.json").read_text())
         assert manifest["expected"]["expected_central_count"] is None
+
+    def test_config_of_only_required_keys_simulates_analyzes_and_reports(self, tmp_path):
+        tree = {
+            "schema_version": 1,
+            "simulate": {
+                "source": {
+                    "pump_power_uW": 10.0,
+                    "pump_wavelength_nm": 532.0,
+                    "rep_rate_MHz": 10.0,
+                    "pdc1_pairs_per_pump_photon": 8.1e-8,
+                    "pdc2_pairs_per_pump_photon": 0.05,
+                },
+                "arms": {
+                    "i1": {"detector": {"efficiency": 0.6}},
+                    "s2": {"detector": {"efficiency": 0.25}},
+                    "i2": {"detector": {"efficiency": 0.7}},
+                },
+                "n_pulses": 200_000,
+            },
+            "analyze": {},
+        }
+        cfg, run, out = write_json(tmp_path / "cfg.json", tree), str(tmp_path / "run.ttag"), tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--output", run]) == 0
+        assert main(["analyze", run, "--config", cfg, "--output", str(out)]) == 0
+        assert main(["report", str(out / "report.json")]) == 0
 
     def test_unknown_key_rejected(self, tmp_path):
         tree = small_sim_config()
@@ -309,6 +341,17 @@ class TestSimulateCommand:
             main(["simulate", "--config", cfg, "--output", str(tmp_path / "run.ttag"), "--seed", flag])
         assert exc.value.code == 2
         assert f"argument --seed: must be an integer >= 0, got '{flag}'" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_missing_output_directory_refused_before_sampling(self, tmp_path, monkeypatch, capsys):
+        self.refuse_sampling(monkeypatch)
+        cfg = write_json(tmp_path / "cfg.json", small_sim_config())
+        missing = tmp_path / "no_such_dir"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", cfg, "--output", str(missing / "run.ttag")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --output: {str(missing)!r} is not an existing directory" in err
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
@@ -480,9 +523,6 @@ class TestAnalyzeCommand:
         assert capsys.readouterr().err.startswith(f"error: {out / 'report.json'}: malformed value")
 
 
-REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-
-
 class TestUnreadableConfig:
     @pytest.mark.parametrize("command", ["simulate", "analyze", "phasematch"])
     @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{}"], ids=["json", "utf8"])
@@ -552,6 +592,30 @@ class TestManifestPulseCount:
         assert main(["analyze", str(ttag_path), "--config", cfg, "--output", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: analyze.n_pulses: ") and str(manifest) in err
+        assert not (out / "report.json").exists()
+
+    def test_config_count_without_manifest_reports_the_same(self, tmp_path):
+        cfg, ttag_path, manifest = self.simulate(tmp_path)
+        bare = tmp_path / "bare.ttag"
+        bare.write_bytes(ttag_path.read_bytes())
+        tree = load_config(cfg)
+        tree["analyze"]["n_pulses"] = json.loads(manifest.read_text())["n_pulses"]
+        counted = write_json(tmp_path / "counted.json", tree)
+        assert main(["analyze", str(ttag_path), "--config", cfg, "--output", str(tmp_path / "out")]) == 0
+        assert main(["analyze", str(bare), "--config", counted, "--output", str(tmp_path / "out_bare")]) == 0
+        report = (tmp_path / "out" / "report.json").read_bytes()
+        assert (tmp_path / "out_bare" / "report.json").read_bytes() == report
+
+    def test_truncated_copy_beside_its_manifest_names_the_byte_offset(self, tmp_path, capsys):
+        cfg, ttag_path, manifest = self.simulate(tmp_path)
+        cut = tmp_path / "cut.ttag"
+        cut.write_bytes(ttag_path.read_bytes()[:-4])
+        Path(str(cut) + ".manifest.json").write_bytes(manifest.read_bytes())
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["analyze", str(cut), "--config", cfg, "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("time-tag file error: ") and "byte offset" in err
         assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize(
@@ -786,6 +850,17 @@ class TestPhasematchCommands:
         assert main(argv[:-2] + ["--output", str(tmp_path / "acceptance.json")]) == 0
         peak = json.loads((tmp_path / "acceptance.json").read_text())["peak_m"]
         assert pumps[0] < peak < pumps[-1]
+
+    def test_shg_csv_peaks_at_the_json_peak(self, capsys):
+        # the stage-2 config is calibrated for its SHG scan, which holds the root
+        cfg = str(REPO_CONFIGS / "stage2_phasematch.json")
+        assert main(["phasematch", "shg", "--config", cfg, "--format", "csv"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0] == "lambda_fundamental_m,response"
+        lams, response = np.array([[float(v) for v in r.split(",")] for r in rows[1:]]).T
+        assert main(["phasematch", "shg", "--config", cfg]) == 0
+        peak = json.loads(capsys.readouterr().out)["shg_peak_m"]
+        assert abs(lams[np.argmax(response)] - peak) <= np.diff(lams).max()
 
     def test_shg_json(self, tmp_path, capsys):
         tree = {"schema_version": 1, "phasematch": dict(default_config()["phasematch"])}

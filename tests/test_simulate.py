@@ -23,6 +23,7 @@ from tripletsim.simulate import (
     ChannelModel,
     DetectorModel,
     SimConfig,
+    SourceParams,
     TimeTagStream,
     _apply_dead_time,
     _central_bin_containment,
@@ -31,7 +32,7 @@ from tripletsim.simulate import (
     simulate_run,
 )
 from tripletsim.ttag import RECORD_SIZE, write_ttag
-from conftest import baseline_source, boosted_config, make_arms
+from conftest import DETECTOR_EFFICIENCIES, baseline_source, boosted_config, make_arms
 
 # Block size for tests that need many blocks at a small pulse count;
 # simulate_run reads BLOCK_PULSES when it is called.
@@ -296,6 +297,23 @@ def test_nan_field_rejected(make, field):
 def test_infinite_peak_offset_rejected():
     with pytest.raises(ValueError, match="peak_offset_s"):
         replace(boosted_config(10, 0), peak_offset_s=-math.inf)
+
+
+class TestValidation:
+    def test_source_params(self):
+        with pytest.raises(ValueError):
+            SourceParams(-1e-6, 532e-9, 10e6, 8.1e-8, 2.7e-7, injection_efficiency=0.5)
+        with pytest.raises(ValueError):
+            SourceParams(10e-6, 532e-9, 10e6, 8.1e-8, 2.7e-7, injection_efficiency=1.5)
+        with pytest.raises(ValueError):
+            SourceParams(10e-6, 532e-9, 0.0, 8.1e-8, 2.7e-7, injection_efficiency=0.5)
+
+    def test_arm_efficiencies(self):
+        # an arm's efficiency is its transmission times its detector efficiency
+        with pytest.raises(ValueError, match="transmission"):
+            ChannelModel(transmission=1.2)
+        with pytest.raises(ValueError, match="efficiency"):
+            DetectorModel(efficiency=1.2)
 
 
 class TestSinglesStatistics:
@@ -713,6 +731,60 @@ class TestJitter:
         assert d1.size >= 1000
         expected = math.sqrt(2.0) * sigma
         assert d1.std() == pytest.approx(expected, rel=0.10)
+
+
+class TestSourceMeanPairs:
+    def test_reference_point(self):
+        # P lambda / (h c R) * pdc1 at 10 uW, 532 nm, 10 MHz, 8.1e-8
+        mean = replace(baseline_source(), injection_efficiency=1.0).mean_pairs
+        assert mean == pytest.approx(0.21693015112855046, rel=1e-12)
+        assert abs(mean - 0.215) <= 0.02
+
+    def test_zero_pump(self):
+        src = baseline_source(pump_w=0.0)
+        assert src.mean_pairs == 0.0
+
+    def test_linearity_in_pump_power(self):
+        m1 = baseline_source(pump_w=10e-6).mean_pairs
+        m2 = baseline_source(pump_w=20e-6).mean_pairs
+        assert m2 == pytest.approx(2.0 * m1, rel=1e-12)
+
+    def test_injection_flag(self):
+        # baseline_source injects half the pump
+        on = baseline_source().mean_pairs
+        off = replace(baseline_source(), injection_efficiency=1.0).mean_pairs
+        assert on == pytest.approx(0.5 * off, rel=1e-12)
+
+
+class TestTripletProbability:
+    """The per-pulse triplet probability as expected_rates reads it from the event table."""
+
+    @staticmethod
+    def probability(source=None, efficiencies=DETECTOR_EFFICIENCIES):
+        source = source or baseline_source()
+        cfg = SimConfig(
+            source=source,
+            arms=make_arms(efficiencies=efficiencies),
+            rep_period_s=1.0 / source.rep_rate_hz,
+        )
+        return expected_rates(cfg).triplet_probability_per_pulse
+
+    def test_reference_value(self):
+        # arm detection probabilities 0.6t / 0.25t / 0.7t, product 2.17e-3
+        assert self.probability() == pytest.approx(6.35e-11, rel=0.01)
+
+    def test_zero_arm_kills_it(self):
+        assert self.probability(efficiencies=(0.0, 0.5, 0.5)) == 0.0
+
+    def test_multiplicative_separability(self):
+        p0 = self.probability()
+        e1, e2, e3 = DETECTOR_EFFICIENCIES
+        assert self.probability(efficiencies=(e1 / 2, e2, e3)) == pytest.approx(p0 / 2, rel=1e-12)
+
+    def test_pump_rep_rate_scaling_invariance(self):
+        src = baseline_source()
+        scaled = replace(src, pump_power_w=6.2 * src.pump_power_w, rep_rate_hz=6.2 * src.rep_rate_hz)
+        assert self.probability(scaled) == pytest.approx(self.probability(src), rel=1e-12)
 
 
 class TestExpectedRates:
